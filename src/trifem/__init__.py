@@ -22,8 +22,9 @@ from .mesh import (BoundaryPartition, BoundaryRegion, FeMesh, Mesh2d,
                    uniform_refine)
 from .quadrature import QuadRule1d, QuadRule2d, segment_rule, triangle_rule
 from .selector import SelectorError, parse_selector
-from .system import (DirichletSpec, RateReport, apply_dirichlet_and_solve,
-                     error_H1_semi, error_L2, fit_rate, solve_sparse)
+from .system import (DirichletSolver, DirichletSpec, RateReport,
+                     apply_dirichlet_and_solve, dirichlet_dofs, error_H1_semi,
+                     error_L2, fit_rate, solve_sparse)
 from .terms import Term, TermSum, parse_term_sum
 from .vform import (FormEntry, FormError, VarForm, coef_to_matrix,
                     expand_extended, standardize_symbols, var_form)

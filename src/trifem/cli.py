@@ -49,7 +49,7 @@ def build_parser():
     run.add_argument("--nu", type=float, default=None, help="viscosity")
     run.add_argument("--max-iter", type=int, default=None, help="(ns-newton) cap")
     run.add_argument("--tol", type=float, default=None,
-                     help="(ns-newton) increment stopping tolerance")
+                     help="(ns-newton) relative increment stopping tolerance")
 
     mesh = sub.add_parser("mesh", help="build a structured mesh and report/emit it")
     mesh.add_argument("--square", default="0,1,0,1")
@@ -147,7 +147,7 @@ def _cmd_run(args):
         emit_table(result, csv_path=args.out)
     else:
         print(f"Newton iterations: {result.iterations} "
-              f"(converged: {result.converged})")
+              f"(converged: {result.converged}; stopped on {result.stop_reason})")
         for k, v in enumerate(result.increment_norms, start=1):
             print(f"  iterate {k}: |increment| = {format_real(v)}")
         if args.out:

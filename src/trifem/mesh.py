@@ -219,29 +219,15 @@ def classify_boundary(mesh, topo, selectors=()):
     """
     selectors = tuple(selectors)
     predicates = [parse_selector(s) for s in selectors]
-    nbe = len(topo.bd_edge)
-    mids = 0.5 * (mesh.node[topo.bd_edge[:, 0]] + mesh.node[topo.bd_edge[:, 1]]) \
-        if nbe else np.empty((0, 2))
+    mids = 0.5 * (mesh.node[topo.bd_edge[:, 0]] + mesh.node[topo.bd_edge[:, 1]])
 
-    nregions = len(selectors) + 1
-    buckets = [[] for _ in range(nregions)]
-    for e in range(nbe):
-        x, y = mids[e]
+    region = np.full(len(mids), len(selectors), dtype=np.int64)
+    for e, (x, y) in enumerate(mids):
         for r, pred in enumerate(predicates):
             if pred(x, y):
-                buckets[r].append(e)
+                region[e] = r
                 break
-        else:
-            buckets[-1].append(e)
-
-    regions = []
-    for rows in buckets:
-        rows = np.asarray(rows, dtype=np.int64)
-        edges = topo.bd_edge[rows] if len(rows) else np.empty((0, 2), dtype=np.int64)
-        idx = topo.bd_edge_idx[rows] if len(rows) else np.empty(0, dtype=np.int64)
-        nodes = np.unique(edges) if len(rows) else np.empty(0, dtype=np.int64)
-        regions.append(BoundaryRegion(edges=edges, edge_idx=idx, node_idx=nodes))
-    return BoundaryPartition(regions=tuple(regions), selectors=selectors)
+    return _partition(topo, region, len(selectors) + 1, selectors)
 
 
 def classify_boundary_by_labels(topo, labeled_edges, edge_labels):
@@ -253,29 +239,25 @@ def classify_boundary_by_labels(topo, labeled_edges, edge_labels):
     """
     labeled_edges = np.asarray(labeled_edges, dtype=np.int64)
     edge_labels = np.asarray(edge_labels)
-    lookup = {}
-    for (a, b), lab in zip(np.sort(labeled_edges, axis=1), edge_labels):
-        lookup[(int(a), int(b))] = lab
+    lookup = {(int(a), int(b)): lab
+              for (a, b), lab in zip(np.sort(labeled_edges, axis=1), edge_labels)}
 
-    found = {}
-    unlabeled = []
-    for row, k in enumerate(topo.bd_edge_idx):
-        a, b = topo.edge[k]
-        lab = lookup.get((int(a), int(b)))
-        if lab is None:
-            unlabeled.append(row)
-        else:
-            found.setdefault(lab, []).append(row)
+    labels = [lookup.get((int(a), int(b))) for a, b in topo.edge[topo.bd_edge_idx]]
+    found = sorted({lab for lab in labels if lab is not None})
+    rank = {lab: r for r, lab in enumerate(found)}
+    region = np.array([rank.get(lab, len(found)) for lab in labels], dtype=np.int64)
+    return _partition(topo, region, len(found) + 1, ())
 
-    buckets = [found[lab] for lab in sorted(found)] + [unlabeled]
+
+def _partition(topo, region, nregions, selectors):
+    """Region r holds the boundary-edge rows e with region[e] == r, in order."""
     regions = []
-    for rows in buckets:
-        rows = np.asarray(rows, dtype=np.int64)
-        edges = topo.bd_edge[rows] if len(rows) else np.empty((0, 2), dtype=np.int64)
-        idx = topo.bd_edge_idx[rows] if len(rows) else np.empty(0, dtype=np.int64)
-        nodes = np.unique(edges) if len(rows) else np.empty(0, dtype=np.int64)
-        regions.append(BoundaryRegion(edges=edges, edge_idx=idx, node_idx=nodes))
-    return BoundaryPartition(regions=tuple(regions), selectors=())
+    for r in range(nregions):
+        rows = np.nonzero(region == r)[0]
+        edges = topo.bd_edge[rows]
+        regions.append(BoundaryRegion(edges=edges, edge_idx=topo.bd_edge_idx[rows],
+                                      node_idx=np.unique(edges)))
+    return BoundaryPartition(regions=tuple(regions), selectors=selectors)
 
 
 @dataclass

@@ -10,17 +10,17 @@ is wired in so the published error table can be reproduced digit-close.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .assembly import (assemble_scalar_1d, assemble_scalar_2d,
                        assemble_system, system_from_blocks)
+# evaluate_at_points is unused here; perfbench/spans.py wraps it in this module
 from .fespace import (FeFunction, coef_matrix_from_dofs, coef_matrix_on_edges,
-                      evaluate_at_points, fe_space, interpolate_nodal,
-                      region_dofs)
+                      evaluate_at_points, fe_space, interpolate_nodal)
 from .io import read_freefem_msh
 from .mesh import fe_mesh, square_mesh, uniform_refine
-from .system import (DirichletSpec, RateReport, apply_dirichlet_and_solve,
-                     error_H1_semi, error_L2)
+from .system import (DirichletSolver, DirichletSpec, RateReport,
+                     apply_dirichlet_and_solve, dirichlet_dofs, error_H1_semi,
+                     error_L2)
 from .vform import standardize_symbols, var_form
 
 __all__ = ["ProblemSpec", "default_spec", "run_problem", "run_poisson",
@@ -376,19 +376,17 @@ def default_spec(problem, **overrides):
 # ---------------------------------------------------------------------------
 # refinement ladder
 
-def _mesh_size(mesh):
-    return 1.0 / (np.sqrt(mesh.num_nodes) - 1.0)
-
-
 def _run_ladder(spec, solve_level, columns):
+    """solve_level(th, h) on each refinement of square_mesh(bbox, h0)."""
     mesh = square_mesh(spec.bbox, spec.h0)
     hs, nts = [], []
     errs = {name: [] for name in columns}
-    for _ in range(spec.refinements):
+    for k in range(1, spec.refinements + 1):
         mesh = uniform_refine(mesh)
         th = fe_mesh(mesh, spec.selectors)
-        level = solve_level(th)
-        hs.append(_mesh_size(mesh))
+        h = spec.h0 / 2**k             # leg length at level k
+        level = solve_level(th, h)
+        hs.append(h)
         nts.append(mesh.num_elems)
         for name in columns:
             errs[name].append(level[name])
@@ -430,7 +428,7 @@ def solve_poisson(th, spec):
 def run_poisson(spec):
     data, space, order = spec.data, spec.space, spec.order
 
-    def level(th):
+    def level(th, h):
         uh = solve_poisson(th, spec)
         return {"L2": error_L2(th, space, order, data.exact, uh),
                 "H1": error_H1_semi(th, space, order, data.exact_grad, uh)}
@@ -482,7 +480,7 @@ def solve_elasticity_displacement(th, spec):
 def run_elasticity_displacement(spec):
     data, space, order = spec.data, spec.space, spec.order
 
-    def level(th):
+    def level(th, h):
         u1, u2 = solve_elasticity_displacement(th, spec)
         ex1 = lambda p: data.exact(p)[:, 0]
         ex2 = lambda p: data.exact(p)[:, 1]
@@ -499,24 +497,18 @@ def elasticity_tensor_system(th, spec, extended=False):
     elementary products instead of the '+'-joined short form.
     """
     data, space, order = spec.data, spec.space, spec.order
+    mu2, mu, lam = 2 * data.mu, data.mu, data.lam
     if extended:
-        strain = var_form([1, 1, 0.5, 0.5, 0.5, 0.5],
-                          ["v1.dx", "v2.dy", "v1.dy", "v1.dy", "v2.dx", "v2.dx"],
-                          ["u1.dx", "u2.dy", "u1.dy", "u2.dx", "u1.dy", "u2.dx"])
+        form = var_form([mu2, mu2, mu, mu, mu, mu, lam],
+                        ["v1.dx", "v2.dy", "v1.dy", "v1.dy", "v2.dx", "v2.dx",
+                         "v1.dx + v2.dy"],
+                        ["u1.dx", "u2.dy", "u1.dy", "u2.dx", "u1.dy", "u2.dx",
+                         "u1.dx + u2.dy"])
     else:
-        strain = var_form([1, 1, 0.5],
-                          ["v1.dx", "v2.dy", "v1.dy + v2.dx"],
-                          ["u1.dx", "u2.dy", "u1.dy + u2.dx"])
-    A = assemble_system(th, strain, [space, space], order)
-    B = assemble_system(th, var_form(1, "v1.dx + v2.dy", "u1.dx + u2.dy"),
-                        [space, space], order)
-    return _scale_system(A, 2 * data.mu) + _scale_system(B, data.lam)
-
-
-def _scale_system(system, factor):
-    from .assembly import AssembledSystem
-    return AssembledSystem(triples=system.triples * factor,
-                           nndofu=system.nndofu, spaces=system.spaces)
+        form = var_form([mu2, mu2, mu, lam],
+                        ["v1.dx", "v2.dy", "v1.dy + v2.dx", "v1.dx + v2.dy"],
+                        ["u1.dx", "u2.dy", "u1.dy + u2.dx", "u1.dx + u2.dy"])
+    return assemble_system(th, form, [space, space], order)
 
 
 def solve_elasticity_tensor(th, spec):
@@ -546,7 +538,7 @@ def solve_elasticity_tensor(th, spec):
 def run_elasticity_tensor(spec):
     data, space, order = spec.data, spec.space, spec.order
 
-    def level(th):
+    def level(th, h):
         u1, u2 = solve_elasticity_tensor(th, spec)
         ex1 = lambda p: data.exact(p)[:, 0]
         ex2 = lambda p: data.exact(p)[:, 1]
@@ -604,7 +596,7 @@ def solve_biharmonic(th, spec, mode="vector"):
 def run_biharmonic(spec, mode="vector"):
     data, space, order = spec.data, spec.space, spec.order
 
-    def level(th):
+    def level(th, h):
         w, u = solve_biharmonic(th, spec, mode=mode)
         return {"u_L2": error_L2(th, space, order, data.exact, u),
                 "u_H1": error_H1_semi(th, space, order, data.exact_grad, u),
@@ -644,7 +636,7 @@ def solve_stokes(th, spec):
 def run_stokes(spec):
     data, order = spec.data, spec.order
 
-    def level(th):
+    def level(th, h):
         u1, u2, p = solve_stokes(th, spec)
         ex1 = lambda q: data.exact_u(q)[:, 0]
         ex2 = lambda q: data.exact_u(q)[:, 1]
@@ -672,16 +664,13 @@ def solve_heat(th, spec, dt, nsteps):
 
     kk = assemble_system(th, var_form([1.0 / dt, 1], ["v.val", "v.grad"],
                                       ["u.val", "u.grad"]), [space], order)
-    A = kk.matrix().tocsr()
 
     # Dirichlet dofs live on the remaining part; same set every step
     on = 1 if has_neumann else 0
-    bd = region_dofs(th, space, th.partition[on]) if len(th.partition[on].edge_idx) \
-        else np.empty(0, dtype=np.int64)
-    free = np.setdiff1d(np.arange(A.shape[0]), bd)
-    bd_points = th.dof_map(space).dof_point[bd]
-    solver = spla.splu(A[free][:, free].tocsc())
-    A_fc = A[free][:, bd]
+    fixed, _ = dirichlet_dofs(th, kk, DirichletSpec(
+        (on,), (lambda p: data.exact(p, 0.0),)))
+    fixed_points = th.dof_map(space).dof_point[fixed]
+    solver = DirichletSolver(kk.matrix(), fixed)
 
     uh = interpolate_nodal(lambda p: data.exact(p, 0.0), th, space)
     for step in range(1, nsteps + 1):
@@ -696,10 +685,7 @@ def solve_heat(th, spec, dt, nsteps):
                                         th, region, order)
             ff = ff + assemble_system(th, var_form(flux, "v.val"), [space],
                                       order, domain="1d", region=region)
-        x = np.zeros(A.shape[0])
-        x[bd] = data.exact(bd_points, t)
-        x[free] = solver.solve(ff[free] - A_fc @ x[bd])
-        uh = x
+        uh = solver.solve(ff, data.exact(fixed_points, t))
     return uh
 
 
@@ -708,8 +694,7 @@ def run_heat(spec):
     data, space, order = spec.data, spec.space, spec.order
     k = spec.degree
 
-    def level(th):
-        h = _mesh_size(th.mesh)
+    def level(th, h):
         target = spec.dt if spec.dt is not None else h**(k + 1)
         nsteps = max(1, int(round(spec.t_end / target)))
         dt = spec.t_end / nsteps
@@ -733,6 +718,7 @@ class NewtonResult:
     increment_norms: list
     iterations: int
     converged: bool
+    stop_reason: str     # "tolerance", "stagnation" or "max_iter"
 
 
 def _ns_jacobian_form(th, spec, coefs, order):
@@ -791,6 +777,8 @@ def run_ns_newton(spec, th=None, initial=None):
     Solves DF(delta) = F(current) and updates current -= delta; the
     increment carries the boundary mismatch of the current iterate, so
     increments are homogeneous on the boundary after the first step.
+    Converged: an increment below tol relative to max(1, max|U|), or
+    below sqrt(tol) relative but no longer halving (the noise floor).
     """
     data, order = spec.data, spec.order
     if th is None:
@@ -816,7 +804,8 @@ def run_ns_newton(spec, th=None, initial=None):
     g2 = lambda p: data.exact_u(p)[:, 1]
 
     norms = []
-    converged = False
+    fixed = None
+    stop_reason = "max_iter"
     for it in range(1, spec.max_iter + 1):
         coefs = (coef_matrix_from_dofs(uh1, "dx", th, "P2", order),
                  coef_matrix_from_dofs(uh1, "dy", th, "P2", order),
@@ -829,28 +818,32 @@ def run_ns_newton(spec, th=None, initial=None):
                              spaces, order)
         ff = _ns_residual_rhs(th, spec, coefs, f1c, f2c, spaces, order)
 
+        if fixed is None:
+            fixed, g = dirichlet_dofs(th, kk,
+                                      DirichletSpec((0,), ((g1, g2, None),)))
         # delta = current - next, so its boundary data is the current
         # boundary mismatch (zero from the second iterate on)
-        d1 = lambda p: evaluate_at_points(uh1, th, "P2", p) - g1(p)
-        d2 = lambda p: evaluate_at_points(uh2, th, "P2", p) - g2(p)
-        delta = apply_dirichlet_and_solve(th, kk, ff,
-                                          DirichletSpec((0,), ((d1, d2, None),)))
-        id1, id2 = kk.offsets[1], kk.offsets[2]
-        uh1 = uh1 - delta[:id1]
-        uh2 = uh2 - delta[id1:id2]
-        ph = ph - delta[id2:]
+        current = np.concatenate([uh1, uh2, ph])
+        delta = DirichletSolver(kk.matrix(), fixed).solve(ff, current[fixed] - g)
+        U = current - delta
+        uh1, uh2, ph = np.split(U, kk.offsets[1:3])
 
         norm = float(np.abs(delta).max())
         norms.append(norm)
-        if norm < spec.tol:
-            converged = True
+        rel = norm / max(1.0, float(np.abs(U).max()))
+        if rel < spec.tol:
+            stop_reason = "tolerance"
+            break
+        if rel < np.sqrt(spec.tol) and len(norms) >= 2 and norm > 0.5 * norms[-2]:
+            stop_reason = "stagnation"
             break
         if len(norms) >= 3 and norms[-1] > 10 * norms[-2] > 100 * norms[-3]:
             raise RuntimeError(f"Newton iteration diverging after {it} steps: "
                                f"increment norms {norms[-3:]}")
 
     return NewtonResult(u1=uh1, u2=uh2, p=ph, increment_norms=norms,
-                        iterations=len(norms), converged=converged), th
+                        iterations=len(norms), converged=stop_reason != "max_iter",
+                        stop_reason=stop_reason), th
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,15 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import AssembledSystem, SparseTriples, compress
+# compress is unused here; perfbench/spans.py wraps system.compress
+from .assembly import AssembledSystem, compress
 from .fespace import (coef_matrix_from_dofs, fe_space, quad_points_2d,
                       region_dofs)
 from .quadrature import triangle_rule
 
-__all__ = ["DirichletSpec", "RateReport", "apply_dirichlet_and_solve",
-           "solve_sparse", "error_L2", "error_H1_semi", "fit_rate"]
+__all__ = ["DirichletSpec", "DirichletSolver", "RateReport",
+           "apply_dirichlet_and_solve", "dirichlet_dofs", "solve_sparse",
+           "error_L2", "error_H1_semi", "fit_rate"]
 
 
 @dataclass(frozen=True)
@@ -53,75 +55,13 @@ class DirichletSpec:
         object.__setattr__(self, "values", tuple(norm))
 
 
-def _as_matrix(system):
-    if isinstance(system, AssembledSystem):
-        return system.matrix()
-    if isinstance(system, SparseTriples):
-        return compress(system)
-    return sp.csr_matrix(system)
-
-
-def solve_sparse(A, b):
-    """Direct sparse factorization with iterative refinement.
-
-    The refinement sweeps recover the digits a single backsolve loses on
-    ill-conditioned systems (penalty-stabilized saddle points); raises
-    on a numerically singular matrix.
-    """
-    A = sp.csc_matrix(A)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix is not square: {A.shape}")
-    if A.shape[0] == 0:
-        return np.zeros(0)
-    b = np.asarray(b, dtype=float)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lu = spla.splu(A)
-            x = lu.solve(b)
-            bnorm = max(np.linalg.norm(b), 1.0)
-            for _ in range(2):
-                r = b - A @ x
-                if np.linalg.norm(r) <= 1e-14 * bnorm:
-                    break
-                x = x + lu.solve(r)
-    except RuntimeError as exc:
-        raise RuntimeError(f"sparse solve failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise RuntimeError("sparse solve produced non-finite values; "
-                           "the matrix is numerically singular")
-    residual = np.linalg.norm(A @ x - b) / bnorm
-    if residual > 1e-8:
-        raise RuntimeError(f"sparse solve residual {residual:.2e}; "
-                           "the matrix is numerically singular")
-    return x
-
-
-def apply_dirichlet_and_solve(th, system, rhs=None, spec=None):
-    """Impose Dirichlet values by elimination and solve.
-
-    Fixed dofs are every dof of a constrained component whose carrying
-    vertex or edge lies in one of the selected regions; they receive the
-    boundary values exactly.  When a dof is claimed by several regions
-    the first one wins.  rhs may live on the system itself.
-    """
-    if not isinstance(system, AssembledSystem):
-        raise TypeError("apply_dirichlet_and_solve needs an AssembledSystem "
-                        "(use assemble_system, or wrap scalar triples)")
-    if spec is None:
-        raise TypeError("a DirichletSpec is required")
-    spaces = system.spaces
-    A = _as_matrix(system).tocsr()
-    if rhs is None:
-        rhs = system.rhs
-    rhs = np.asarray(rhs, dtype=float)
-    total = system.num_dofs
-    if A.shape != (total, total) or rhs.shape != (total,):
-        raise ValueError("system, rhs and component layout disagree")
-    offsets = system.offsets
-
-    x = np.zeros(total)
-    is_fixed = np.zeros(total, dtype=bool)
+def dirichlet_dofs(th, system, spec):
+    """(fixed, values): ascending global dofs of the constrained
+    components on the selected regions, and their boundary values.
+    When a dof is claimed by several regions the first one wins."""
+    spaces, offsets = system.spaces, system.offsets
+    x = np.zeros(system.num_dofs)
+    is_fixed = np.zeros(system.num_dofs, dtype=bool)
     for r, gset in zip(spec.regions, spec.values):
         if not 0 <= r < len(th.partition):
             raise IndexError(f"boundary region {r} out of range "
@@ -144,18 +84,100 @@ def apply_dirichlet_and_solve(th, system, rhs=None, spec=None):
             fresh = ~is_fixed[gdofs]
             x[gdofs[fresh]] = gv[fresh]
             is_fixed[gdofs[fresh]] = True
-
-    free = np.nonzero(~is_fixed)[0]
     fixed = np.nonzero(is_fixed)[0]
-    if len(free):
-        b_free = rhs[free] - A[free][:, fixed] @ x[fixed]
+    return fixed, x[fixed]
+
+
+class DirichletSolver:
+    """A x = b with x[fixed] prescribed; A_ff is factorized once.
+
+    Two iterative-refinement sweeps per solve recover the digits a single
+    backsolve loses on penalty-stabilized saddle points.  Raises on a
+    numerically singular free block."""
+
+    def __init__(self, A, fixed):
+        A = sp.csr_matrix(A)
+        if A.shape[0] != A.shape[1]:
+            raise ValueError(f"matrix is not square: {A.shape}")
+        self.n = A.shape[0]
+        self.fixed = np.asarray(fixed, dtype=np.int64)
+        self.free = np.setdiff1d(np.arange(self.n), self.fixed)
+        if len(self.free) + len(self.fixed) != self.n:
+            raise ValueError(f"fixed dofs must be distinct and in [0, {self.n})")
+        rows = A[self.free]
+        self._A_ff = rows[:, self.free].tocsc()
+        self._A_fc = rows[:, self.fixed]
+        del rows                    # not kept through the factorization
         try:
-            x[free] = solve_sparse(A[free][:, free], b_free)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                self._lu = spla.splu(self._A_ff) if len(self.free) else None
         except RuntimeError as exc:
-            hint = ("; no Dirichlet dof was fixed - an elliptic problem "
-                    "needs at least one" if len(fixed) == 0 else "")
-            raise RuntimeError(f"{exc}{hint}") from exc
-    return x
+            raise RuntimeError(f"sparse solve failed: {exc}") from exc
+
+    def solve(self, rhs, values):
+        """Full solution for a right-hand side and the fixed dofs' values."""
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != (self.n,):
+            raise ValueError(f"rhs has shape {rhs.shape}, expected ({self.n},)")
+        x = np.zeros(self.n)
+        x[self.fixed] = values
+        if not len(self.free):
+            return x
+        b = rhs[self.free] - self._A_fc @ x[self.fixed]
+        try:
+            # only numpy floating-point warnings can arise in a solve
+            with np.errstate(all="ignore"):
+                bnorm = max(np.linalg.norm(b), 1.0)
+                xf = self._lu.solve(b)
+                for sweep in range(3):      # at most two refinement sweeps
+                    r = b - self._A_ff @ xf
+                    rnorm = np.linalg.norm(r)
+                    if rnorm <= 1e-14 * bnorm or sweep == 2:
+                        break
+                    xf = xf + self._lu.solve(r)
+                residual = rnorm / bnorm
+        except RuntimeError as exc:
+            raise RuntimeError(f"sparse solve failed: {exc}") from exc
+        if not np.isfinite(residual):
+            raise RuntimeError("sparse solve produced non-finite values; "
+                               "the matrix is numerically singular")
+        if residual > 1e-8:
+            raise RuntimeError(f"sparse solve residual {residual:.2e}; "
+                               "the matrix is numerically singular")
+        x[self.free] = xf
+        return x
+
+
+def solve_sparse(A, b):
+    """Direct sparse solve with iterative refinement (no fixed dof)."""
+    return DirichletSolver(A, []).solve(b, [])
+
+
+def apply_dirichlet_and_solve(th, system, rhs=None, spec=None):
+    """Impose Dirichlet values by elimination and solve; fixed dofs (see
+    dirichlet_dofs) get their boundary values exactly.  rhs may live on
+    the system itself."""
+    if not isinstance(system, AssembledSystem):
+        raise TypeError("apply_dirichlet_and_solve needs an AssembledSystem "
+                        "(use assemble_system, or wrap scalar triples)")
+    if spec is None:
+        raise TypeError("a DirichletSpec is required")
+    A = system.matrix()
+    if rhs is None:
+        rhs = system.rhs
+    rhs = np.asarray(rhs, dtype=float)
+    total = system.num_dofs
+    if A.shape != (total, total) or rhs.shape != (total,):
+        raise ValueError("system, rhs and component layout disagree")
+
+    fixed, values = dirichlet_dofs(th, system, spec)
+    try:
+        return DirichletSolver(A, fixed).solve(rhs, values)
+    except RuntimeError as exc:
+        hint = ("; no Dirichlet dof was fixed - an elliptic problem "
+                "needs at least one" if len(fixed) == 0 else "")
+        raise RuntimeError(f"{exc}{hint}") from exc
 
 
 def _exact_at_quad(exact, th, quad_order, ncomp):

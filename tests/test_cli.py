@@ -102,6 +102,7 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "Newton iterations" in out
         assert "increment" in out
+        assert "stopped on max_iter" in out
 
     def test_ns_newton_accepts_msh_mesh(self, tmp_path, capsys):
         msh = tmp_path / "square.msh"

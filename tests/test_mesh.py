@@ -173,6 +173,19 @@ class TestClassifyBoundary:
         assert np.all(xs == 1.0)
         assert len(part[0].node_idx) == 3
 
+    def test_empty_regions_keep_their_shapes(self):
+        from trifem import classify_boundary_by_labels
+        m = square_mesh([0, 1, 0, 1], 0.5)
+        topo = build_topology(m)
+        by_selector = classify_boundary(m, topo, ["x<2"])[1]
+        by_label = classify_boundary_by_labels(topo, topo.bd_edge,
+                                               np.ones(8, dtype=int))[1]
+        for region in (by_selector, by_label):
+            assert region.edges.shape == (0, 2)
+            assert region.edge_idx.shape == (0,)
+            assert region.node_idx.shape == (0,)
+            assert region.edges.dtype == region.edge_idx.dtype == np.int64
+
 
 class TestFeMesh:
     def test_bundle(self):

@@ -4,13 +4,15 @@ acceptance suite."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+import trifem.problems
 from trifem import (FeFunction, error_L2, fe_mesh, interpolate_nodal,
                     square_mesh, uniform_refine, var_form)
 from trifem.problems import (HeatData, PoissonData,
                              default_spec, elasticity_data,
                              elasticity_tensor_system, ns_polynomial_data,
-                             run_elasticity_tensor,
+                             run_elasticity_tensor, run_heat, run_poisson,
                              run_ns_newton, run_stokes, solve_biharmonic,
                              solve_elasticity_displacement, solve_heat,
                              solve_poisson, solve_stokes, stokes_data)
@@ -245,6 +247,32 @@ class TestHeatDriver:
         u_ell = apply_dirichlet_and_solve(th, kk, ff, DirichletSpec((1,), (u,)))
         assert np.abs(u_heat - u_ell).max() <= 1e-6
 
+    def test_factorizes_once_per_call(self, monkeypatch):
+        calls = []
+        real = spla.splu
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        spec = default_spec("heat", degree=1, data=steady_heat_data())
+        th = refined_th(selectors=spec.selectors, levels=1)
+        solve_heat(th, spec, dt=0.1, nsteps=5)
+        assert len(calls) == 1
+
+    def test_dt_follows_the_leg_length_on_a_rectangle(self, monkeypatch):
+        steps = []
+
+        def record(th, spec, dt, nsteps):
+            steps.append(nsteps)
+            return np.zeros(th.dof_map(spec.space).num_dofs)
+
+        monkeypatch.setattr(trifem.problems, "solve_heat", record)
+        run_heat(default_spec("heat", degree=1, refinements=2,
+                              bbox=(0.0, 2.0, 0.0, 1.0)))
+        assert steps == [16, 64]          # dt = h^2 for legs 1/4 and 1/8
+
     def test_heat_uses_dof_vector_coefficient(self):
         # the per-step load accepts the previous iterate as FeFunction
         from trifem import assemble_system, fe_space, integrate_fe
@@ -290,7 +318,38 @@ class TestCostEvaluation:
         assert cost((0.0, 0.0)) > 1e-6
 
 
+class TestLadder:
+    def test_h_is_the_leg_length_on_a_rectangle(self):
+        report = run_poisson(default_spec("poisson", refinements=3,
+                                          bbox=(0.0, 2.0, 0.0, 1.0)))
+        assert list(report.h) == [0.25, 0.125, 0.0625]
+        assert report.slopes["L2"] == pytest.approx(2.0, abs=0.1)
+
+    def test_unit_square_h(self):
+        report = run_poisson(default_spec("poisson", refinements=2))
+        assert list(report.h) == [0.25, 0.125]
+
+
 class TestNewtonDriver:
+    @pytest.mark.parametrize("refinements", [1, 3])
+    def test_converges_within_eight_iterates(self, refinements):
+        res, _ = run_ns_newton(default_spec("ns-newton", refinements=refinements))
+        assert res.converged
+        assert res.iterations <= 8
+        assert res.stop_reason in ("tolerance", "stagnation")
+
+    def test_iteration_cap_is_not_convergence(self):
+        res, _ = run_ns_newton(default_spec("ns-newton", max_iter=2))
+        assert (res.iterations, res.converged, res.stop_reason) == (2, False, "max_iter")
+
+    def test_boundary_data_read_from_the_dof_vector(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("Newton evaluated its iterate at points")
+
+        monkeypatch.setattr(trifem.problems, "evaluate_at_points", fail)
+        res, _ = run_ns_newton(default_spec("ns-newton", max_iter=3))
+        assert res.iterations == 3
+
     def test_first_increment_small_at_discrete_root(self):
         spec = default_spec("ns-newton", refinements=2,
                             data=ns_polynomial_data(1.0))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from trifem import (DirichletSpec, Mesh2d, apply_dirichlet_and_solve,
-                    assemble_system, error_H1_semi, error_L2, fe_mesh,
+from trifem import (DirichletSolver, DirichletSpec, Mesh2d,
+                    apply_dirichlet_and_solve, assemble_system,
+                    dirichlet_dofs, error_H1_semi, error_L2, fe_mesh,
                     fit_rate, interpolate_nodal, solve_sparse, square_mesh,
                     uniform_refine, var_form)
 
@@ -117,6 +118,47 @@ class TestApplyDirichlet:
         bd = region_dofs(th, "P1", th.partition[0])
         assert np.all(x[bd] == 1.0)
         assert np.allclose(x[n:], 0.0)  # mass block solves to zero
+
+
+class TestDirichletSolver:
+    def test_one_factorization_serves_new_rhs_and_values(self):
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.25), ["x==0"])
+        form = var_form([1, 1], ["v.grad", "v.val"], ["u.grad", "u.val"])
+        kk = assemble_system(th, form, ["P2"], 4)
+        solver = None
+        for k in range(3):
+            ff = assemble_system(th, var_form(lambda p: np.cos(k * p[:, 0]),
+                                              "v.val"), ["P2"], 4)
+            spec = DirichletSpec((0, 1), (lambda p: k + p[:, 1],
+                                          lambda p: np.sin(k * p[:, 0])))
+            fixed, values = dirichlet_dofs(th, kk, spec)
+            if solver is None:
+                solver = DirichletSolver(kk.matrix(), fixed)
+            got = solver.solve(ff, values)
+            fresh = apply_dirichlet_and_solve(th, kk, ff, spec)
+            assert np.abs(got - fresh).max() <= 1e-12 * np.abs(fresh).max()
+            assert np.array_equal(got[fixed], values)
+
+    def test_first_region_wins(self):
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5), ["x==0"])
+        kk, _ = poisson_system(th)
+        fixed, values = dirichlet_dofs(th, kk, DirichletSpec(
+            (0, 1), (lambda p: np.full(len(p), 1.0),
+                     lambda p: np.full(len(p), 2.0))))
+        corners = th.mesh.node[fixed]
+        on_left = corners[:, 0] == 0.0
+        assert np.all(values[on_left] == 1.0) and np.all(values[~on_left] == 2.0)
+        assert np.all(np.diff(fixed) > 0)
+
+    def test_bad_fixed_dofs_rejected(self):
+        A = sp.identity(3, format="csr")
+        for fixed in ([3], [-1], [1, 1]):
+            with pytest.raises(ValueError, match="distinct"):
+                DirichletSolver(A, fixed)
+
+    def test_wrong_rhs_length_rejected(self):
+        with pytest.raises(ValueError, match="rhs"):
+            DirichletSolver(sp.identity(3, format="csr"), [0]).solve(np.ones(2), [1.0])
 
 
 class TestSolveSparse:
