@@ -1,17 +1,21 @@
 """Assembly of sparse matrices and load vectors from variational forms.
 
-The scalar kernels accumulate, per element e and local dof pair (i, j),
+One kernel serves linear and bilinear forms.  Per element e it
+accumulates, over the elementary entries of a form,
 
     K[e, i, j] += |K_e| * sum_p w_p * cc[e, p] * vi[e, p] * uj[e, p]
 
-over the elementary entries of a form, then scatter through the dof
-maps into (ii, jj, ss) index triples.  Boundary (1d) assembly runs the
+for a bilinear form, and the same contraction without the trial table,
+F[e, i], for a linear one; one einsum covers all elements at once.  The
+local arrays scatter through the dof maps into a load vector (bincount)
+or into (ii, jj, ss) index triples.  Boundary (1d) assembly runs the
 same kernel over a region's edges with edge lengths as the measure and
 the trace basis.  Multi-component forms are grouped into blocks by
-(test component, trial component); block triples receive cumulative
-row/column dof offsets.  Triples stay uncompressed so contributions
-from the 2d domain and boundary terms can be concatenated cheaply and
-compressed once.
+(test component, trial component); one block routine offsets each
+block's triples by the cumulative row/column dof counts and
+concatenates them, for assemble_system and system_from_blocks alike.
+Triples stay uncompressed so contributions from the 2d domain and
+boundary terms can be concatenated cheaply and compressed once.
 """
 
 import re
@@ -23,7 +27,8 @@ import scipy.sparse as sp
 from .fespace import fe_space, tabulate_basis, trace_dof_map
 from .quadrature import segment_rule, triangle_rule
 from .terms import Term, TermSum
-from .vform import FormEntry, FormError, VarForm, coef_to_matrix, expand_extended
+from .vform import (FormEntry, FormError, VarForm, _aslist, coef_to_matrix,
+                    expand_extended)
 
 __all__ = ["SparseTriples", "AssembledSystem", "assemble_scalar_2d",
            "assemble_scalar_1d", "assemble_system", "compress",
@@ -144,9 +149,10 @@ def _kernel_tables(th, space, tag, quad_order, domain, region):
     return np.stack([np.asarray(t) for t in tabs])
 
 
-def _bilinear_kernel(th, entries, test_space, trial_space, quad_order,
-                     domain, region):
-    """Local blocks (NC, nlv, nlu) for elementary entries on one domain."""
+def _local_kernel(th, entries, spaces, quad_order, domain, region):
+    """Local arrays (NC, nlv) or (NC, nlv, nlu) for elementary entries on
+    one domain; spaces is [test] for a linear form, [test, trial] for a
+    bilinear one."""
     if domain == "2d":
         rule = triangle_rule(quad_order)
         measure = th.topo.area
@@ -154,35 +160,17 @@ def _bilinear_kernel(th, entries, test_space, trial_space, quad_order,
         rule = segment_rule(quad_order)
         measure = th.topo.edge_length[region.edge_idx]
     w = rule.weight
+    subscripts = ("p,ep,iep->ei", "p,ep,iep,jep->eij")[len(spaces) - 1]
     local = None
     for entry in entries:
         cc = coef_to_matrix(entry.coef, th, quad_order, domain=domain, region=region)
-        vt = _kernel_tables(th, test_space, entry.test.terms[0].tag,
-                            quad_order, domain, region)
-        ut = _kernel_tables(th, trial_space, entry.trial.terms[0].tag,
-                            quad_order, domain, region)
-        blk = np.einsum("p,ep,iep,jep->eij", w, cc, vt, ut, optimize=True)
+        tables = [_kernel_tables(th, space, side.terms[0].tag, quad_order,
+                                 domain, region)
+                  for space, side in zip(spaces, (entry.test, entry.trial))]
+        blk = np.einsum(subscripts, w, cc, *tables, optimize=True)
+        del tables                  # freed before the next entry tabulates
         local = blk if local is None else local + blk
-    return local * measure[:, None, None]
-
-
-def _linear_kernel(th, entries, test_space, quad_order, domain, region):
-    """Per-element load contributions (NC, nlv) for elementary entries."""
-    if domain == "2d":
-        rule = triangle_rule(quad_order)
-        measure = th.topo.area
-    else:
-        rule = segment_rule(quad_order)
-        measure = th.topo.edge_length[region.edge_idx]
-    w = rule.weight
-    local = None
-    for entry in entries:
-        cc = coef_to_matrix(entry.coef, th, quad_order, domain=domain, region=region)
-        vt = _kernel_tables(th, test_space, entry.test.terms[0].tag,
-                            quad_order, domain, region)
-        blk = np.einsum("p,ep,iep->ei", w, cc, vt, optimize=True)
-        local = blk if local is None else local + blk
-    return local * measure[:, None]
+    return local * measure.reshape((-1,) + (1,) * len(spaces))
 
 
 def _dof_columns(th, space, domain, region):
@@ -193,33 +181,27 @@ def _dof_columns(th, space, domain, region):
 
 def _scalar_assemble(th, form, test_space, trial_space, quad_order,
                      domain, region):
-    test_space = fe_space(test_space)
+    spaces = [fe_space(test_space)]
     form = expand_extended(form)
+    if not form.is_linear:
+        spaces.append(fe_space(trial_space if trial_space is not None
+                               else test_space))
+    dofs = [_dof_columns(th, s, domain, region) for s in spaces]
+    sizes = [th.dof_map(s).num_dofs for s in spaces]
+    if len(dofs[0]) == 0:           # empty region: a zero contribution
+        local = np.zeros((0,) + tuple(d.shape[1] for d in dofs))
+    else:
+        local = _local_kernel(th, form.entries, spaces, quad_order,
+                              domain, region)
     if form.is_linear:
-        rows = _dof_columns(th, test_space, domain, region)
-        ndof = th.dof_map(test_space).num_dofs
-        if len(rows) == 0:
-            return np.zeros(ndof)
-        local = _linear_kernel(th, form.entries, test_space, quad_order,
-                               domain, region)
-        return np.bincount(rows.ravel(), weights=local.ravel(), minlength=ndof)
-
-    trial_space = fe_space(trial_space if trial_space is not None else test_space)
-    rows = _dof_columns(th, test_space, domain, region)
-    cols = _dof_columns(th, trial_space, domain, region)
-    nrows = th.dof_map(test_space).num_dofs
-    ncols = th.dof_map(trial_space).num_dofs
-    if len(rows) == 0:
-        empty = np.empty(0)
-        return SparseTriples(ii=empty.astype(np.int64), jj=empty.astype(np.int64),
-                             ss=empty, nrows=nrows, ncols=ncols)
-    local = _bilinear_kernel(th, form.entries, test_space, trial_space,
-                             quad_order, domain, region)
-    nc, nlv, nlu = local.shape
-    ii = np.broadcast_to(rows[:, :, None], (nc, nlv, nlu)).ravel()
-    jj = np.broadcast_to(cols[:, None, :], (nc, nlv, nlu)).ravel()
+        # bincount over an empty index would return integers
+        return np.bincount(dofs[0].ravel(), weights=local.ravel(),
+                           minlength=sizes[0]).astype(float, copy=False)
+    rows, cols = dofs
+    ii = np.broadcast_to(rows[:, :, None], local.shape).ravel()
+    jj = np.broadcast_to(cols[:, None, :], local.shape).ravel()
     return SparseTriples(ii=ii.astype(np.int64), jj=jj.astype(np.int64),
-                         ss=local.ravel(), nrows=nrows, ncols=ncols)
+                         ss=local.ravel(), nrows=sizes[0], ncols=sizes[1])
 
 
 def assemble_scalar_2d(th, form, test_space, trial_space=None, quad_order=None):
@@ -253,13 +235,10 @@ def _as_form(form):
                     "build one with var_form(coef, test, trial)")
 
 
-def _default_order(quad_order, test_space, trial_space):
+def _default_order(quad_order, *spaces):
     if quad_order is not None:
         return quad_order
-    k = fe_space(test_space).degree
-    if trial_space is not None:
-        k = max(k, fe_space(trial_space).degree)
-    return k + 2
+    return max(fe_space(s).degree for s in spaces if s is not None) + 2
 
 
 def _expand_vector_shorthand(form, th, spaces, quad_order, domain, region):
@@ -318,10 +297,9 @@ def assemble_system(th, form, spaces, quad_order=None, domain="2d", region=None)
     the concatenated load vector.
     """
     form = _as_form(form)
-    spaces = tuple(fe_space(s) for s in _aslist_spaces(spaces))
+    spaces = tuple(fe_space(s) for s in _aslist(spaces))
     ncomp = len(spaces)
-    if quad_order is None:
-        quad_order = max(s.degree for s in spaces) + 2
+    quad_order = _default_order(quad_order, *spaces)
     nndofu = tuple(th.dof_map(s).num_dofs for s in spaces)
     offsets = np.concatenate([[0], np.cumsum(nndofu)])
     total = int(offsets[-1])
@@ -344,28 +322,11 @@ def assemble_system(th, form, spaces, quad_order=None, domain="2d", region=None)
         ci = _component_index(entry.test.terms[0].symbol, "v", ncomp)
         cj = _component_index(entry.trial.terms[0].symbol, "u", ncomp)
         blocks.setdefault((ci, cj), []).append(entry)
-
-    parts = []
-    for (ci, cj), entries in blocks.items():
-        sub = VarForm(entries=tuple(entries))
-        triples = _scalar_assemble(th, sub, spaces[ci], spaces[cj], quad_order,
-                                   domain, region)
-        parts.append(SparseTriples(ii=triples.ii + offsets[ci],
-                                   jj=triples.jj + offsets[cj],
-                                   ss=triples.ss, nrows=total, ncols=total))
-    combined = SparseTriples(ii=np.concatenate([p.ii for p in parts]),
-                             jj=np.concatenate([p.jj for p in parts]),
-                             ss=np.concatenate([p.ss for p in parts]),
-                             nrows=total, ncols=total) if parts else \
-        SparseTriples(ii=np.empty(0, np.int64), jj=np.empty(0, np.int64),
-                      ss=np.empty(0), nrows=total, ncols=total)
-    return AssembledSystem(triples=combined, nndofu=nndofu, spaces=spaces)
-
-
-def _aslist_spaces(spaces):
-    if isinstance(spaces, (list, tuple)):
-        return spaces
-    return [spaces]
+    return _block_system(spaces, nndofu, (
+        ((ci, cj), _scalar_assemble(th, VarForm(entries=tuple(entries)),
+                                    spaces[ci], spaces[cj], quad_order,
+                                    domain, region))
+        for (ci, cj), entries in blocks.items()))
 
 
 def system_from_blocks(th, spaces, blocks):
@@ -374,12 +335,19 @@ def system_from_blocks(th, spaces, blocks):
     blocks maps (row component, column component) to SparseTriples (or
     None for a zero block); the triples get the cumulative dof offsets.
     """
-    spaces = tuple(fe_space(s) for s in _aslist_spaces(spaces))
+    spaces = tuple(fe_space(s) for s in _aslist(spaces))
     nndofu = tuple(th.dof_map(s).num_dofs for s in spaces)
+    return _block_system(spaces, nndofu, blocks.items())
+
+
+def _block_system(spaces, nndofu, blocks):
+    """One AssembledSystem from ((ci, cj), triples) pairs: each block is
+    shape-checked, offset by the cumulative dof counts and concatenated;
+    None blocks are skipped."""
     offsets = np.concatenate([[0], np.cumsum(nndofu)])
     total = int(offsets[-1])
     ii, jj, ss = [], [], []
-    for (ci, cj), triples in blocks.items():
+    for (ci, cj), triples in blocks:
         if triples is None:
             continue
         expected = (nndofu[ci], nndofu[cj])

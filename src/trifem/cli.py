@@ -108,7 +108,11 @@ def validate(args):
 
 
 def emit_table(report, sink=None, csv_path=None):
-    """Print a report in the error-table layout; optionally write CSV."""
+    """Print a report in the error-table layout; optionally write CSV.
+
+    The ``#Dof`` column holds each level's element count
+    (``report.num_elems``), not the number of unknowns.
+    """
     if sink is None:
         sink = sys.stdout
     headers = ["#Dof", "h"] + list(report.columns)

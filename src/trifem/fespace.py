@@ -304,10 +304,16 @@ def outward_normals(th, region):
 # interpolation / evaluation
 
 def _eval_pointfun(f, points):
-    """Evaluate a coefficient callable on an (m, 2) point array."""
+    """Evaluate a point function on an (m, 2) point array.
+
+    A scalar return is broadcast to (m,) and an (m, 1) column squeezed
+    to (m,); any other shape is returned as is for the caller to check.
+    """
     out = np.asarray(f(points), dtype=float)
     if out.ndim == 0:
         out = np.full(len(points), float(out))
+    if out.ndim == 2 and out.shape[1] == 1:
+        out = out[:, 0]
     return out
 
 

@@ -194,19 +194,17 @@ def build_topology(mesh):
     nt = len(elem)
     elem2edge = inverse.reshape(3, nt).T.copy()
 
-    bd_edge_idx = np.nonzero(counts == 1)[0]
-    # recover boundary rows in their ccw orientation (as stored per triangle)
-    is_bd = counts[inverse] == 1
-    oriented = {}
-    for row in np.nonzero(is_bd)[0]:
-        oriented[inverse[row]] = all_edges[row]
-    bd_edge = (np.array([oriented[k] for k in bd_edge_idx], dtype=np.int64)
-               if len(bd_edge_idx) else np.empty((0, 2), dtype=np.int64))
+    # a boundary edge has one row, in its triangle's ccw orientation;
+    # ordered by edge index
+    rows = np.nonzero(counts[inverse] == 1)[0]
+    rows = rows[np.argsort(inverse[rows])]
+    bd_edge = all_edges[rows]
+    bd_edge_idx = inverse[rows]
 
     vec = node[edge[:, 1]] - node[edge[:, 0]]
     edge_length = np.hypot(vec[:, 0], vec[:, 1])
     return MeshTopology(edge=edge, elem2edge=elem2edge, bd_edge=bd_edge,
-                        bd_edge_idx=np.asarray(bd_edge_idx, dtype=np.int64),
+                        bd_edge_idx=bd_edge_idx.astype(np.int64),
                         area=area, edge_length=edge_length)
 
 

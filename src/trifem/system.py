@@ -19,8 +19,8 @@ import scipy.sparse.linalg as spla
 
 # compress is unused here; perfbench/spans.py wraps system.compress
 from .assembly import AssembledSystem, compress
-from .fespace import (coef_matrix_from_dofs, fe_space, quad_points_2d,
-                      region_dofs)
+from .fespace import (_eval_pointfun, coef_matrix_from_dofs, fe_space,
+                      quad_points_2d, region_dofs)
 from .quadrature import triangle_rule
 
 __all__ = ["DirichletSpec", "DirichletSolver", "RateReport",
@@ -77,9 +77,11 @@ def dirichlet_dofs(th, system, spec):
             if len(local) == 0:
                 continue
             pts = th.dof_map(spaces[c]).dof_point[local]
-            gv = np.asarray(g(pts), dtype=float)
-            if gv.ndim == 0:
-                gv = np.full(len(local), float(gv))
+            gv = _eval_pointfun(g, pts)
+            if gv.shape != (len(local),):
+                raise ValueError(f"boundary function for component {c + 1} "
+                                 f"on region {r} returned shape {gv.shape}, "
+                                 f"expected ({len(local)},)")
             gdofs = local + offsets[c]
             fresh = ~is_fixed[gdofs]
             x[gdofs[fresh]] = gv[fresh]
@@ -183,16 +185,12 @@ def apply_dirichlet_and_solve(th, system, rhs=None, spec=None):
 def _exact_at_quad(exact, th, quad_order, ncomp):
     rule = triangle_rule(quad_order)
     pts = quad_points_2d(th.mesh, rule).reshape(-1, 2)
-    vals = np.asarray(exact(pts), dtype=float)
-    nt = len(th.mesh.elem)
-    if ncomp == 1:
-        if vals.ndim == 0:
-            vals = np.full(len(pts), float(vals))
-        return vals.reshape(nt, rule.npoints)
-    if vals.shape != (len(pts), ncomp):
+    vals = _eval_pointfun(exact, pts)
+    shape = (len(pts),) if ncomp == 1 else (len(pts), ncomp)
+    if vals.shape != shape:
         raise ValueError(f"exact function returned shape {vals.shape}, "
-                         f"expected ({len(pts)}, {ncomp})")
-    return vals.reshape(nt, rule.npoints, ncomp)
+                         f"expected {shape}")
+    return vals.reshape((len(th.mesh.elem), rule.npoints) + shape[1:])
 
 
 def error_L2(th, space, quad_order, exact, dofs):

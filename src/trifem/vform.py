@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fespace import (FeFunction, coef_matrix_from_dofs, coef_matrix_on_edges,
-                      quad_points_2d, trace_dof_map, trace_values)
+from .fespace import (FeFunction, _eval_pointfun, coef_matrix_from_dofs,
+                      coef_matrix_on_edges, quad_points_2d, trace_dof_map,
+                      trace_values)
 from .quadrature import segment_rule, triangle_rule
 from .terms import Term, TermSum, parse_term_sum
 
@@ -148,15 +149,6 @@ def standardize_symbols(vstr, ustr, form):
     return VarForm(entries=entries)
 
 
-def _eval_coef_at(coef, points):
-    vals = np.asarray(coef(points), dtype=float)
-    if vals.ndim == 0:
-        vals = np.full(len(points), float(vals))
-    if vals.ndim == 2 and vals.shape[1] == 1:
-        vals = vals[:, 0]
-    return vals
-
-
 def coef_to_matrix(coef, th, quad_order, domain="2d", region=None,
                    space=None):
     """Normalize any coefficient form to a coefficient matrix.
@@ -188,7 +180,7 @@ def coef_to_matrix(coef, th, quad_order, domain="2d", region=None,
         if domain == "1d":
             return coef_matrix_on_edges(coef, th, region, quad_order)
         pts = quad_points_2d(th.mesh, triangle_rule(quad_order))
-        vals = _eval_coef_at(coef, pts.reshape(-1, 2))
+        vals = _eval_pointfun(coef, pts.reshape(-1, 2))
         if vals.shape != (shape[0] * shape[1],):
             raise FormError("2d coefficient function must return one value "
                             f"per point, got shape {vals.shape}")

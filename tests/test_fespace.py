@@ -191,6 +191,13 @@ class TestCoefMatrixOnEdges:
             coef_matrix_on_edges(lambda p: np.ones((len(p), 3)), th,
                                  th.partition[0], 4)
 
+    def test_column_return_is_one_component(self):
+        # an (m, 1) return is one value per point, as for 2d coefficients
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5), ["x==1"])
+        flat = coef_matrix_on_edges(lambda p: p[:, 1], th, th.partition[0], 4)
+        column = coef_matrix_on_edges(lambda p: p[:, 1:2], th, th.partition[0], 4)
+        assert np.array_equal(column, flat)
+
 
 class TestIntegrate:
     def test_unit_constant(self):

@@ -121,6 +121,25 @@ class TestTopology:
         with pytest.raises(ValueError, match="triangle 0"):
             Mesh2d(node=node, elem=np.array([[0, 2, 1]]))
 
+    @pytest.mark.parametrize("bbox,h0,refines", [([0, 2, 0, 1], 0.5, 3),
+                                                 ([0, 1, 0, 1], 0.25, 2),
+                                                 ([-1, 3, 0, 1], 1.0, 0)])
+    def test_boundary_orientation_matches_loop_reference(self, bbox, h0, refines):
+        m = square_mesh(bbox, h0)
+        for _ in range(refines):
+            m = uniform_refine(m)
+        topo = build_topology(m)
+        # reference: each boundary edge's one row as stored by its triangle
+        oriented = {}
+        for a, b in np.vstack([m.elem[:, [1, 2]], m.elem[:, [2, 0]],
+                               m.elem[:, [0, 1]]]):
+            oriented.setdefault((min(a, b), max(a, b)), []).append((a, b))
+        bd = sorted(k for k, rows in oriented.items() if len(rows) == 1)
+        edge_index = {tuple(e): i for i, e in enumerate(topo.edge)}
+        assert np.array_equal(topo.bd_edge_idx, [edge_index[k] for k in bd])
+        assert np.array_equal(topo.bd_edge, [oriented[k][0] for k in bd])
+        assert topo.bd_edge.dtype == topo.bd_edge_idx.dtype == np.int64
+
     def test_edge_lengths(self):
         topo = build_topology(unit_triangle())
         assert sorted(topo.edge_length) == pytest.approx([1.0, 1.0, np.sqrt(2)])

@@ -150,6 +150,22 @@ class TestDirichletSolver:
         assert np.all(values[on_left] == 1.0) and np.all(values[~on_left] == 2.0)
         assert np.all(np.diff(fixed) > 0)
 
+    def test_wrong_length_boundary_function_named(self):
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5), ["x==0"])
+        kk, _ = poisson_system(th)
+        spec = DirichletSpec((1,), (lambda p: np.ones(len(p) + 1),))
+        with pytest.raises(ValueError, match=r"component 1 on region 1 .*"
+                                             r"expected \(\d+,\)"):
+            dirichlet_dofs(th, kk, spec)
+
+    def test_column_boundary_function_accepted(self):
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5), ["x==0"])
+        kk, _ = poisson_system(th)
+        flat = dirichlet_dofs(th, kk, DirichletSpec((1,), (lambda p: p[:, 1],)))
+        column = dirichlet_dofs(th, kk, DirichletSpec((1,), (lambda p: p[:, 1:2],)))
+        assert np.array_equal(column[0], flat[0])
+        assert np.array_equal(column[1], flat[1])
+
     def test_bad_fixed_dofs_rejected(self):
         A = sp.identity(3, format="csr")
         for fixed in ([3], [-1], [1, 1]):
