@@ -91,14 +91,11 @@ def compress(triples):
 
 @dataclass
 class AssembledSystem:
-    """Assembled multi-component system: triples plus component layout.
-
-    rhs is attached by the drivers once the linear forms are summed."""
+    """Assembled multi-component system: triples plus component layout."""
 
     triples: SparseTriples
     nndofu: tuple
     spaces: tuple
-    rhs: object = None
     _matrix: object = field(default=None, repr=False)
 
     @property
@@ -120,8 +117,7 @@ class AssembledSystem:
         if self.nndofu != other.nndofu:
             raise ValueError("cannot add systems with different component layouts")
         return AssembledSystem(triples=self.triples + other.triples,
-                               nndofu=self.nndofu, spaces=self.spaces,
-                               rhs=self.rhs if other.rhs is None else other.rhs)
+                               nndofu=self.nndofu, spaces=self.spaces)
 
     __radd__ = __add__
 
@@ -181,8 +177,8 @@ def _dof_columns(th, space, domain, region):
 
 def _scalar_assemble(th, form, test_space, trial_space, quad_order,
                      domain, region):
+    """form holds elementary entries (see expand_extended)."""
     spaces = [fe_space(test_space)]
-    form = expand_extended(form)
     if not form.is_linear:
         spaces.append(fe_space(trial_space if trial_space is not None
                                else test_space))
@@ -210,7 +206,7 @@ def assemble_scalar_2d(th, form, test_space, trial_space=None, quad_order=None):
     Bilinear forms return SparseTriples, linear forms (trial absent) a
     dense load vector.  Test and trial spaces may differ.
     """
-    form = _as_form(form)
+    form = expand_extended(_as_form(form))
     quad_order = _default_order(quad_order, test_space, trial_space)
     return _scalar_assemble(th, form, test_space, trial_space, quad_order,
                             "2d", None)
@@ -222,7 +218,7 @@ def assemble_scalar_1d(th, region, form, test_space, trial_space=None,
 
     An empty region yields an all-zero contribution.
     """
-    form = _as_form(form)
+    form = expand_extended(_as_form(form))
     quad_order = _default_order(quad_order, test_space, trial_space)
     return _scalar_assemble(th, form, test_space, trial_space, quad_order,
                             "1d", region)

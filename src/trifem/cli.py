@@ -38,7 +38,10 @@ def build_parser():
     run.add_argument("--refine", type=int, default=None,
                      help="number of refinement levels (default 5)")
     run.add_argument("--bdstr", action="append", default=None,
-                     help="boundary selector, repeatable (default per problem)")
+                     help="boundary selector, repeatable (default per problem): "
+                          "the first region takes the Robin or Neumann data, "
+                          "every other region is Dirichlet; only poisson, "
+                          "elasticity-tensor and heat take selectors")
     run.add_argument("--mesh", default=None, help="FreeFEM .msh mesh (ns-newton)")
     run.add_argument("--square", default=None, help="bounding box x0,x1,y0,y1")
     run.add_argument("--h", type=float, default=None, help="initial grid spacing")
@@ -82,9 +85,6 @@ def validate(args):
         raise UsageError(f"--degree must be 1, 2 or 3, got {args.degree}")
     if args.mesh is not None and args.square is not None:
         raise UsageError("--mesh and --square are mutually exclusive")
-    if args.mesh is not None and args.problem != "ns-newton":
-        raise UsageError("--mesh is only supported for ns-newton; the ladder "
-                         "drivers refine generated rectangle meshes")
     if args.refine is not None and args.refine < 1:
         raise UsageError("--refine must be at least 1")
     if args.quad_order is not None and not 1 <= args.quad_order <= 8:
@@ -100,11 +100,10 @@ def validate(args):
         overrides["bbox"] = _parse_bbox(args.square)
     if args.h is not None:
         overrides["h0"] = args.h
-    spec = default_spec(args.problem, **overrides)
-    if spec.problem in ("stokes", "ns-newton") and spec.degree != 2:
-        raise UsageError(f"{spec.problem} uses the fixed Taylor-Hood pair; "
-                         "--degree cannot be changed")
-    return spec
+    try:
+        return default_spec(args.problem, **overrides)
+    except ValueError as exc:     # a field the problem fixes
+        raise UsageError(str(exc)) from None
 
 
 def emit_table(report, sink=None, csv_path=None):

@@ -392,6 +392,9 @@ def evaluate_at_points(dofs, th, space, points, tol=1e-12):
     """Evaluate a finite element function at arbitrary points.
 
     Points outside every triangle yield NaN rather than extrapolating.
+    Cost: each point scans every triangle (barycentric coordinates of the
+    point in all NT triangles), so m points take O(m * NT) time; for
+    values at dofs, read the dof vector instead.
     """
     space = fe_space(space)
     dofs = np.asarray(dofs, dtype=float)

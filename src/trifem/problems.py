@@ -5,9 +5,14 @@ triples and run over a uniform refinement ladder with error tracking.
 Manufactured solutions are used throughout; for the mixed Stokes
 problem the classical quartic divergence-free field on the unit square
 is wired in so the published error table can be reproduced digit-close.
+
+Each problem is one row of the problem table at the end of the module:
+its runner, data factory, defaults and the spec fields its driver does
+not read.  With boundary selectors the first region carries the Robin
+or Neumann data and every other region is Dirichlet (``_boundary``).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,16 +26,12 @@ from .mesh import fe_mesh, square_mesh, uniform_refine
 from .system import (DirichletSolver, DirichletSpec, RateReport,
                      apply_dirichlet_and_solve, dirichlet_dofs, error_H1_semi,
                      error_L2)
-from .vform import standardize_symbols, var_form
+from .vform import VarForm, standardize_symbols, var_form
 
 __all__ = ["ProblemSpec", "default_spec", "run_problem", "run_poisson",
            "run_elasticity_displacement", "run_elasticity_tensor",
            "run_biharmonic", "run_stokes", "run_heat", "run_ns_newton",
            "PROBLEM_IDS"]
-
-PROBLEM_IDS = ("poisson", "elasticity-disp", "elasticity-tensor",
-               "biharmonic-block", "biharmonic-vector", "stokes", "heat",
-               "ns-newton")
 
 
 @dataclass
@@ -283,15 +284,6 @@ def heat_data():
     return HeatData(f=f, exact=exact, exact_grad=exact_grad)
 
 
-@dataclass(frozen=True)
-class NsData:
-    f: object
-    exact_u: object
-    grad1: object
-    grad2: object
-    exact_p: object
-
-
 def ns_data(nu=1.0):
     """Stokes quartic pair driven as a Navier-Stokes solution: the
     convection of the exact velocity is added to the forcing."""
@@ -304,8 +296,8 @@ def ns_data(nu=1.0):
         conv2 = c**2 * _phi(y) * _dphi(y) * (_dphi(x)**2 - _phi(x) * _d2phi(x))
         return base.f(p) + np.column_stack([conv1, conv2])
 
-    return NsData(f=f, exact_u=base.exact_u, grad1=base.grad1,
-                  grad2=base.grad2, exact_p=base.exact_p)
+    return StokesData(f=f, exact_u=base.exact_u, grad1=base.grad1,
+                      grad2=base.grad2, exact_p=base.exact_p)
 
 
 def ns_polynomial_data(nu=1.0):
@@ -320,7 +312,7 @@ def ns_polynomial_data(nu=1.0):
         return np.column_stack([2 * x**2 * y - 2 * nu + 1,
                                 2 * x * y**2 - 2 * nu + 1])
 
-    return NsData(
+    return StokesData(
         f=f,
         exact_u=exact_u,
         grad1=lambda p: np.column_stack([np.zeros(len(p)), 2 * p[:, 1]]),
@@ -328,71 +320,95 @@ def ns_polynomial_data(nu=1.0):
         exact_p=lambda p: p[:, 0] + p[:, 1] - 1.0)
 
 
-_DATA_FACTORIES = {
-    "poisson": poisson_data,
-    "elasticity-disp": elasticity_data,
-    "elasticity-tensor": elasticity_data,
-    "biharmonic-block": biharmonic_data,
-    "biharmonic-vector": biharmonic_data,
-    "stokes": stokes_data,
-    "heat": heat_data,
-    "ns-newton": ns_data,
+_FIELDS = frozenset(f.name for f in fields(ProblemSpec))
+
+# why a problem's row fixes a field: its driver does not read it
+_FIXED_BECAUSE = {
+    "degree": "the Taylor-Hood pair is P2-P2-P1",
+    "selectors": "it has no Robin or Neumann data; the whole boundary "
+                 "is Dirichlet",
+    "mesh_path": "its ladder refines generated rectangle meshes",
 }
 
-_DEFAULT_SELECTORS = {
-    "poisson": ("x==0",),
-    "elasticity-tensor": ("y==0 | x==1",),
-    "heat": ("x==0",),
-}
+
+def _row(problem):
+    if problem not in _PROBLEMS:
+        raise ValueError(f"unknown problem {problem!r}; expected one of "
+                         f"{', '.join(PROBLEM_IDS)}")
+    return _PROBLEMS[problem]
 
 
 def default_spec(problem, **overrides):
-    """Spec with the manufactured data and the customary settings for a
-    problem (selectors, degree, refinement count)."""
-    if problem not in PROBLEM_IDS:
-        raise ValueError(f"unknown problem {problem!r}; expected one of "
-                         f"{', '.join(PROBLEM_IDS)}")
-    spec = ProblemSpec(problem=problem,
-                       selectors=_DEFAULT_SELECTORS.get(problem, ()))
-    if problem == "stokes":
-        spec.degree = 2
-        spec.quad_order = 5
-    if problem == "ns-newton":
-        spec.degree = 2
-        spec.quad_order = 7
-        spec.refinements = 1
-    if problem == "heat":
-        spec.refinements = 4
-    nu = overrides["nu"] if overrides.get("nu") is not None else spec.nu
-    for k, v in overrides.items():
-        if v is not None:
-            setattr(spec, k, v)
+    """Spec with the manufactured data and the defaults of the problem's
+    row in the problem table; overrides that are None are ignored.
+
+    Raises ValueError for an unknown problem or field name, and for a
+    change to a field the problem fixes.
+    """
+    row = _row(problem)
+    spec = ProblemSpec(problem=problem, **row.defaults)
+    for name, value in overrides.items():
+        if name not in _FIELDS:
+            raise ValueError(f"ProblemSpec has no field {name!r}")
+        if value is None:
+            continue
+        if name in row.fixed and value != getattr(spec, name):
+            raise ValueError(f"{problem} fixes {name} = {getattr(spec, name)!r}: "
+                             f"{_FIXED_BECAUSE[name]}")
+        setattr(spec, name, value)
     if spec.data is None:
-        factory = _DATA_FACTORIES[problem]
-        spec.data = factory(nu) if problem in ("stokes", "ns-newton") else factory()
+        spec.data = row.data(spec)
     return spec
 
 
 # ---------------------------------------------------------------------------
-# refinement ladder
+# shared pieces: ladder, errors, boundary rule, components
 
-def _run_ladder(spec, solve_level, columns):
-    """solve_level(th, h) on each refinement of square_mesh(bbox, h0)."""
+def _run_ladder(spec, solve_level):
+    """solve_level(th, h) on each refinement of square_mesh(bbox, h0);
+    the report's columns are the keys of the dicts it returns."""
     mesh = square_mesh(spec.bbox, spec.h0)
-    hs, nts = [], []
-    errs = {name: [] for name in columns}
+    hs, nts, errs = [], [], {}
     for k in range(1, spec.refinements + 1):
         mesh = uniform_refine(mesh)
         th = fe_mesh(mesh, spec.selectors)
         h = spec.h0 / 2**k             # leg length at level k
-        level = solve_level(th, h)
+        for name, err in solve_level(th, h).items():
+            errs.setdefault(name, []).append(err)
         hs.append(h)
         nts.append(mesh.num_elems)
-        for name in columns:
-            errs[name].append(level[name])
     report = RateReport(problem=spec.problem, h=np.array(hs),
                         num_elems=np.array(nts), columns=errs)
     return report.fit() if len(hs) >= 2 else report
+
+
+def _vector_errors(th, space, order, uh_parts, exacts, grads):
+    """L2 and H1-seminorm errors, each the l2 sum over the components."""
+    l2 = np.sqrt(sum(error_L2(th, space, order, ex, uh) ** 2
+                     for uh, ex in zip(uh_parts, exacts)))
+    h1 = np.sqrt(sum(error_H1_semi(th, space, order, g, uh) ** 2
+                     for uh, g in zip(uh_parts, grads)))
+    return {"L2": l2, "H1": h1}
+
+
+def _boundary(th):
+    """(natural, dirichlet): with selectors the first region carries the
+    Robin or Neumann data and every other region is Dirichlet; without
+    selectors there is no natural region and region 0, the whole
+    boundary, is Dirichlet."""
+    if th.partition.selectors:
+        return th.partition[0], tuple(range(1, len(th.partition)))
+    return None, (0,)
+
+
+def _split(f, n):
+    """The n scalar components of an (m, n)-valued point function."""
+    return tuple((lambda p, c=c: f(p)[:, c]) for c in range(n))
+
+
+def _components(U, system):
+    """The per-component parts of a solution of an assembled system."""
+    return tuple(np.split(U, system.offsets[1:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +417,14 @@ def _run_ladder(spec, solve_level, columns):
 def solve_poisson(th, spec):
     """One solve of the second-order elliptic model problem."""
     data, space, order = spec.data, spec.space, spec.order
-    has_robin = len(th.partition.selectors) > 0
+    region, on = _boundary(th)
 
     kk = assemble_system(th, var_form([data.a, data.c],
                                       ["v.grad", "v.val"],
                                       ["u.grad", "u.val"]), [space], order)
     ff = assemble_system(th, var_form(data.f, "v.val"), [space], order)
 
-    if has_robin:
-        region = th.partition[0]
+    if region is not None:
         kk = kk + assemble_system(th, var_form(data.g_R, "v.val", "u.val"),
                                   [space], order, domain="1d", region=region)
         # Neumann data g_N = g_R*u + a*du/dn from the exact solution
@@ -420,9 +435,8 @@ def solve_poisson(th, spec):
         ff = ff + assemble_system(th, var_form(cmat1 + cmat2, "v.val"),
                                   [space], order, domain="1d", region=region)
 
-    on = 1 if has_robin else 0   # Dirichlet lives on the remaining part
     return apply_dirichlet_and_solve(th, kk, ff,
-                                     DirichletSpec((on,), (data.exact,)))
+                                     DirichletSpec(on, (data.exact,) * len(on)))
 
 
 def run_poisson(spec):
@@ -433,19 +447,11 @@ def run_poisson(spec):
         return {"L2": error_L2(th, space, order, data.exact, uh),
                 "H1": error_H1_semi(th, space, order, data.exact_grad, uh)}
 
-    return _run_ladder(spec, level, ["L2", "H1"])
+    return _run_ladder(spec, level)
 
 
 # ---------------------------------------------------------------------------
 # linear elasticity
-
-def _vector_errors(th, space, order, uh_parts, exacts, grads):
-    l2 = np.sqrt(sum(error_L2(th, space, order, ex, uh) ** 2
-                     for uh, ex in zip(uh_parts, exacts)))
-    h1 = np.sqrt(sum(error_H1_semi(th, space, order, g, uh) ** 2
-                     for uh, g in zip(uh_parts, grads)))
-    return {"L2": l2, "H1": h1}
-
 
 def solve_elasticity_displacement(th, spec):
     """Block solve of -mu lap(u) - (lam+mu) grad div(u) = f."""
@@ -464,30 +470,26 @@ def solve_elasticity_displacement(th, spec):
         (1, 1): mu * A + (lam + mu) * B4,
     })
 
-    f1 = assemble_scalar_2d(th, var_form(lambda p: data.f(p)[:, 0], "v.val"),
-                            space, None, order)
-    f2 = assemble_scalar_2d(th, var_form(lambda p: data.f(p)[:, 1], "v.val"),
-                            space, None, order)
-    ff = np.concatenate([f1, f2])
-
-    g1 = lambda p: data.exact(p)[:, 0]
-    g2 = lambda p: data.exact(p)[:, 1]
-    uh = apply_dirichlet_and_solve(th, kk, ff, DirichletSpec((0,), ((g1, g2),)))
-    n = th.dof_map(space).num_dofs
-    return uh[:n], uh[n:]
+    ff = np.concatenate([assemble_scalar_2d(th, var_form(fc, "v.val"),
+                                            space, None, order)
+                         for fc in _split(data.f, 2)])
+    uh = apply_dirichlet_and_solve(th, kk, ff,
+                                   DirichletSpec((0,), (_split(data.exact, 2),)))
+    return _components(uh, kk)
 
 
-def run_elasticity_displacement(spec):
+def _run_elasticity(spec, solve):
     data, space, order = spec.data, spec.space, spec.order
 
     def level(th, h):
-        u1, u2 = solve_elasticity_displacement(th, spec)
-        ex1 = lambda p: data.exact(p)[:, 0]
-        ex2 = lambda p: data.exact(p)[:, 1]
-        return _vector_errors(th, space, order, (u1, u2), (ex1, ex2),
-                              (data.grad1, data.grad2))
+        return _vector_errors(th, space, order, solve(th, spec),
+                              _split(data.exact, 2), (data.grad1, data.grad2))
 
-    return _run_ladder(spec, level, ["L2", "H1"])
+    return _run_ladder(spec, level)
+
+
+def run_elasticity_displacement(spec):
+    return _run_elasticity(spec, solve_elasticity_displacement)
 
 
 def elasticity_tensor_system(th, spec, extended=False):
@@ -513,12 +515,11 @@ def elasticity_tensor_system(th, spec, extended=False):
 
 def solve_elasticity_tensor(th, spec):
     data, space, order = spec.data, spec.space, spec.order
+    region, on = _boundary(th)
     kk = elasticity_tensor_system(th, spec)
     ff = assemble_system(th, var_form(data.f, "v.val"), [space, space], order)
 
-    has_neumann = len(th.partition.selectors) > 0
-    if has_neumann:
-        region = th.partition[0]
+    if region is not None:
         cmat1 = coef_matrix_on_edges(lambda p: data.sigma(p)[:, [0, 2]],
                                      th, region, order)
         cmat2 = coef_matrix_on_edges(lambda p: data.sigma(p)[:, [2, 1]],
@@ -527,25 +528,13 @@ def solve_elasticity_tensor(th, spec):
                                   [space, space], order, domain="1d",
                                   region=region)
 
-    on = 1 if has_neumann else 0
-    g1 = lambda p: data.exact(p)[:, 0]
-    g2 = lambda p: data.exact(p)[:, 1]
-    uh = apply_dirichlet_and_solve(th, kk, ff, DirichletSpec((on,), ((g1, g2),)))
-    n = th.dof_map(space).num_dofs
-    return uh[:n], uh[n:]
+    uh = apply_dirichlet_and_solve(th, kk, ff, DirichletSpec(
+        on, (_split(data.exact, 2),) * len(on)))
+    return _components(uh, kk)
 
 
 def run_elasticity_tensor(spec):
-    data, space, order = spec.data, spec.space, spec.order
-
-    def level(th, h):
-        u1, u2 = solve_elasticity_tensor(th, spec)
-        ex1 = lambda p: data.exact(p)[:, 0]
-        ex2 = lambda p: data.exact(p)[:, 1]
-        return _vector_errors(th, space, order, (u1, u2), (ex1, ex2),
-                              (data.grad1, data.grad2))
-
-    return _run_ladder(spec, level, ["L2", "H1"])
+    return _run_elasticity(spec, solve_elasticity_tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +547,7 @@ def solve_biharmonic(th, spec, mode="vector"):
     assembles the equivalent 3-entry two-component form.
     """
     data, space, order = spec.data, spec.space, spec.order
-    region = th.partition[0]          # whole boundary (no selectors)
-    n = th.dof_map(space).num_dofs
+    region = th.partition[0]
 
     if mode == "block":
         A = -1 * assemble_scalar_2d(th, var_form(1, "v.val", "u.val"),
@@ -590,7 +578,7 @@ def solve_biharmonic(th, spec, mode="vector"):
     # Dirichlet data only for u; w is unconstrained
     U = apply_dirichlet_and_solve(th, kk, ff,
                                   DirichletSpec((0,), ((None, data.exact),)))
-    return U[:n], U[n:]
+    return _components(U, kk)
 
 
 def run_biharmonic(spec, mode="vector"):
@@ -603,16 +591,23 @@ def run_biharmonic(spec, mode="vector"):
                 "w_L2": error_L2(th, space, order, data.w_exact, w),
                 "w_H1": error_H1_semi(th, space, order, data.w_grad, w)}
 
-    return _run_ladder(spec, level, ["u_L2", "u_H1", "w_L2", "w_H1"])
+    return _run_ladder(spec, level)
 
 
 # ---------------------------------------------------------------------------
 # Stokes (Taylor-Hood with penalty)
 
+def _taylor_hood(data):
+    """The P2-P2-P1 spaces and the velocity Dirichlet data on region 0,
+    the whole boundary."""
+    g1, g2 = _split(data.exact_u, 2)
+    return ["P2", "P2", "P1"], DirichletSpec((0,), ((g1, g2, None),))
+
+
 def stokes_form(spec):
-    eps = spec.eps
+    """nu grad u : grad v - p div v - q div u - eps p q."""
     form = var_form(
-        [spec.nu, spec.nu, -1, -1, -1, -1, -eps],
+        [spec.nu, spec.nu, -1, -1, -1, -1, -spec.eps],
         ["v1.grad", "v2.grad", "v1.dx", "v2.dy", "q.val", "q.val", "q.val"],
         ["u1.grad", "u2.grad", "p.val", "p.val", "u1.dx", "u2.dy", "p.val"])
     return standardize_symbols(["v1", "v2", "q"], ["u1", "u2", "p"], form)
@@ -620,17 +615,12 @@ def stokes_form(spec):
 
 def solve_stokes(th, spec):
     data, order = spec.data, spec.order
-    spaces = [fe_space("P2"), fe_space("P2"), fe_space("P1")]
+    spaces, dirichlet = _taylor_hood(data)
     kk = assemble_system(th, stokes_form(spec), spaces, order)
-    ff = assemble_system(
-        th, var_form([lambda p: data.f(p)[:, 0], lambda p: data.f(p)[:, 1]],
-                     ["v1.val", "v2.val"]), spaces, order)
-    g1 = lambda p: data.exact_u(p)[:, 0]
-    g2 = lambda p: data.exact_u(p)[:, 1]
-    U = apply_dirichlet_and_solve(th, kk, ff,
-                                  DirichletSpec((0,), ((g1, g2, None),)))
-    id1, id2 = kk.offsets[1], kk.offsets[2]
-    return U[:id1], U[id1:id2], U[id2:]
+    ff = assemble_system(th, var_form(list(_split(data.f, 2)),
+                                      ["v1.val", "v2.val"]), spaces, order)
+    U = apply_dirichlet_and_solve(th, kk, ff, dirichlet)
+    return _components(U, kk)
 
 
 def run_stokes(spec):
@@ -638,14 +628,12 @@ def run_stokes(spec):
 
     def level(th, h):
         u1, u2, p = solve_stokes(th, spec)
-        ex1 = lambda q: data.exact_u(q)[:, 0]
-        ex2 = lambda q: data.exact_u(q)[:, 1]
-        uerr = _vector_errors(th, "P2", order, (u1, u2), (ex1, ex2),
+        uerr = _vector_errors(th, "P2", order, (u1, u2), _split(data.exact_u, 2),
                               (data.grad1, data.grad2))
         return {"u_L2": uerr["L2"], "u_H1": uerr["H1"],
                 "p_L2": error_L2(th, "P1", order, data.exact_p, p)}
 
-    return _run_ladder(spec, level, ["u_L2", "u_H1", "p_L2"])
+    return _run_ladder(spec, level)
 
 
 # ---------------------------------------------------------------------------
@@ -659,20 +647,18 @@ def solve_heat(th, spec, dt, nsteps):
     coefficient and lifts the Dirichlet data at the new time.
     """
     data, space, order = spec.data, spec.space, spec.order
-    has_neumann = len(th.partition.selectors) > 0
-    region = th.partition[0] if has_neumann else None
+    region, on = _boundary(th)
 
     kk = assemble_system(th, var_form([1.0 / dt, 1], ["v.val", "v.grad"],
                                       ["u.val", "u.grad"]), [space], order)
 
-    # Dirichlet dofs live on the remaining part; same set every step
-    on = 1 if has_neumann else 0
-    fixed, _ = dirichlet_dofs(th, kk, DirichletSpec(
-        (on,), (lambda p: data.exact(p, 0.0),)))
+    # the same Dirichlet dofs every step
+    initial = lambda p: data.exact(p, 0.0)
+    fixed, _ = dirichlet_dofs(th, kk, DirichletSpec(on, (initial,) * len(on)))
     fixed_points = th.dof_map(space).dof_point[fixed]
     solver = DirichletSolver(kk.matrix(), fixed)
 
-    uh = interpolate_nodal(lambda p: data.exact(p, 0.0), th, space)
+    uh = interpolate_nodal(initial, th, space)
     for step in range(1, nsteps + 1):
         t = step * dt
         ff = assemble_system(th, var_form(lambda p: data.f(p, t), "v.val"),
@@ -680,7 +666,7 @@ def solve_heat(th, spec, dt, nsteps):
         ff = ff + assemble_system(
             th, var_form(FeFunction(dofs=uh / dt, space=space), "v.val"),
             [space], order)
-        if has_neumann:
+        if region is not None:
             flux = coef_matrix_on_edges(lambda p: data.exact_grad(p, t),
                                         th, region, order)
             ff = ff + assemble_system(th, var_form(flux, "v.val"), [space],
@@ -704,7 +690,7 @@ def run_heat(spec):
                 "H1": error_H1_semi(th, space, order,
                                     lambda p: data.exact_grad(p, t), uh)}
 
-    return _run_ladder(spec, level, ["L2", "H1"])
+    return _run_ladder(spec, level)
 
 
 # ---------------------------------------------------------------------------
@@ -722,29 +708,19 @@ class NewtonResult:
 
 
 def _ns_jacobian_form(th, spec, coefs, order):
-    """The 17-entry linearized form at the current iterate."""
-    nu, eps = spec.nu, spec.eps
+    """The linearized form at the current iterate: the eight convection
+    entries in the increments (du1, du2, dp), then the Stokes form; both
+    standardize their trial symbols to u1, u2, u3.  This entry order
+    keeps each block's accumulation order, and so its rounding."""
     u1xc, u1yc, u2xc, u2yc, u1c, u2c, pc = coefs
-    form = var_form(
-        [u1xc, u1yc, u2xc, u2yc,
-         u1c, u2c, u1c, u2c,
-         nu, nu, nu, nu,
-         -1, -1,
-         -1, -1,
-         -eps],
+    increments = ["du1", "du2", "dp"]
+    convection = standardize_symbols(["v1", "v2", "q"], increments, var_form(
+        [u1xc, u1yc, u2xc, u2yc, u1c, u2c, u1c, u2c],
         ["v1.val", "v1.val", "v2.val", "v2.val",
-         "v1.val", "v1.val", "v2.val", "v2.val",
-         "v1.dx", "v1.dy", "v2.dx", "v2.dy",
-         "v1.dx", "v2.dy",
-         "q.val", "q.val",
-         "q.val"],
+         "v1.val", "v1.val", "v2.val", "v2.val"],
         ["du1.val", "du2.val", "du1.val", "du2.val",
-         "du1.dx", "du1.dy", "du2.dx", "du2.dy",
-         "du1.dx", "du1.dy", "du2.dx", "du2.dy",
-         "dp.val", "dp.val",
-         "du1.dx", "du2.dy",
-         "dp.val"])
-    return standardize_symbols(["v1", "v2", "q"], ["du1", "du2", "dp"], form)
+         "du1.dx", "du1.dy", "du2.dx", "du2.dy"]))
+    return VarForm(entries=convection.entries + stokes_form(spec).entries)
 
 
 def _ns_residual_rhs(th, spec, coefs, f1c, f2c, spaces, order):
@@ -788,8 +764,8 @@ def run_ns_newton(spec, th=None, initial=None):
             mesh = square_mesh(spec.bbox, spec.h0)
             for _ in range(spec.refinements):
                 mesh = uniform_refine(mesh)
-        th = fe_mesh(mesh, spec.selectors)
-    spaces = [fe_space("P2"), fe_space("P2"), fe_space("P1")]
+        th = fe_mesh(mesh)
+    spaces, dirichlet = _taylor_hood(data)
 
     if initial is None:
         uh1 = interpolate_nodal(lambda p: np.zeros(len(p)), th, "P2")
@@ -798,10 +774,7 @@ def run_ns_newton(spec, th=None, initial=None):
     else:
         uh1, uh2, ph = (np.array(v, dtype=float) for v in initial)
 
-    f1c = lambda p: data.f(p)[:, 0]
-    f2c = lambda p: data.f(p)[:, 1]
-    g1 = lambda p: data.exact_u(p)[:, 0]
-    g2 = lambda p: data.exact_u(p)[:, 1]
+    f1c, f2c = _split(data.f, 2)
 
     norms = []
     fixed = None
@@ -819,14 +792,13 @@ def run_ns_newton(spec, th=None, initial=None):
         ff = _ns_residual_rhs(th, spec, coefs, f1c, f2c, spaces, order)
 
         if fixed is None:
-            fixed, g = dirichlet_dofs(th, kk,
-                                      DirichletSpec((0,), ((g1, g2, None),)))
+            fixed, g = dirichlet_dofs(th, kk, dirichlet)
         # delta = current - next, so its boundary data is the current
         # boundary mismatch (zero from the second iterate on)
         current = np.concatenate([uh1, uh2, ph])
         delta = DirichletSolver(kk.matrix(), fixed).solve(ff, current[fixed] - g)
         U = current - delta
-        uh1, uh2, ph = np.split(U, kk.offsets[1:3])
+        uh1, uh2, ph = _components(U, kk)
 
         norm = float(np.abs(delta).max())
         norms.append(norm)
@@ -847,23 +819,45 @@ def run_ns_newton(spec, th=None, initial=None):
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the problem table
+
+@dataclass(frozen=True)
+class _Problem:
+    run: object          # spec -> RateReport (NewtonResult for ns-newton)
+    data: object         # spec -> manufactured data
+    defaults: dict       # ProblemSpec fields that differ from its defaults
+    fixed: tuple         # fields the driver does not read
+
+
+_LADDER = ("mesh_path",)
+_NO_SELECTORS = ("selectors", "mesh_path")
+
+_PROBLEMS = {
+    "poisson": _Problem(run_poisson, lambda s: poisson_data(),
+                        {"selectors": ("x==0",)}, _LADDER),
+    "elasticity-disp": _Problem(run_elasticity_displacement,
+                                lambda s: elasticity_data(), {}, _NO_SELECTORS),
+    "elasticity-tensor": _Problem(run_elasticity_tensor,
+                                  lambda s: elasticity_data(),
+                                  {"selectors": ("y==0 | x==1",)}, _LADDER),
+    "biharmonic-block": _Problem(lambda s: run_biharmonic(s, mode="block"),
+                                 lambda s: biharmonic_data(), {}, _NO_SELECTORS),
+    "biharmonic-vector": _Problem(lambda s: run_biharmonic(s, mode="vector"),
+                                  lambda s: biharmonic_data(), {}, _NO_SELECTORS),
+    "stokes": _Problem(run_stokes, lambda s: stokes_data(s.nu),
+                       {"degree": 2, "quad_order": 5},
+                       ("degree",) + _NO_SELECTORS),
+    "heat": _Problem(run_heat, lambda s: heat_data(),
+                     {"selectors": ("x==0",), "refinements": 4}, _LADDER),
+    "ns-newton": _Problem(lambda s: run_ns_newton(s)[0], lambda s: ns_data(s.nu),
+                          {"degree": 2, "quad_order": 7, "refinements": 1},
+                          ("degree", "selectors")),
+}
+
+PROBLEM_IDS = tuple(_PROBLEMS)
+
 
 def run_problem(spec):
-    """Run the driver selected by spec.problem; returns its RateReport
+    """Run the driver of spec.problem's row; returns its RateReport
     (NewtonResult for ns-newton)."""
-    runners = {
-        "poisson": run_poisson,
-        "elasticity-disp": run_elasticity_displacement,
-        "elasticity-tensor": run_elasticity_tensor,
-        "biharmonic-block": lambda s: run_biharmonic(s, mode="block"),
-        "biharmonic-vector": lambda s: run_biharmonic(s, mode="vector"),
-        "stokes": run_stokes,
-        "heat": run_heat,
-    }
-    if spec.problem == "ns-newton":
-        result, _ = run_ns_newton(spec)
-        return result
-    if spec.problem not in runners:
-        raise ValueError(f"unknown problem {spec.problem!r}")
-    return runners[spec.problem](spec)
+    return _row(spec.problem).run(spec)

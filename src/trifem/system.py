@@ -156,18 +156,13 @@ def solve_sparse(A, b):
     return DirichletSolver(A, []).solve(b, [])
 
 
-def apply_dirichlet_and_solve(th, system, rhs=None, spec=None):
+def apply_dirichlet_and_solve(th, system, rhs, spec):
     """Impose Dirichlet values by elimination and solve; fixed dofs (see
-    dirichlet_dofs) get their boundary values exactly.  rhs may live on
-    the system itself."""
+    dirichlet_dofs) get their boundary values exactly."""
     if not isinstance(system, AssembledSystem):
         raise TypeError("apply_dirichlet_and_solve needs an AssembledSystem "
                         "(use assemble_system, or wrap scalar triples)")
-    if spec is None:
-        raise TypeError("a DirichletSpec is required")
     A = system.matrix()
-    if rhs is None:
-        rhs = system.rhs
     rhs = np.asarray(rhs, dtype=float)
     total = system.num_dofs
     if A.shape != (total, total) or rhs.shape != (total,):

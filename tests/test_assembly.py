@@ -233,6 +233,23 @@ class TestSystemAssembly:
         n1 = th.dof_map("P1").num_dofs
         assert sys3.matrix().shape == (2 * n2 + n1, 2 * n2 + n1)
 
+    def test_one_system_call_expands_the_form_once(self, monkeypatch):
+        import trifem.assembly
+        calls = []
+        real = trifem.assembly.expand_extended
+
+        def counting(form):
+            calls.append(1)
+            return real(form)
+
+        monkeypatch.setattr(trifem.assembly, "expand_extended", counting)
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+        assemble_system(th, var_form([-1, 1, 1],
+                                     ["v1.val", "v1.grad", "v2.grad"],
+                                     ["u1.val", "u2.grad", "u1.grad"]),
+                        ["P1", "P1"], 3)
+        assert len(calls) == 1
+
     def test_vector_linear_shorthand(self):
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
 

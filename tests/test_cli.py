@@ -116,6 +116,17 @@ class TestRunCommand:
     def test_mesh_flag_rejected_for_ladder_problems(self):
         assert main(["run", "--problem", "poisson", "--mesh", "x.msh"]) == 2
 
+    @pytest.mark.parametrize("problem, flags, field", [
+        ("stokes", ["--degree", "1"], "degree"),
+        ("stokes", ["--bdstr", "x==0"], "selectors"),
+        ("biharmonic-vector", ["--bdstr", "x==0"], "selectors"),
+        ("poisson", ["--mesh", "x.msh"], "mesh_path"),
+    ])
+    def test_fixed_field_override_is_a_usage_error(self, problem, flags,
+                                                   field, capsys):
+        assert main(["run", "--problem", problem] + flags) == 2
+        assert field in capsys.readouterr().err
+
     def test_heat_with_fixed_dt(self, capsys):
         code = main(["run", "--problem", "heat", "--degree", "1",
                      "--refine", "2", "--dt", "0.05", "--t-end", "0.2"])

@@ -9,13 +9,15 @@ import scipy.sparse.linalg as spla
 import trifem.problems
 from trifem import (FeFunction, error_L2, fe_mesh, interpolate_nodal,
                     square_mesh, uniform_refine, var_form)
-from trifem.problems import (HeatData, PoissonData,
-                             default_spec, elasticity_data,
+from trifem.problems import (PROBLEM_IDS, HeatData, NewtonResult,
+                             PoissonData, default_spec, elasticity_data,
                              elasticity_tensor_system, ns_polynomial_data,
                              run_elasticity_tensor, run_heat, run_poisson,
-                             run_ns_newton, run_stokes, solve_biharmonic,
-                             solve_elasticity_displacement, solve_heat,
-                             solve_poisson, solve_stokes, stokes_data)
+                             run_ns_newton, run_problem, run_stokes,
+                             solve_biharmonic, solve_elasticity_displacement,
+                             solve_heat, solve_poisson, solve_stokes,
+                             stokes_data)
+from trifem.system import RateReport
 
 
 def refined_th(selectors=(), levels=2, h0=0.5):
@@ -23,6 +25,56 @@ def refined_th(selectors=(), levels=2, h0=0.5):
     for _ in range(levels):
         mesh = uniform_refine(mesh)
     return fe_mesh(mesh, selectors)
+
+
+COLUMNS = {"poisson": ["L2", "H1"], "elasticity-disp": ["L2", "H1"],
+           "elasticity-tensor": ["L2", "H1"], "heat": ["L2", "H1"],
+           "biharmonic-block": ["u_L2", "u_H1", "w_L2", "w_H1"],
+           "biharmonic-vector": ["u_L2", "u_H1", "w_L2", "w_H1"],
+           "stokes": ["u_L2", "u_H1", "p_L2"]}
+
+
+class TestProblemTable:
+    @pytest.mark.parametrize("problem", PROBLEM_IDS)
+    def test_every_row_runs(self, problem):
+        result = run_problem(default_spec(problem, refinements=2))
+        if problem == "ns-newton":
+            assert isinstance(result, NewtonResult)
+        else:
+            assert isinstance(result, RateReport)
+            assert list(result.columns) == COLUMNS[problem]
+            assert list(result.slopes) == COLUMNS[problem]
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(ValueError, match="refine"):
+            default_spec("poisson", refine=3)
+
+    @pytest.mark.parametrize("problem", ["elasticity-disp", "biharmonic-block",
+                                         "biharmonic-vector", "stokes",
+                                         "ns-newton"])
+    def test_selectors_rejected_without_natural_data(self, problem):
+        with pytest.raises(ValueError, match="selectors"):
+            default_spec(problem, selectors=("x==0",))
+
+    @pytest.mark.parametrize("problem, field, value", [
+        ("stokes", "degree", 3), ("ns-newton", "degree", 1),
+        ("poisson", "mesh_path", "m.msh"), ("heat", "mesh_path", "m.msh")])
+    def test_fixed_field_rejected(self, problem, field, value):
+        with pytest.raises(ValueError, match=field):
+            default_spec(problem, **{field: value})
+
+    def test_fixed_field_may_be_restated(self):
+        spec = default_spec("stokes", degree=2, selectors=(), mesh_path=None)
+        assert (spec.degree, spec.selectors) == (2, ())
+
+    @pytest.mark.parametrize("problem", ["poisson", "elasticity-tensor", "heat"])
+    def test_every_region_after_the_first_is_dirichlet(self, problem):
+        # 'x==0' takes the Robin/Neumann data, 'y==0' and the rest of the
+        # boundary are Dirichlet; a region left without a condition
+        # stalls the L2 rate
+        rep = run_problem(default_spec(problem, refinements=3,
+                                       selectors=("x==0", "y==0")))
+        assert rep.slopes["L2"] == pytest.approx(2.0, abs=0.2)
 
 
 class TestPoissonDriver:

@@ -96,6 +96,13 @@ class TestApplyDirichlet:
         with pytest.raises(RuntimeError, match="no Dirichlet dof"):
             apply_dirichlet_and_solve(th, kk, ff, DirichletSpec((), ()))
 
+    def test_rhs_is_required(self):
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+        kk, _ = poisson_system(th)
+        spec = DirichletSpec((0,), (lambda p: np.zeros(len(p)),))
+        with pytest.raises(TypeError, match="rhs"):
+            apply_dirichlet_and_solve(th, kk, spec=spec)
+
     def test_region_out_of_range(self):
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
         kk, ff = poisson_system(th)
