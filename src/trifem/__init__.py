@@ -9,7 +9,7 @@ regions.
 
 from .assembly import (AssembledSystem, SparseTriples, assemble_scalar_1d,
                        assemble_scalar_2d, assemble_system, compress,
-                       system_from_blocks)
+                       load_operator, system_from_blocks)
 from .fespace import (DofMap, FeFunction, FeSpace, build_dof_map,
                       coef_matrix_from_dofs, coef_matrix_on_edges,
                       evaluate_at_points, fe_space, integrate_fe,

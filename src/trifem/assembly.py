@@ -16,6 +16,13 @@ block's triples by the cumulative row/column dof counts and
 concatenates them, for assemble_system and system_from_blocks alike.
 Triples stay uncompressed so contributions from the 2d domain and
 boundary terms can be concatenated cheaply and compressed once.
+
+A load 'v.val' is linear in its coefficient values, so
+``load_operator`` builds it once as a sparse operator L with entries
+|K_e| * w_p * phi_i(x_p), from the same basis tables, quadrature
+weights, measures and dof columns: L @ c.ravel() is the load of any
+coefficient matrix c.  A time loop that reloads one form every step
+applies L instead of assembling again.
 """
 
 import re
@@ -32,7 +39,7 @@ from .vform import (FormEntry, FormError, VarForm, _aslist, coef_to_matrix,
 
 __all__ = ["SparseTriples", "AssembledSystem", "assemble_scalar_2d",
            "assemble_scalar_1d", "assemble_system", "compress",
-           "system_from_blocks"]
+           "load_operator", "system_from_blocks"]
 
 
 @dataclass(frozen=True)
@@ -145,17 +152,19 @@ def _kernel_tables(th, space, tag, quad_order, domain, region):
     return np.stack([np.asarray(t) for t in tabs])
 
 
+def _weights_and_measure(th, quad_order, domain, region):
+    """Quadrature weights, and the area of every element (2d) or the
+    length of every region edge (1d)."""
+    if domain == "2d":
+        return triangle_rule(quad_order).weight, th.topo.area
+    return segment_rule(quad_order).weight, th.topo.edge_length[region.edge_idx]
+
+
 def _local_kernel(th, entries, spaces, quad_order, domain, region):
     """Local arrays (NC, nlv) or (NC, nlv, nlu) for elementary entries on
     one domain; spaces is [test] for a linear form, [test, trial] for a
     bilinear one."""
-    if domain == "2d":
-        rule = triangle_rule(quad_order)
-        measure = th.topo.area
-    else:
-        rule = segment_rule(quad_order)
-        measure = th.topo.edge_length[region.edge_idx]
-    w = rule.weight
+    w, measure = _weights_and_measure(th, quad_order, domain, region)
     subscripts = ("p,ep,iep->ei", "p,ep,iep,jep->eij")[len(spaces) - 1]
     local = None
     for entry in entries:
@@ -173,6 +182,31 @@ def _dof_columns(th, space, domain, region):
     if domain == "2d":
         return th.dof_map(space).elem2dof
     return trace_dof_map(th, space, region)
+
+
+def load_operator(th, space, quad_order, domain="2d", region=None):
+    """The load 'v.val' as a sparse operator on coefficient values.
+
+    Returns the CSR matrix L of shape (ndof, NE * ng) with entries
+    |K_e| * w_p * phi_i(x_p), scattered through the dof columns; NE
+    counts the elements (2d) or the region's edges (1d), ng the
+    quadrature points per element.  For any (NE, ng) coefficient matrix
+    c, L @ c.ravel() equals
+    assemble_system(th, var_form(c, "v.val"), [space], quad_order,
+    domain, region) up to rounding.  An empty region gives NE = 0.
+    """
+    space = fe_space(space)
+    tables = _kernel_tables(th, space, "val", quad_order, domain, region)
+    w, measure = _weights_and_measure(th, quad_order, domain, region)
+    dofs = _dof_columns(th, space, domain, region)          # (NE, nl)
+    nl, ne, ng = tables.shape
+    # row e * ng + p of L^T holds the nl entries of element e at point p
+    vals = (measure[:, None] * w)[:, :, None] * tables.transpose(1, 2, 0)
+    cols = np.broadcast_to(dofs[:, None, :], vals.shape)
+    transposed = sp.csr_matrix(
+        (vals.ravel(), cols.ravel(), np.arange(0, vals.size + 1, nl)),
+        shape=(ne * ng, th.dof_map(space).num_dofs))
+    return transposed.T.tocsr()
 
 
 def _scalar_assemble(th, form, test_space, trial_space, quad_order,

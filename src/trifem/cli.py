@@ -42,14 +42,17 @@ def build_parser():
                           "the first region takes the Robin or Neumann data, "
                           "every other region is Dirichlet; only poisson, "
                           "elasticity-tensor and heat take selectors")
-    run.add_argument("--mesh", default=None, help="FreeFEM .msh mesh (ns-newton)")
+    run.add_argument("--mesh", default=None,
+                     help="FreeFEM .msh mesh (ns-newton), used as given: "
+                          "no --refine or --h")
     run.add_argument("--square", default=None, help="bounding box x0,x1,y0,y1")
     run.add_argument("--h", type=float, default=None, help="initial grid spacing")
     run.add_argument("--out", default=None, help="CSV output path")
     run.add_argument("--dt", type=float, default=None,
                      help="(heat) fixed time step; default couples dt = h^(k+1)")
     run.add_argument("--t-end", type=float, default=None, help="(heat) final time")
-    run.add_argument("--nu", type=float, default=None, help="viscosity")
+    run.add_argument("--nu", type=float, default=None,
+                     help="(stokes, ns-newton) viscosity")
     run.add_argument("--max-iter", type=int, default=None, help="(ns-newton) cap")
     run.add_argument("--tol", type=float, default=None,
                      help="(ns-newton) relative increment stopping tolerance")
@@ -102,7 +105,7 @@ def validate(args):
         overrides["h0"] = args.h
     try:
         return default_spec(args.problem, **overrides)
-    except ValueError as exc:     # a field the problem fixes
+    except ValueError as exc:     # a field the problem's runner does not read
         raise UsageError(str(exc)) from None
 
 

@@ -7,22 +7,27 @@ problem the classical quartic divergence-free field on the unit square
 is wired in so the published error table can be reproduced digit-close.
 
 Each problem is one row of the problem table at the end of the module:
-its runner, data factory, defaults and the spec fields its driver does
-not read.  With boundary selectors the first region carries the Robin
-or Neumann data and every other region is Dirichlet (``_boundary``).
+its runner, data factory, defaults and the spec fields its runner
+reads; ``default_spec`` rejects a change to any other field.  With
+boundary selectors the first region carries the Robin or Neumann data
+and every other region is Dirichlet (``_boundary``).
 """
 
 from dataclasses import dataclass, fields
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import (assemble_scalar_1d, assemble_scalar_2d,
-                       assemble_system, system_from_blocks)
+                       assemble_system, load_operator, system_from_blocks)
 # evaluate_at_points is unused here; perfbench/spans.py wraps it in this module
-from .fespace import (FeFunction, coef_matrix_from_dofs, coef_matrix_on_edges,
-                      evaluate_at_points, fe_space, interpolate_nodal)
+from .fespace import (_eval_pointfun, coef_matrix_from_dofs,
+                      coef_matrix_on_edges, edge_quad_points,
+                      evaluate_at_points, fe_space, interpolate_nodal,
+                      outward_normals, quad_points_2d)
 from .io import read_freefem_msh
 from .mesh import fe_mesh, square_mesh, uniform_refine
+from .quadrature import segment_rule, triangle_rule
 from .system import (DirichletSolver, DirichletSpec, RateReport,
                      apply_dirichlet_and_solve, dirichlet_dofs, error_H1_semi,
                      error_L2)
@@ -322,13 +327,15 @@ def ns_polynomial_data(nu=1.0):
 
 _FIELDS = frozenset(f.name for f in fields(ProblemSpec))
 
-# why a problem's row fixes a field: its driver does not read it
+# why a problem's row fixes a field its runner does not read
 _FIXED_BECAUSE = {
     "degree": "the Taylor-Hood pair is P2-P2-P1",
     "selectors": "it has no Robin or Neumann data; the whole boundary "
                  "is Dirichlet",
     "mesh_path": "its ladder refines generated rectangle meshes",
 }
+# the fields that only a generated mesh reads
+_GENERATED_MESH = ("refinements", "bbox", "h0")
 
 
 def _row(problem):
@@ -342,8 +349,9 @@ def default_spec(problem, **overrides):
     """Spec with the manufactured data and the defaults of the problem's
     row in the problem table; overrides that are None are ignored.
 
-    Raises ValueError for an unknown problem or field name, and for a
-    change to a field the problem fixes.
+    Raises ValueError for an unknown problem or field name, for a change
+    to a field the problem's runner does not read, and for a mesh_path
+    together with a field that only a generated mesh reads.
     """
     row = _row(problem)
     spec = ProblemSpec(problem=problem, **row.defaults)
@@ -352,10 +360,16 @@ def default_spec(problem, **overrides):
             raise ValueError(f"ProblemSpec has no field {name!r}")
         if value is None:
             continue
-        if name in row.fixed and value != getattr(spec, name):
+        if name not in row.reads and value != getattr(spec, name):
+            why = _FIXED_BECAUSE.get(name, "its driver does not read it")
             raise ValueError(f"{problem} fixes {name} = {getattr(spec, name)!r}: "
-                             f"{_FIXED_BECAUSE[name]}")
+                             f"{why}")
         setattr(spec, name, value)
+    if spec.mesh_path is not None:
+        ignored = [n for n in _GENERATED_MESH if overrides.get(n) is not None]
+        if ignored:
+            raise ValueError(f"{problem} reads mesh_path as given: "
+                             f"{', '.join(ignored)} apply only to generated meshes")
     if spec.data is None:
         spec.data = row.data(spec)
     return spec
@@ -364,14 +378,16 @@ def default_spec(problem, **overrides):
 # ---------------------------------------------------------------------------
 # shared pieces: ladder, errors, boundary rule, components
 
-def _run_ladder(spec, solve_level):
-    """solve_level(th, h) on each refinement of square_mesh(bbox, h0);
-    the report's columns are the keys of the dicts it returns."""
+def _run_ladder(spec, solve_level, selectors=()):
+    """solve_level(th, h) on each refinement of square_mesh(bbox, h0),
+    with the boundary regions of the selectors (drivers with Robin or
+    Neumann data pass spec.selectors); the report's columns are the keys
+    of the dicts it returns."""
     mesh = square_mesh(spec.bbox, spec.h0)
     hs, nts, errs = [], [], {}
     for k in range(1, spec.refinements + 1):
         mesh = uniform_refine(mesh)
-        th = fe_mesh(mesh, spec.selectors)
+        th = fe_mesh(mesh, selectors)
         h = spec.h0 / 2**k             # leg length at level k
         for name, err in solve_level(th, h).items():
             errs.setdefault(name, []).append(err)
@@ -447,7 +463,7 @@ def run_poisson(spec):
         return {"L2": error_L2(th, space, order, data.exact, uh),
                 "H1": error_H1_semi(th, space, order, data.exact_grad, uh)}
 
-    return _run_ladder(spec, level)
+    return _run_ladder(spec, level, spec.selectors)
 
 
 # ---------------------------------------------------------------------------
@@ -478,14 +494,14 @@ def solve_elasticity_displacement(th, spec):
     return _components(uh, kk)
 
 
-def _run_elasticity(spec, solve):
+def _run_elasticity(spec, solve, selectors=()):
     data, space, order = spec.data, spec.space, spec.order
 
     def level(th, h):
         return _vector_errors(th, space, order, solve(th, spec),
                               _split(data.exact, 2), (data.grad1, data.grad2))
 
-    return _run_ladder(spec, level)
+    return _run_ladder(spec, level, selectors)
 
 
 def run_elasticity_displacement(spec):
@@ -534,7 +550,7 @@ def solve_elasticity_tensor(th, spec):
 
 
 def run_elasticity_tensor(spec):
-    return _run_elasticity(spec, solve_elasticity_tensor)
+    return _run_elasticity(spec, solve_elasticity_tensor, spec.selectors)
 
 
 # ---------------------------------------------------------------------------
@@ -639,38 +655,57 @@ def run_stokes(spec):
 # ---------------------------------------------------------------------------
 # heat equation (backward Euler)
 
+def _flux_operator(th, space, order, region):
+    """(L1n, edge points): L1n @ g(edge points).ravel() is the boundary
+    load of the flux g.n of a 2-component g on the region, the outward
+    normals folded into the region's load operator."""
+    rule = segment_rule(order)
+    normals = np.repeat(outward_normals(th, region), rule.npoints, axis=0)
+    load = load_operator(th, space, order, domain="1d", region=region)
+    # column c of the load becomes columns 2c and 2c + 1, scaled by n(c)
+    flux = sp.csr_matrix(
+        ((load.data[:, None] * normals[load.indices]).ravel(),
+         (2 * load.indices[:, None] + np.arange(2)).ravel(), 2 * load.indptr),
+        shape=(load.shape[0], 2 * load.shape[1]))
+    return flux, edge_quad_points(th, region, rule).reshape(-1, 2)
+
+
 def solve_heat(th, spec, dt, nsteps):
     """March u_t - lap u = f to t = nsteps*dt; returns the final dofs.
 
-    The matrix M/dt + A is assembled and factorized once; each step
-    reassembles the load with the previous solution as a dof-vector
-    coefficient and lifts the Dirichlet data at the new time.
+    Everything but the data values is built once: the matrix M/dt + A
+    and its factorization, the mass matrix M/dt, the load as a prebuilt
+    sparse operator on the values of f at the quadrature points
+    (``load_operator``), and on the Neumann region the same operator
+    with the outward normals folded in, applied to grad u at the edge
+    quadrature points.  A step is three matvecs and one solve with the
+    Dirichlet data lifted at the new time; it assembles nothing.
     """
     data, space, order = spec.data, spec.space, spec.order
     region, on = _boundary(th)
 
     kk = assemble_system(th, var_form([1.0 / dt, 1], ["v.val", "v.grad"],
                                       ["u.val", "u.grad"]), [space], order)
-
     # the same Dirichlet dofs every step
     initial = lambda p: data.exact(p, 0.0)
     fixed, _ = dirichlet_dofs(th, kk, DirichletSpec(on, (initial,) * len(on)))
     fixed_points = th.dof_map(space).dof_point[fixed]
     solver = DirichletSolver(kk.matrix(), fixed)
+    del kk                      # not kept while the step operators are built
+
+    mass = assemble_system(th, var_form(1.0 / dt, "v.val", "u.val"),
+                           [space], order).matrix()
+    load = load_operator(th, space, order)
+    points = quad_points_2d(th.mesh, triangle_rule(order)).reshape(-1, 2)
+    if region is not None:
+        flux, edge_points = _flux_operator(th, space, order, region)
 
     uh = interpolate_nodal(initial, th, space)
     for step in range(1, nsteps + 1):
         t = step * dt
-        ff = assemble_system(th, var_form(lambda p: data.f(p, t), "v.val"),
-                             [space], order)
-        ff = ff + assemble_system(
-            th, var_form(FeFunction(dofs=uh / dt, space=space), "v.val"),
-            [space], order)
+        ff = load @ _eval_pointfun(lambda p: data.f(p, t), points) + mass @ uh
         if region is not None:
-            flux = coef_matrix_on_edges(lambda p: data.exact_grad(p, t),
-                                        th, region, order)
-            ff = ff + assemble_system(th, var_form(flux, "v.val"), [space],
-                                      order, domain="1d", region=region)
+            ff = ff + flux @ data.exact_grad(edge_points, t).ravel()
         uh = solver.solve(ff, data.exact(fixed_points, t))
     return uh
 
@@ -690,7 +725,7 @@ def run_heat(spec):
                 "H1": error_H1_semi(th, space, order,
                                     lambda p: data.exact_grad(p, t), uh)}
 
-    return _run_ladder(spec, level)
+    return _run_ladder(spec, level, spec.selectors)
 
 
 # ---------------------------------------------------------------------------
@@ -826,32 +861,39 @@ class _Problem:
     run: object          # spec -> RateReport (NewtonResult for ns-newton)
     data: object         # spec -> manufactured data
     defaults: dict       # ProblemSpec fields that differ from its defaults
-    fixed: tuple         # fields the driver does not read
+    reads: tuple         # the ProblemSpec fields its runner reads
 
 
-_LADDER = ("mesh_path",)
-_NO_SELECTORS = ("selectors", "mesh_path")
+# read by every runner: the generated mesh, the quadrature order, the data
+_EVERY_RUNNER = ("quad_order", "refinements", "bbox", "h0", "data")
+# read by every runner of the Taylor-Hood form (stokes, ns-newton)
+_TAYLOR_HOOD = _EVERY_RUNNER + ("nu", "eps")
 
 _PROBLEMS = {
     "poisson": _Problem(run_poisson, lambda s: poisson_data(),
-                        {"selectors": ("x==0",)}, _LADDER),
+                        {"selectors": ("x==0",)},
+                        ("degree", "selectors") + _EVERY_RUNNER),
     "elasticity-disp": _Problem(run_elasticity_displacement,
-                                lambda s: elasticity_data(), {}, _NO_SELECTORS),
+                                lambda s: elasticity_data(), {},
+                                ("degree",) + _EVERY_RUNNER),
     "elasticity-tensor": _Problem(run_elasticity_tensor,
                                   lambda s: elasticity_data(),
-                                  {"selectors": ("y==0 | x==1",)}, _LADDER),
+                                  {"selectors": ("y==0 | x==1",)},
+                                  ("degree", "selectors") + _EVERY_RUNNER),
     "biharmonic-block": _Problem(lambda s: run_biharmonic(s, mode="block"),
-                                 lambda s: biharmonic_data(), {}, _NO_SELECTORS),
+                                 lambda s: biharmonic_data(), {},
+                                 ("degree",) + _EVERY_RUNNER),
     "biharmonic-vector": _Problem(lambda s: run_biharmonic(s, mode="vector"),
-                                  lambda s: biharmonic_data(), {}, _NO_SELECTORS),
+                                  lambda s: biharmonic_data(), {},
+                                  ("degree",) + _EVERY_RUNNER),
     "stokes": _Problem(run_stokes, lambda s: stokes_data(s.nu),
-                       {"degree": 2, "quad_order": 5},
-                       ("degree",) + _NO_SELECTORS),
+                       {"degree": 2, "quad_order": 5}, _TAYLOR_HOOD),
     "heat": _Problem(run_heat, lambda s: heat_data(),
-                     {"selectors": ("x==0",), "refinements": 4}, _LADDER),
+                     {"selectors": ("x==0",), "refinements": 4},
+                     ("degree", "selectors", "dt", "t_end") + _EVERY_RUNNER),
     "ns-newton": _Problem(lambda s: run_ns_newton(s)[0], lambda s: ns_data(s.nu),
                           {"degree": 2, "quad_order": 7, "refinements": 1},
-                          ("degree", "selectors")),
+                          _TAYLOR_HOOD + ("mesh_path", "max_iter", "tol")),
 }
 
 PROBLEM_IDS = tuple(_PROBLEMS)

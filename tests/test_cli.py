@@ -127,6 +127,19 @@ class TestRunCommand:
         assert main(["run", "--problem", problem] + flags) == 2
         assert field in capsys.readouterr().err
 
+    def test_flags_the_driver_does_not_read_are_usage_errors(self, capsys):
+        assert main(["run", "--problem", "poisson", "--refine", "2",
+                     "--dt", "0.1", "--nu", "5", "--max-iter", "3",
+                     "--t-end", "9"]) == 2
+        assert "poisson fixes" in capsys.readouterr().err
+        assert main(["run", "--problem", "stokes", "--dt", "0.1"]) == 2
+        assert "stokes fixes dt" in capsys.readouterr().err
+
+    def test_mesh_with_refine_is_a_usage_error(self, capsys):
+        assert main(["run", "--problem", "ns-newton", "--mesh", "m.msh",
+                     "--refine", "2"]) == 2
+        assert "refinements" in capsys.readouterr().err
+
     def test_heat_with_fixed_dt(self, capsys):
         code = main(["run", "--problem", "heat", "--degree", "1",
                      "--refine", "2", "--dt", "0.05", "--t-end", "0.2"])

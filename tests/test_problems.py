@@ -2,6 +2,8 @@
 points, Newton behavior.  Full convergence ladders live in the
 acceptance suite."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -10,7 +12,8 @@ import trifem.problems
 from trifem import (FeFunction, error_L2, fe_mesh, interpolate_nodal,
                     square_mesh, uniform_refine, var_form)
 from trifem.problems import (PROBLEM_IDS, HeatData, NewtonResult,
-                             PoissonData, default_spec, elasticity_data,
+                             PoissonData, ProblemSpec, default_spec,
+                             elasticity_data,
                              elasticity_tensor_system, ns_polynomial_data,
                              run_elasticity_tensor, run_heat, run_poisson,
                              run_ns_newton, run_problem, run_stokes,
@@ -32,6 +35,11 @@ COLUMNS = {"poisson": ["L2", "H1"], "elasticity-disp": ["L2", "H1"],
            "biharmonic-block": ["u_L2", "u_H1", "w_L2", "w_H1"],
            "biharmonic-vector": ["u_L2", "u_H1", "w_L2", "w_H1"],
            "stokes": ["u_L2", "u_H1", "p_L2"]}
+FIELDS = frozenset(f.name for f in fields(ProblemSpec))
+# a value other than every row's default, for each field a runner may not read
+CHANGED = {"degree": 3, "selectors": ("x==0",), "mesh_path": "m.msh",
+           "dt": 0.1, "t_end": 9.0, "nu": 5.0, "eps": 1e-6, "max_iter": 3,
+           "tol": 1e-6}
 
 
 class TestProblemTable:
@@ -62,6 +70,38 @@ class TestProblemTable:
     def test_fixed_field_rejected(self, problem, field, value):
         with pytest.raises(ValueError, match=field):
             default_spec(problem, **{field: value})
+
+    @pytest.mark.parametrize("problem", PROBLEM_IDS)
+    def test_every_field_the_runner_does_not_read_is_rejected(self, problem):
+        reads = trifem.problems._PROBLEMS[problem].reads
+        for field, value in CHANGED.items():
+            if field not in reads:
+                with pytest.raises(ValueError, match=f"{problem} fixes {field} ="):
+                    default_spec(problem, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [("refinements", 2), ("h0", 0.25),
+                                              ("bbox", (0.0, 2.0, 0.0, 1.0))])
+    def test_mesh_path_excludes_the_generated_mesh_fields(self, field, value):
+        assert default_spec("ns-newton", mesh_path="m.msh").mesh_path == "m.msh"
+        with pytest.raises(ValueError, match=field):
+            default_spec("ns-newton", mesh_path="m.msh", **{field: value})
+
+    @pytest.mark.parametrize("problem", PROBLEM_IDS)
+    def test_runner_reads_exactly_the_fields_of_its_row(self, problem):
+        # guards the table against drift: a field the runner reads but
+        # its row omits would be refused, one the row lists but the
+        # runner never reads would be silently ignored
+        read = set()
+
+        class Recording(ProblemSpec):
+            def __getattribute__(self, name):
+                if name in FIELDS:
+                    read.add(name)
+                return super().__getattribute__(name)
+
+        spec = default_spec(problem, refinements=1)
+        run_problem(Recording(**{f: getattr(spec, f) for f in FIELDS}))
+        assert read - {"problem"} == set(trifem.problems._PROBLEMS[problem].reads)
 
     def test_fixed_field_may_be_restated(self):
         spec = default_spec("stokes", degree=2, selectors=(), mesh_path=None)
@@ -313,6 +353,43 @@ class TestHeatDriver:
         solve_heat(th, spec, dt=0.1, nsteps=5)
         assert len(calls) == 1
 
+    def test_assembly_calls_do_not_grow_with_the_step_count(self, monkeypatch):
+        calls = []
+        real = trifem.problems.assemble_system
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trifem.problems, "assemble_system", counting)
+        spec = default_spec("heat", degree=2)
+        th = refined_th(selectors=spec.selectors, levels=1)
+        counts = []
+        for nsteps in (1, 7):
+            calls.clear()
+            solve_heat(th, spec, dt=0.1, nsteps=nsteps)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    # final-time errors of the loop that assembled its load every step;
+    # the prebuilt load operator only reorders the sums
+    ASSEMBLED_LOAD_ERRORS = {
+        (1, 4): {"L2": [0.009606529412663295, 0.0024974405719398536,
+                        0.0006310053522708916, 0.00015817938663674139],
+                 "H1": [0.13742174032386587, 0.06964004661665824,
+                        0.03493927871494666, 0.017484656749128094]},
+        (2, 3): {"L2": [0.0004642653531580087, 5.7123518134994736e-05,
+                        7.113181422204812e-06],
+                 "H1": [0.01526742740295997, 0.003876319602442278,
+                        0.0009737076556726103]},
+    }
+
+    @pytest.mark.parametrize("degree, refinements", [(1, 4), (2, 3)])
+    def test_final_time_errors_match_the_assembled_load(self, degree, refinements):
+        rep = run_heat(default_spec("heat", degree=degree, refinements=refinements))
+        for name, ref in self.ASSEMBLED_LOAD_ERRORS[degree, refinements].items():
+            np.testing.assert_allclose(rep.columns[name], ref, rtol=1e-9, atol=0)
+
     def test_dt_follows_the_leg_length_on_a_rectangle(self, monkeypatch):
         steps = []
 
@@ -326,7 +403,7 @@ class TestHeatDriver:
         assert steps == [16, 64]          # dt = h^2 for legs 1/4 and 1/8
 
     def test_heat_uses_dof_vector_coefficient(self):
-        # the per-step load accepts the previous iterate as FeFunction
+        # a load accepts a dof vector (FeFunction) as its coefficient
         from trifem import assemble_system, fe_space, integrate_fe
         th = refined_th(selectors=("x==0",), levels=1)
         dofs = np.arange(th.dof_map("P1").num_dofs, dtype=float)

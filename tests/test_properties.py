@@ -5,8 +5,9 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trifem import (Mesh2d, assemble_system, coef_matrix_from_dofs, fe_mesh,
-                    interpolate_nodal, square_mesh, tabulate_basis,
+from trifem import (FeFunction, Mesh2d, assemble_system, coef_matrix_from_dofs,
+                    coef_to_matrix, fe_mesh, fe_space, interpolate_nodal,
+                    load_operator, square_mesh, tabulate_basis,
                     uniform_refine, var_form)
 from trifem.fespace import quad_points_2d
 from trifem.quadrature import triangle_rule
@@ -131,3 +132,28 @@ def test_local_matrices_invariant_under_rigid_motion(th, space, angle, shift):
         a = assemble_system(th, form, [space]).matrix().toarray()
         b = assemble_system(moved, form, [space]).matrix().toarray()
         assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+
+
+@PROPERTY
+@given(th=MESHES, space=SPACES, order=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_load_operator_applies_the_assembled_load(th, space, order, seed):
+    # L @ c.ravel() is the load of a random coefficient matrix, a point
+    # function and an FeFunction, on the 2d domain, the whole boundary
+    # and an empty region
+    rng = np.random.default_rng(seed)
+    dofs = rng.standard_normal(th.dof_map(space).num_dofs)
+    empty = fe_mesh(th.mesh, ("x==99",)).partition[0]
+    for domain, region in (("2d", None), ("1d", th.partition[0]), ("1d", empty)):
+        L = load_operator(th, space, order, domain, region)
+        shape = coef_to_matrix(0.0, th, order, domain, region).shape
+        assert L.shape == (len(dofs), shape[0] * shape[1])
+        for coef in (rng.standard_normal(shape),
+                     lambda p: np.exp(p[:, 0]) * np.cos(3 * p[:, 1]),
+                     FeFunction(dofs=dofs, space=fe_space(space))):
+            expected = assemble_system(th, var_form(coef, "v.val"), [space],
+                                       order, domain=domain, region=region)
+            got = L @ coef_to_matrix(coef, th, order, domain, region).ravel()
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+            if region is empty:
+                assert not got.any()
