@@ -8,21 +8,23 @@ accumulates, over the elementary entries of a form,
 for a bilinear form, and the same contraction without the trial table,
 F[e, i], for a linear one; one einsum covers all elements at once.  The
 local arrays scatter through the dof maps into a load vector (bincount)
-or into (ii, jj, ss) index triples.  Boundary (1d) assembly runs the
-same kernel over a region's edges with edge lengths as the measure and
-the trace basis.  Multi-component forms are grouped into blocks by
-(test component, trial component); one block routine offsets each
-block's triples by the cumulative row/column dof counts and
-concatenates them, for assemble_system and system_from_blocks alike.
+or into (ii, jj, ss) index triples.  The cells of an integral (every
+triangle, or the edges of one boundary region) are one
+``fespace.Cells``: it gives the kernel its quadrature weights, measure
+(areas or edge lengths), dof columns and point values, so boundary (1d)
+assembly runs the same kernel with the trace basis.  Multi-component
+forms are grouped into blocks by (test component, trial component); one
+block routine offsets each block's triples by the cumulative row/column
+dof counts and concatenates them, for assemble_system and
+system_from_blocks alike.
 Triples stay uncompressed so contributions from the 2d domain and
 boundary terms can be concatenated cheaply and compressed once.
 
 A load 'v.val' is linear in its coefficient values, so
 ``load_operator`` builds it once as a sparse operator L with entries
-|K_e| * w_p * phi_i(x_p), from the same basis tables, quadrature
-weights, measures and dof columns: L @ c.ravel() is the load of any
-coefficient matrix c.  A time loop that reloads one form every step
-applies L instead of assembling again.
+|K_e| * w_p * phi_i(x_p), from the same basis tables and Cells:
+L @ c.ravel() is the load of any coefficient matrix c.  A time loop
+that reloads one form every step applies L instead of assembling again.
 """
 
 import re
@@ -31,8 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import fe_space, tabulate_basis, trace_dof_map
-from .quadrature import segment_rule, triangle_rule
+from .fespace import Cells, fe_space, tabulate_basis
 from .terms import Term, TermSum
 from .vform import (FormEntry, FormError, VarForm, _aslist, coef_to_matrix,
                     expand_extended)
@@ -147,41 +148,27 @@ def _component_index(symbol, prefix, ncomp):
     return idx
 
 
-def _kernel_tables(th, space, tag, quad_order, domain, region):
-    tabs = tabulate_basis(tag, th, space, quad_order, domain=domain, region=region)
+def _kernel_tables(cells, space, tag):
+    tabs = tabulate_basis(tag, cells.th, space, cells.order,
+                          domain=cells.domain, region=cells.region)
     return np.stack([np.asarray(t) for t in tabs])
 
 
-def _weights_and_measure(th, quad_order, domain, region):
-    """Quadrature weights, and the area of every element (2d) or the
-    length of every region edge (1d)."""
-    if domain == "2d":
-        return triangle_rule(quad_order).weight, th.topo.area
-    return segment_rule(quad_order).weight, th.topo.edge_length[region.edge_idx]
-
-
-def _local_kernel(th, entries, spaces, quad_order, domain, region):
+def _local_kernel(cells, entries, spaces):
     """Local arrays (NC, nlv) or (NC, nlv, nlu) for elementary entries on
-    one domain; spaces is [test] for a linear form, [test, trial] for a
+    the cells; spaces is [test] for a linear form, [test, trial] for a
     bilinear one."""
-    w, measure = _weights_and_measure(th, quad_order, domain, region)
     subscripts = ("p,ep,iep->ei", "p,ep,iep,jep->eij")[len(spaces) - 1]
     local = None
     for entry in entries:
-        cc = coef_to_matrix(entry.coef, th, quad_order, domain=domain, region=region)
-        tables = [_kernel_tables(th, space, side.terms[0].tag, quad_order,
-                                 domain, region)
+        cc = coef_to_matrix(entry.coef, cells.th, cells.order,
+                            domain=cells.domain, region=cells.region)
+        tables = [_kernel_tables(cells, space, side.terms[0].tag)
                   for space, side in zip(spaces, (entry.test, entry.trial))]
-        blk = np.einsum(subscripts, w, cc, *tables, optimize=True)
+        blk = np.einsum(subscripts, cells.rule.weight, cc, *tables, optimize=True)
         del tables                  # freed before the next entry tabulates
         local = blk if local is None else local + blk
-    return local * measure.reshape((-1,) + (1,) * len(spaces))
-
-
-def _dof_columns(th, space, domain, region):
-    if domain == "2d":
-        return th.dof_map(space).elem2dof
-    return trace_dof_map(th, space, region)
+    return local * cells.measure.reshape((-1,) + (1,) * len(spaces))
 
 
 def load_operator(th, space, quad_order, domain="2d", region=None):
@@ -196,12 +183,13 @@ def load_operator(th, space, quad_order, domain="2d", region=None):
     domain, region) up to rounding.  An empty region gives NE = 0.
     """
     space = fe_space(space)
-    tables = _kernel_tables(th, space, "val", quad_order, domain, region)
-    w, measure = _weights_and_measure(th, quad_order, domain, region)
-    dofs = _dof_columns(th, space, domain, region)          # (NE, nl)
+    cells = Cells(th, quad_order, domain, region)
+    tables = _kernel_tables(cells, space, "val")
+    dofs = cells.dofs(space)                                # (NE, nl)
     nl, ne, ng = tables.shape
     # row e * ng + p of L^T holds the nl entries of element e at point p
-    vals = (measure[:, None] * w)[:, :, None] * tables.transpose(1, 2, 0)
+    vals = (cells.measure[:, None] * cells.rule.weight)[:, :, None] \
+        * tables.transpose(1, 2, 0)
     cols = np.broadcast_to(dofs[:, None, :], vals.shape)
     transposed = sp.csr_matrix(
         (vals.ravel(), cols.ravel(), np.arange(0, vals.size + 1, nl)),
@@ -209,20 +197,18 @@ def load_operator(th, space, quad_order, domain="2d", region=None):
     return transposed.T.tocsr()
 
 
-def _scalar_assemble(th, form, test_space, trial_space, quad_order,
-                     domain, region):
+def _scalar_assemble(cells, form, test_space, trial_space):
     """form holds elementary entries (see expand_extended)."""
     spaces = [fe_space(test_space)]
     if not form.is_linear:
         spaces.append(fe_space(trial_space if trial_space is not None
                                else test_space))
-    dofs = [_dof_columns(th, s, domain, region) for s in spaces]
-    sizes = [th.dof_map(s).num_dofs for s in spaces]
+    dofs = [cells.dofs(s) for s in spaces]
+    sizes = [cells.th.dof_map(s).num_dofs for s in spaces]
     if len(dofs[0]) == 0:           # empty region: a zero contribution
         local = np.zeros((0,) + tuple(d.shape[1] for d in dofs))
     else:
-        local = _local_kernel(th, form.entries, spaces, quad_order,
-                              domain, region)
+        local = _local_kernel(cells, form.entries, spaces)
     if form.is_linear:
         # bincount over an empty index would return integers
         return np.bincount(dofs[0].ravel(), weights=local.ravel(),
@@ -242,8 +228,8 @@ def assemble_scalar_2d(th, form, test_space, trial_space=None, quad_order=None):
     """
     form = expand_extended(_as_form(form))
     quad_order = _default_order(quad_order, test_space, trial_space)
-    return _scalar_assemble(th, form, test_space, trial_space, quad_order,
-                            "2d", None)
+    return _scalar_assemble(Cells(th, quad_order), form, test_space,
+                            trial_space)
 
 
 def assemble_scalar_1d(th, region, form, test_space, trial_space=None,
@@ -254,8 +240,8 @@ def assemble_scalar_1d(th, region, form, test_space, trial_space=None,
     """
     form = expand_extended(_as_form(form))
     quad_order = _default_order(quad_order, test_space, trial_space)
-    return _scalar_assemble(th, form, test_space, trial_space, quad_order,
-                            "1d", region)
+    return _scalar_assemble(Cells(th, quad_order, "1d", region), form,
+                            test_space, trial_space)
 
 
 def _as_form(form):
@@ -271,7 +257,7 @@ def _default_order(quad_order, *spaces):
     return max(fe_space(s).degree for s in spaces if s is not None) + 2
 
 
-def _expand_vector_shorthand(form, th, spaces, quad_order, domain, region):
+def _expand_vector_shorthand(form, cells, spaces):
     """Rewrite linear entries 'v.val' against a multi-component
     coefficient into per-component entries (f1*v1 + f2*v2 + ...)."""
     ncomp = len(spaces)
@@ -281,8 +267,7 @@ def _expand_vector_shorthand(form, th, spaces, quad_order, domain, region):
         if entry.trial is None and ncomp > 1 and sym == "v":
             if entry.test.terms[0].tag != "val":
                 raise FormError("vector shorthand requires Test = 'v.val'")
-            coefs = _split_components(entry.coef, th, ncomp, quad_order,
-                                      domain, region)
+            coefs = _split_components(entry.coef, cells, ncomp)
             for c, cc in enumerate(coefs):
                 out.append(FormEntry(cc, TermSum((_vterm(c),)), None))
         else:
@@ -294,26 +279,15 @@ def _vterm(c):
     return Term(symbol=f"v{c + 1}", tag="val")
 
 
-def _split_components(coef, th, ncomp, quad_order, domain, region):
+def _split_components(coef, cells, ncomp):
     if isinstance(coef, (list, tuple)):
         if len(coef) != ncomp:
             raise FormError(f"vector shorthand got {len(coef)} coefficient "
                             f"components for {ncomp} test components")
         return list(coef)
     if callable(coef):
-        from .fespace import edge_quad_points, quad_points_2d
-        if domain == "2d":
-            rule = triangle_rule(quad_order)
-            pts = quad_points_2d(th.mesh, rule)
-        else:
-            rule = segment_rule(quad_order)
-            pts = edge_quad_points(th, region, rule)
-        shape = pts.shape[:2]
-        vals = np.asarray(coef(pts.reshape(-1, 2)), dtype=float)
-        if vals.ndim != 2 or vals.shape[1] != ncomp:
-            raise FormError(f"vector shorthand coefficient must return {ncomp} "
-                            f"components per point, got shape {vals.shape}")
-        return [vals[:, c].reshape(shape) for c in range(ncomp)]
+        vals = cells.values(coef, ncomp)
+        return [vals[:, :, c] for c in range(ncomp)]
     raise FormError("vector shorthand coefficient must be a function or a "
                     "sequence of per-component coefficients")
 
@@ -330,20 +304,20 @@ def assemble_system(th, form, spaces, quad_order=None, domain="2d", region=None)
     spaces = tuple(fe_space(s) for s in _aslist(spaces))
     ncomp = len(spaces)
     quad_order = _default_order(quad_order, *spaces)
+    cells = Cells(th, quad_order, domain, region)
     nndofu = tuple(th.dof_map(s).num_dofs for s in spaces)
     offsets = np.concatenate([[0], np.cumsum(nndofu)])
     total = int(offsets[-1])
 
     form = expand_extended(form)
-    form = _expand_vector_shorthand(form, th, spaces, quad_order, domain, region)
+    form = _expand_vector_shorthand(form, cells, spaces)
 
     if form.is_linear:
         rhs = np.zeros(total)
         for entry in form:
             c = _component_index(entry.test.terms[0].symbol, "v", ncomp)
             sub = VarForm(entries=(entry,))
-            vec = _scalar_assemble(th, sub, spaces[c], None, quad_order,
-                                   domain, region)
+            vec = _scalar_assemble(cells, sub, spaces[c], None)
             rhs[offsets[c]:offsets[c + 1]] += vec
         return rhs
 
@@ -353,9 +327,8 @@ def assemble_system(th, form, spaces, quad_order=None, domain="2d", region=None)
         cj = _component_index(entry.trial.terms[0].symbol, "u", ncomp)
         blocks.setdefault((ci, cj), []).append(entry)
     return _block_system(spaces, nndofu, (
-        ((ci, cj), _scalar_assemble(th, VarForm(entries=tuple(entries)),
-                                    spaces[ci], spaces[cj], quad_order,
-                                    domain, region))
+        ((ci, cj), _scalar_assemble(cells, VarForm(entries=tuple(entries)),
+                                    spaces[ci], spaces[cj]))
         for (ci, cj), entries in blocks.items()))
 
 

@@ -5,6 +5,10 @@ derivatives at quadrature points (both over elements and restricted to
 boundary edges), nodal interpolation, coefficient matrices, integrals
 of finite element functions, and point evaluation.
 
+``Cells`` is the domain of one integral, as FreeFEM's int2d(Th) or
+int1d(Th, label): it checks the (domain, region) pair once and is the
+only code that tells triangles from region edges.
+
 Global numbering: vertex dofs first, then edge dofs by global edge
 index (two per edge for P3, ordered from the smaller to the larger
 endpoint index), then one interior dof per triangle for P3.  The P3
@@ -12,7 +16,7 @@ edge-dof orientation is resolved inside elem2dof, so the local basis
 tabulation itself never depends on the element.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +28,10 @@ __all__ = ["FeSpace", "DofMap", "FeFunction", "fe_space", "build_dof_map",
            "coef_matrix_on_edges", "integrate_fe", "evaluate_at_points",
            "quad_points_2d", "edge_quad_points", "trace_dof_map",
            "region_dofs", "eval_pointwise"]
+
+
+class FormError(ValueError):
+    """Inconsistent variational form or coefficient."""
 
 
 @dataclass(frozen=True)
@@ -211,6 +219,91 @@ def quad_points_2d(mesh, rule):
 
 
 # ---------------------------------------------------------------------------
+# integration domain
+
+@dataclass(frozen=True, eq=False)
+class Cells:
+    """The cells of one integral: every triangle (domain '2d') or the
+    boundary edges of one region (domain '1d').  ``rule`` is their
+    quadrature rule and ``measure`` their areas or edge lengths; an
+    array over the cells is (NC, ng), one column per quadrature point.
+    """
+
+    th: object
+    order: int
+    domain: str = "2d"
+    region: object = None
+    rule: object = field(init=False, repr=False)
+    measure: np.ndarray = field(init=False, repr=False)
+    _points: np.ndarray = field(init=False, repr=False, default=None)
+
+    def __post_init__(self):
+        if self.domain == "2d":
+            if self.region is not None:
+                raise ValueError("domain '2d' covers every triangle and "
+                                 "takes no boundary region")
+            rule, measure = triangle_rule(self.order), self.th.topo.area
+        elif self.domain == "1d":
+            if self.region is None:
+                raise ValueError("domain '1d' needs a boundary region")
+            rule = segment_rule(self.order)
+            measure = self.th.topo.edge_length[self.region.edge_idx]
+        else:
+            raise ValueError(f"unknown domain {self.domain!r} "
+                             "(expected '2d' or '1d')")
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "measure", measure)
+
+    @property
+    def shape(self):
+        return (len(self.measure), self.rule.npoints)
+
+    def points(self):
+        """Physical quadrature points, (NC, ng, 2); built on first use."""
+        if self._points is None:
+            pts = (quad_points_2d(self.th.mesh, self.rule) if self.region is None
+                   else edge_quad_points(self.th, self.region, self.rule))
+            object.__setattr__(self, "_points", pts)
+        return self._points
+
+    def dofs(self, space):
+        """Global dofs of a space on every cell: (NC, nl) element dofs,
+        or (NC, k+1) trace dofs on edges."""
+        if self.region is None:
+            return self.th.dof_map(space).elem2dof
+        return trace_dof_map(self.th, space, self.region)
+
+    def basis(self, space):
+        """Local basis values at the rule's points, (nl, ng): the shape
+        functions on triangles, the trace basis on edges."""
+        if self.region is None:
+            return shape_values(space, self.rule.lam)
+        return trace_values(space, self.rule.point)
+
+    def values(self, f, ncomp=1):
+        """A point function at the quadrature points: (NC, ng), or
+        (NC, ng, ncomp) for ncomp > 1.
+
+        On edges a 2-component f asked for one value is flux data: the
+        result is f.n with the outward unit normals.
+        """
+        pts = self.points()
+        vals = _eval_pointfun(f, pts.reshape(-1, 2))
+        want = (pts.shape[0] * pts.shape[1],) + ((ncomp,) if ncomp > 1 else ())
+        if self.region is not None and ncomp == 1 and vals.shape == want + (2,):
+            return np.einsum("epd,ed->ep", vals.reshape(pts.shape),
+                             outward_normals(self.th, self.region))
+        if vals.shape != want:
+            raise FormError(f"point function returned shape {vals.shape}, "
+                            f"expected {want}")
+        return vals.reshape(self.shape + want[1:])
+
+    def integrate(self, vals):
+        """Sum over the cells of measure * sum_p w_p * vals[:, p]."""
+        return self.measure @ (vals @ self.rule.weight)
+
+
+# ---------------------------------------------------------------------------
 # tabulation
 
 def tabulate_basis(tag, th, space, quad_order, domain="2d", region=None):
@@ -226,30 +319,18 @@ def tabulate_basis(tag, th, space, quad_order, domain="2d", region=None):
     elif "." in str(tag):
         tag = parse_term_sum(tag).terms[0].tag
     space = fe_space(space)
-    if domain == "1d":
-        if region is None:
-            raise ValueError("1d tabulation needs an active boundary region")
-        if tag != "val":
-            raise ValueError(f"boundary-trace tabulation supports only 'val', got {tag!r}")
-        rule = segment_rule(quad_order)
-        vals = trace_values(space, rule.point)
-        nbe = len(region.edge_idx)
-        return [np.broadcast_to(vals[i], (nbe, rule.npoints)) for i in range(len(vals))]
-
-    if domain != "2d":
-        raise ValueError(f"unknown tabulation domain {domain!r}")
-    rule = triangle_rule(quad_order)
-    nt = len(th.mesh.elem)
+    cells = Cells(th, quad_order, domain, region)
     if tag == "val":
-        vals = shape_values(space, rule.lam)
-        return [np.broadcast_to(vals[i], (nt, rule.npoints)) for i in range(len(vals))]
+        return [np.broadcast_to(v, cells.shape) for v in cells.basis(space)]
+    if region is not None:
+        raise ValueError(f"boundary-trace tabulation supports only 'val', got {tag!r}")
     if tag == "grad":
         return (tabulate_basis("dx", th, space, quad_order),
                 tabulate_basis("dy", th, space, quad_order))
     if tag not in ("dx", "dy"):
         raise ValueError(f"unknown derivative tag {tag!r}")
     comp = 0 if tag == "dx" else 1
-    dl = shape_dlam(space, rule.lam)             # (nl, ng, 3)
+    dl = shape_dlam(space, cells.rule.lam)       # (nl, ng, 3)
     glam = lam_gradients(th.mesh, th.topo)       # (NT, 3, 2)
     return [np.einsum("pk,tk->tp", dl[i], glam[:, :, comp])
             for i in range(len(dl))]
@@ -359,25 +440,13 @@ def coef_matrix_on_edges(f, th, region, quad_order):
     2-component f is contracted with the outward unit normal, yielding
     f1*n1 + f2*n2 (flux data such as a*du/dn or the rows of sigma*n).
     """
-    rule = segment_rule(quad_order)
-    pts = edge_quad_points(th, region, rule)
-    nbe, ng = pts.shape[:2]
-    vals = _eval_pointfun(f, pts.reshape(-1, 2))
-    if vals.shape == (nbe * ng,):
-        return vals.reshape(nbe, ng)
-    if vals.shape == (nbe * ng, 2):
-        vals = vals.reshape(nbe, ng, 2)
-        normals = outward_normals(th, region)
-        return np.einsum("epd,ed->ep", vals, normals)
-    raise ValueError("boundary coefficient function must return 1 or 2 "
-                     f"components per point, got shape {vals.shape}")
+    return Cells(th, quad_order, "1d", region).values(f)
 
 
 def integrate_fe(dofs, th, space, quad_order):
     """Integral of the finite element function over the whole mesh."""
-    rule = triangle_rule(quad_order)
     cc = coef_matrix_from_dofs(dofs, "val", th, space, quad_order)
-    return float(th.topo.area @ (cc @ rule.weight))
+    return float(Cells(th, quad_order).integrate(cc))
 
 
 def eval_pointwise(dofs, space, lam, elem_idx, dofmap):

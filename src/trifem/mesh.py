@@ -268,14 +268,6 @@ class FeMesh:
     partition: BoundaryPartition
     _dofmaps: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def node(self):
-        return self.mesh.node
-
-    @property
-    def elem(self):
-        return self.mesh.elem
-
     def dof_map(self, space):
         """Cached DofMap for a finite element space."""
         from .fespace import build_dof_map, fe_space

@@ -21,13 +21,11 @@ import scipy.sparse as sp
 from .assembly import (assemble_scalar_1d, assemble_scalar_2d,
                        assemble_system, load_operator, system_from_blocks)
 # evaluate_at_points is unused here; perfbench/spans.py wraps it in this module
-from .fespace import (_eval_pointfun, coef_matrix_from_dofs,
-                      coef_matrix_on_edges, edge_quad_points,
+from .fespace import (Cells, coef_matrix_from_dofs, coef_matrix_on_edges,
                       evaluate_at_points, fe_space, interpolate_nodal,
-                      outward_normals, quad_points_2d)
+                      outward_normals)
 from .io import read_freefem_msh
 from .mesh import fe_mesh, square_mesh, uniform_refine
-from .quadrature import segment_rule, triangle_rule
 from .system import (DirichletSolver, DirichletSpec, RateReport,
                      apply_dirichlet_and_solve, dirichlet_dofs, error_H1_semi,
                      error_L2)
@@ -655,19 +653,19 @@ def run_stokes(spec):
 # ---------------------------------------------------------------------------
 # heat equation (backward Euler)
 
-def _flux_operator(th, space, order, region):
-    """(L1n, edge points): L1n @ g(edge points).ravel() is the boundary
-    load of the flux g.n of a 2-component g on the region, the outward
-    normals folded into the region's load operator."""
-    rule = segment_rule(order)
-    normals = np.repeat(outward_normals(th, region), rule.npoints, axis=0)
-    load = load_operator(th, space, order, domain="1d", region=region)
+def _flux_operator(edges, space):
+    """L1n @ g.ravel() is the load on the edges (a 1d Cells) of the flux
+    g.n, for the values g, (NE, ng, 2), of a 2-component function at
+    the edge quadrature points: the outward normals are folded into the
+    region's load operator."""
+    normals = np.repeat(outward_normals(edges.th, edges.region),
+                        edges.rule.npoints, axis=0)
+    load = load_operator(edges.th, space, edges.order, "1d", edges.region)
     # column c of the load becomes columns 2c and 2c + 1, scaled by n(c)
-    flux = sp.csr_matrix(
+    return sp.csr_matrix(
         ((load.data[:, None] * normals[load.indices]).ravel(),
          (2 * load.indices[:, None] + np.arange(2)).ravel(), 2 * load.indptr),
         shape=(load.shape[0], 2 * load.shape[1]))
-    return flux, edge_quad_points(th, region, rule).reshape(-1, 2)
 
 
 def solve_heat(th, spec, dt, nsteps):
@@ -696,16 +694,17 @@ def solve_heat(th, spec, dt, nsteps):
     mass = assemble_system(th, var_form(1.0 / dt, "v.val", "u.val"),
                            [space], order).matrix()
     load = load_operator(th, space, order)
-    points = quad_points_2d(th.mesh, triangle_rule(order)).reshape(-1, 2)
+    cells = Cells(th, order)
     if region is not None:
-        flux, edge_points = _flux_operator(th, space, order, region)
+        edges = Cells(th, order, "1d", region)
+        flux = _flux_operator(edges, space)
 
     uh = interpolate_nodal(initial, th, space)
     for step in range(1, nsteps + 1):
         t = step * dt
-        ff = load @ _eval_pointfun(lambda p: data.f(p, t), points) + mass @ uh
+        ff = load @ cells.values(lambda p: data.f(p, t)).ravel() + mass @ uh
         if region is not None:
-            ff = ff + flux @ data.exact_grad(edge_points, t).ravel()
+            ff = ff + flux @ edges.values(lambda p: data.exact_grad(p, t), 2).ravel()
         uh = solver.solve(ff, data.exact(fixed_points, t))
     return uh
 

@@ -17,11 +17,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-# compress is unused here; perfbench/spans.py wraps system.compress
+# compress and quad_points_2d are unused here; perfbench/spans.py wraps them
 from .assembly import AssembledSystem, compress
-from .fespace import (_eval_pointfun, coef_matrix_from_dofs, fe_space,
+from .fespace import (Cells, _eval_pointfun, coef_matrix_from_dofs, fe_space,
                       quad_points_2d, region_dofs)
-from .quadrature import triangle_rule
 
 __all__ = ["DirichletSpec", "DirichletSolver", "RateReport",
            "apply_dirichlet_and_solve", "dirichlet_dofs", "solve_sparse",
@@ -177,36 +176,24 @@ def apply_dirichlet_and_solve(th, system, rhs, spec):
         raise RuntimeError(f"{exc}{hint}") from exc
 
 
-def _exact_at_quad(exact, th, quad_order, ncomp):
-    rule = triangle_rule(quad_order)
-    pts = quad_points_2d(th.mesh, rule).reshape(-1, 2)
-    vals = _eval_pointfun(exact, pts)
-    shape = (len(pts),) if ncomp == 1 else (len(pts), ncomp)
-    if vals.shape != shape:
-        raise ValueError(f"exact function returned shape {vals.shape}, "
-                         f"expected {shape}")
-    return vals.reshape((len(th.mesh.elem), rule.npoints) + shape[1:])
-
-
 def error_L2(th, space, quad_order, exact, dofs):
     """L2 norm of (exact - FE function) by quadrature."""
     space = fe_space(space)
-    rule = triangle_rule(quad_order)
+    cells = Cells(th, quad_order)
     uh = coef_matrix_from_dofs(dofs, "val", th, space, quad_order)
-    ue = _exact_at_quad(exact, th, quad_order, 1)
-    sq = (ue - uh) ** 2
-    return float(np.sqrt(th.topo.area @ (sq @ rule.weight)))
+    sq = (cells.values(exact) - uh) ** 2
+    return float(np.sqrt(cells.integrate(sq)))
 
 
 def error_H1_semi(th, space, quad_order, exact_grad, dofs):
     """H1 seminorm of the error; exact_grad returns (m, 2) gradients."""
     space = fe_space(space)
-    rule = triangle_rule(quad_order)
+    cells = Cells(th, quad_order)
     dxh = coef_matrix_from_dofs(dofs, "dx", th, space, quad_order)
     dyh = coef_matrix_from_dofs(dofs, "dy", th, space, quad_order)
-    ge = _exact_at_quad(exact_grad, th, quad_order, 2)
+    ge = cells.values(exact_grad, 2)
     sq = (ge[:, :, 0] - dxh) ** 2 + (ge[:, :, 1] - dyh) ** 2
-    return float(np.sqrt(th.topo.area @ (sq @ rule.weight)))
+    return float(np.sqrt(cells.integrate(sq)))
 
 
 def fit_rate(h, err):

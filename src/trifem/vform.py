@@ -7,26 +7,22 @@ rewrites every entry into elementary single-term products, distributing
 ``standardize_symbols`` renames user symbols (say 'q', 'dp') to the
 standard component names v1..vm / u1..un.  ``coef_to_matrix`` turns any
 of the three coefficient forms (function or constant, finite element
-function, precomputed matrix) into the per-element-per-quadrature-point
-coefficient matrix the assembly kernels consume.
+function, precomputed matrix) into the per-cell-per-quadrature-point
+coefficient matrix the assembly kernels consume; the cells, their
+points and their dofs come from one ``fespace.Cells``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fespace import (FeFunction, _eval_pointfun, coef_matrix_from_dofs,
-                      coef_matrix_on_edges, quad_points_2d, trace_dof_map,
-                      trace_values)
-from .quadrature import segment_rule, triangle_rule
+# coef_matrix_from_dofs, quad_points_2d unused here; perfbench/spans.py wraps them
+from .fespace import (Cells, FeFunction, FormError, coef_matrix_from_dofs,
+                      quad_points_2d)
 from .terms import Term, TermSum, parse_term_sum
 
 __all__ = ["FormEntry", "VarForm", "var_form", "expand_extended",
            "standardize_symbols", "coef_to_matrix", "FormError"]
-
-
-class FormError(ValueError):
-    """Inconsistent variational form."""
 
 
 @dataclass(frozen=True)
@@ -149,47 +145,29 @@ def standardize_symbols(vstr, ustr, form):
     return VarForm(entries=entries)
 
 
-def coef_to_matrix(coef, th, quad_order, domain="2d", region=None,
-                   space=None):
+def coef_to_matrix(coef, th, quad_order, domain="2d", region=None):
     """Normalize any coefficient form to a coefficient matrix.
 
     Functions and constants are evaluated at the quadrature points of
-    every element (or region edge); a FeFunction delegates to its dof
-    vector; a ready matrix is passed through after a shape check.  On
-    the 1d domain a 2-component function is contracted with the outward
-    normal, as for flux data.
+    every element (or region edge); a FeFunction is evaluated from its
+    dof vector; a ready matrix is passed through after a shape check.
+    On the 1d domain a 2-component function is contracted with the
+    outward normal, as for flux data.
     """
-    if domain == "2d":
-        shape = (len(th.mesh.elem), triangle_rule(quad_order).npoints)
-    elif domain == "1d":
-        if region is None:
-            raise ValueError("1d coefficient needs an active boundary region")
-        shape = (len(region.edge_idx), segment_rule(quad_order).npoints)
-    else:
-        raise ValueError(f"unknown coefficient domain {domain!r}")
-
+    cells = Cells(th, quad_order, domain, region)
     if isinstance(coef, FeFunction):
-        if domain == "2d":
-            return coef_matrix_from_dofs(coef.dofs, "val", th, coef.space, quad_order)
-        rule = segment_rule(quad_order)
-        tdm = trace_dof_map(th, coef.space, region)
-        vals = trace_values(coef.space, rule.point)      # (k+1, ng)
-        return np.einsum("ei,ip->ep", coef.dofs[tdm], vals)
-
+        dofs = np.asarray(coef.dofs, dtype=float)
+        if dofs.shape != (th.dof_map(coef.space).num_dofs,):
+            raise FormError(f"FeFunction dof vector of shape {dofs.shape} "
+                            f"does not fit {coef.space.name} on this mesh")
+        return np.einsum("ei,ip->ep", dofs[cells.dofs(coef.space)],
+                         cells.basis(coef.space))
     if callable(coef):
-        if domain == "1d":
-            return coef_matrix_on_edges(coef, th, region, quad_order)
-        pts = quad_points_2d(th.mesh, triangle_rule(quad_order))
-        vals = _eval_pointfun(coef, pts.reshape(-1, 2))
-        if vals.shape != (shape[0] * shape[1],):
-            raise FormError("2d coefficient function must return one value "
-                            f"per point, got shape {vals.shape}")
-        return vals.reshape(shape)
-
+        return cells.values(coef)
     arr = np.asarray(coef, dtype=float)
     if arr.ndim == 0:
-        return np.full(shape, float(arr))
-    if arr.shape != shape:
+        return np.full(cells.shape, float(arr))
+    if arr.shape != cells.shape:
         raise FormError(f"coefficient matrix has shape {arr.shape}, "
-                        f"expected {shape}")
+                        f"expected {cells.shape}")
     return arr

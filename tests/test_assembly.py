@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from trifem import (Mesh2d, SparseTriples, assemble_scalar_1d,
-                    assemble_scalar_2d, assemble_system, compress, fe_mesh,
-                    square_mesh, var_form)
+                    assemble_scalar_2d, assemble_system, coef_to_matrix,
+                    compress, fe_mesh, load_operator, square_mesh,
+                    tabulate_basis, var_form)
 from oracles import direct_bilinear_2d, direct_boundary_mass
 
 # frozen local-matrix oracles (verified by exact symbolic integration of
@@ -305,3 +306,33 @@ class TestSystemAssembly:
                                          "P1", "P1", 3))
         assert np.allclose(kk.matrix().toarray(), (A2 + A1).toarray(),
                            atol=1e-15, rtol=0)
+
+
+
+# every public caller of a (domain, region) pair; assemble_scalar_1d
+# takes only the region
+BAD_DOMAIN_CALLERS = {
+    "assemble_system": lambda th, domain, region: assemble_system(
+        th, var_form(1, "v.val", "u.val"), ["P1"], 3, domain=domain, region=region),
+    "load_operator": lambda th, domain, region: load_operator(
+        th, "P1", 3, domain, region),
+    "tabulate_basis": lambda th, domain, region: tabulate_basis(
+        "val", th, "P1", 3, domain=domain, region=region),
+    "coef_to_matrix": lambda th, domain, region: coef_to_matrix(
+        1.0, th, 3, domain, region),
+    "assemble_scalar_1d": lambda th, domain, region: assemble_scalar_1d(
+        th, region, var_form(1, "v.val"), "P1"),
+}
+
+
+@pytest.mark.parametrize("caller, domain, with_region", [
+    *((name, domain, with_region)
+      for name in BAD_DOMAIN_CALLERS if name != "assemble_scalar_1d"
+      for domain, with_region in (("1d", False), ("3d", False), ("2d", True))),
+    ("assemble_scalar_1d", "1d", False),
+])
+def test_a_bad_domain_or_region_is_a_value_error(caller, domain, with_region):
+    th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5), ["x==0"])
+    region = th.partition[0] if with_region else None
+    with pytest.raises(ValueError, match="domain"):
+        BAD_DOMAIN_CALLERS[caller](th, domain, region)

@@ -157,3 +157,20 @@ def test_load_operator_applies_the_assembled_load(th, space, order, seed):
             assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
             if region is empty:
                 assert not got.any()
+
+
+@PROPERTY
+@given(th=MESHES, data=st.data())
+def test_divergence_theorem(th, data):
+    # int div F over the triangles is the outward flux int F.n over the
+    # whole boundary: 2d and 1d measures, points and normals agree
+    c1, c2 = poly_coeffs(data.draw, 2), poly_coeffs(data.draw, 2)
+    field = lambda p: np.column_stack([poly(c1)(p), poly(c2)(p)])
+    div = lambda p: (sum(c * i * p[:, 0]**(i - 1) * p[:, 1]**j
+                         for (i, j), c in c1.items() if i)
+                     + sum(c * j * p[:, 0]**i * p[:, 1]**(j - 1)
+                           for (i, j), c in c2.items() if j))
+    inside = assemble_system(th, var_form(div, "v.val"), ["P1"])
+    flux = assemble_system(th, var_form(field, "v.val"), ["P1"],
+                           domain="1d", region=th.partition[0])
+    assert abs(inside.sum() - flux.sum()) <= 1e-12 * np.abs(flux).sum()

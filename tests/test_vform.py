@@ -153,6 +153,15 @@ class TestCoefToMatrix:
         cc_dof = coef_to_matrix(FeFunction(dofs=dofs, space=_p2(th)), th, 4)
         assert np.allclose(cc_dof, cc_fun, atol=1e-13, rtol=0)
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_fe_function_dof_count_checked_on_both_domains(self, extra):
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5), ["x==1"])
+        coef = FeFunction(dofs=np.ones(th.dof_map("P2").num_dofs + extra),
+                          space=_p2(th))
+        for domain, region in (("2d", None), ("1d", th.partition[0])):
+            with pytest.raises(FormError, match="dof vector"):
+                coef_to_matrix(coef, th, 4, domain, region)
+
     def test_matrix_passthrough_and_shape_check(self):
         from trifem import triangle_rule
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
