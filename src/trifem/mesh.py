@@ -189,8 +189,11 @@ def build_topology(mesh):
     # local edge i is opposite local vertex i
     all_edges = np.vstack([elem[:, [1, 2]], elem[:, [2, 0]], elem[:, [0, 1]]])
     sorted_edges = np.sort(all_edges, axis=1)
-    edge, inverse, counts = np.unique(sorted_edges, axis=0,
-                                      return_inverse=True, return_counts=True)
+    # one int64 key per edge, a*N + b, orders like its row (a, b)
+    n = len(node)
+    key, inverse, counts = np.unique(sorted_edges[:, 0] * n + sorted_edges[:, 1],
+                                     return_inverse=True, return_counts=True)
+    edge = np.column_stack([key // n, key % n])
     nt = len(elem)
     elem2edge = inverse.reshape(3, nt).T.copy()
 

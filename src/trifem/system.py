@@ -5,9 +5,20 @@ are assigned their boundary values exactly and the remaining free block
 
     A_ff x_f = b_f - A_fc x_c
 
-is solved by a direct sparse factorization.  Error norms integrate
-(u - u_h)^2 and |grad u - grad u_h|^2 by quadrature; convergence rates
-are least-squares slopes of log(err) against log(h).
+is solved by a direct sparse factorization.  SuperLU's ordering is
+chosen from the free block's structure.  A block with no zero on its
+diagonal and a stencil wider than P1's (more than 9 entries per row:
+P2/P3, elasticity, Taylor-Hood, the Newton Jacobian) is factorized in
+symmetric mode on a minimum-degree ordering of A + A^T, which cuts its
+fill by a quarter (elasticity P1) to two thirds (P3).  Every other
+block keeps COLAMD: on scalar P1 the symmetric path factorizes about
+three times slower despite less fill, and on a zero-diagonal saddle
+block (the mixed biharmonic system) its pivoting fills several times
+more and runs up to a hundred times slower.
+
+Error norms integrate (u - u_h)^2 and |grad u - grad u_h|^2 by
+quadrature; convergence rates are least-squares slopes of log(err)
+against log(h).
 """
 
 import warnings
@@ -25,6 +36,11 @@ from .fespace import (Cells, _eval_pointfun, coef_matrix_from_dofs, fe_space,
 __all__ = ["DirichletSpec", "DirichletSolver", "RateReport",
            "apply_dirichlet_and_solve", "dirichlet_dofs", "solve_sparse",
            "error_L2", "error_H1_semi", "fit_rate"]
+
+# SuperLU's symmetric path: minimum degree on A + A^T, diagonal pivots
+# kept unless below 1e-3 of their column's largest entry
+_SYMMETRIC = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
+                  options=dict(SymmetricMode=True))
 
 
 @dataclass(frozen=True)
@@ -109,12 +125,31 @@ class DirichletSolver:
         self._A_ff = rows[:, self.free].tocsc()
         self._A_fc = rows[:, self.fixed]
         del rows                    # not kept through the factorization
+        n_free = len(self.free)
+        symmetric = (self._A_ff.nnz > 9 * n_free
+                     and np.all(self._A_ff.diagonal() != 0))
+        self._ordering = "MMD_AT_PLUS_A" if symmetric else "COLAMD"
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                self._lu = spla.splu(self._A_ff) if len(self.free) else None
+                options = _SYMMETRIC if symmetric else {}
+                self._lu = spla.splu(self._A_ff, **options) if n_free else None
         except RuntimeError as exc:
             raise RuntimeError(f"sparse solve failed: {exc}") from exc
+
+    @property
+    def ordering(self):
+        """SuperLU's column ordering, chosen from the free block's
+        structure (see the module docstring): "MMD_AT_PLUS_A" or "COLAMD"."""
+        return self._ordering
+
+    @property
+    def lu_fill(self):
+        """L.nnz + U.nnz of the factorization, 0 with no free dof.  Counted
+        when read: SuperLU then builds CSC copies of L and U and keeps them
+        with the factor (for P1 at refine 7, counting on every
+        factorization raised the peak memory from 249 to 330 MiB)."""
+        return 0 if self._lu is None else int(self._lu.L.nnz + self._lu.U.nnz)
 
     def solve(self, rhs, values):
         """Full solution for a right-hand side and the fixed dofs' values."""

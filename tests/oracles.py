@@ -1,4 +1,4 @@
-"""Independent slow-path oracles used by the assembly tests.
+"""Independent slow-path oracles used by the assembly and topology tests.
 
 Everything here recomputes values from first principles with per-element
 scalar loops: barycentric coordinates come from solving the local 3x3
@@ -126,3 +126,17 @@ def direct_boundary_mass(th, space, region, dofs_v, dofs_u, order=8):
             acc += rule.weight[p] * v * u
         total += length * acc
     return total
+
+
+def row_unique_topology(mesh):
+    """(edge, elem2edge, bd_edge, bd_edge_idx) from a row-wise np.unique
+    over the sorted vertex pairs of every local edge (local edge i is
+    opposite vertex i); boundary edges keep their triangle's ccw row."""
+    elem = mesh.elem
+    all_edges = np.vstack([elem[:, [1, 2]], elem[:, [2, 0]], elem[:, [0, 1]]])
+    edge, inverse, counts = np.unique(np.sort(all_edges, axis=1), axis=0,
+                                      return_inverse=True, return_counts=True)
+    inverse = inverse.ravel()
+    rows = np.nonzero(counts[inverse] == 1)[0]
+    rows = rows[np.argsort(inverse[rows])]
+    return edge, inverse.reshape(3, -1).T, all_edges[rows], inverse[rows]

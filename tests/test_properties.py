@@ -2,13 +2,15 @@
 randomized affine triangles and perturbed refined meshes over P1-P3."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trifem import (FeFunction, Mesh2d, assemble_system, coef_matrix_from_dofs,
-                    coef_to_matrix, fe_mesh, fe_space, interpolate_nodal,
-                    load_operator, square_mesh, tabulate_basis,
-                    uniform_refine, var_form)
+from oracles import row_unique_topology
+from trifem import (FeFunction, Mesh2d, assemble_system, build_topology,
+                    coef_matrix_from_dofs, coef_to_matrix, fe_mesh, fe_space,
+                    interpolate_nodal, load_operator, square_mesh,
+                    tabulate_basis, uniform_refine, var_form)
 from trifem.fespace import quad_points_2d
 from trifem.quadrature import triangle_rule
 
@@ -174,3 +176,25 @@ def test_divergence_theorem(th, data):
     flux = assemble_system(th, var_form(field, "v.val"), ["P1"],
                            domain="1d", region=th.partition[0])
     assert abs(inside.sum() - flux.sum()) <= 1e-12 * np.abs(flux).sum()
+
+
+def assert_topology_is_row_unique(mesh):
+    topo = build_topology(mesh)
+    got = (topo.edge, topo.elem2edge, topo.bd_edge, topo.bd_edge_idx)
+    for name, a, b in zip(("edge", "elem2edge", "bd_edge", "bd_edge_idx"),
+                          got, row_unique_topology(mesh)):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@PROPERTY
+@given(th=MESHES)
+def test_topology_matches_row_unique_reference(th):
+    assert_topology_is_row_unique(th.mesh)
+
+
+@pytest.mark.parametrize("refines", range(1, 7))
+def test_refined_square_topology_matches_row_unique_reference(refines):
+    mesh = square_mesh([0, 1, 0, 1], 0.5)
+    for _ in range(refines):
+        mesh = uniform_refine(mesh)
+    assert_topology_is_row_unique(mesh)

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import trifem.problems
+import trifem.system
 from trifem import (DirichletSolver, DirichletSpec, Mesh2d,
                     apply_dirichlet_and_solve, assemble_system,
                     dirichlet_dofs, error_H1_semi, error_L2, fe_mesh,
                     fit_rate, interpolate_nodal, solve_sparse, square_mesh,
                     uniform_refine, var_form)
+from trifem.problems import default_spec, run_problem
 
 
 def poisson_system(th, space="P1", order=3, f=lambda p: np.ones(len(p))):
@@ -182,6 +185,73 @@ class TestDirichletSolver:
     def test_wrong_rhs_length_rejected(self):
         with pytest.raises(ValueError, match="rhs"):
             DirichletSolver(sp.identity(3, format="csr"), [0]).solve(np.ones(2), [1.0])
+
+
+@pytest.fixture
+def solvers(monkeypatch):
+    """Every DirichletSolver the drivers build, in order."""
+    made = []
+
+    class Recorded(DirichletSolver):
+        def __init__(self, A, fixed):
+            super().__init__(A, fixed)
+            made.append(self)
+
+    monkeypatch.setattr(trifem.system, "DirichletSolver", Recorded)
+    monkeypatch.setattr(trifem.problems, "DirichletSolver", Recorded)
+    return made
+
+
+class TestOrdering:
+    @pytest.mark.parametrize("problem,overrides,ordering", [
+        ("stokes", {"refinements": 3}, "MMD_AT_PLUS_A"),
+        ("poisson", {"degree": 2, "refinements": 3}, "MMD_AT_PLUS_A"),
+        ("poisson", {"degree": 3, "refinements": 3}, "MMD_AT_PLUS_A"),
+        ("elasticity-disp", {"degree": 1, "refinements": 3}, "MMD_AT_PLUS_A"),
+        ("ns-newton", {"refinements": 1}, "MMD_AT_PLUS_A"),
+        ("poisson", {"degree": 1, "refinements": 3}, "COLAMD"),
+        ("heat", {"degree": 1, "refinements": 2}, "COLAMD"),
+        ("biharmonic-block", {"refinements": 3}, "COLAMD"),
+        ("biharmonic-vector", {"refinements": 3}, "COLAMD"),
+    ])
+    def test_free_block_structure_picks_the_ordering(self, solvers, problem,
+                                                     overrides, ordering):
+        run_problem(default_spec(problem, **overrides))
+        assert solvers[-1].ordering == ordering
+        assert solvers[-1].lu_fill > 0
+
+    def test_zero_diagonal_saddle_block_keeps_colamd(self):
+        # [[M, K], [K^T, 0]]: 9.2 entries per row, wider than P1's stencil,
+        # but a zero diagonal rules out the symmetric path's diagonal pivots
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.125))
+        M = assemble_system(th, var_form(1, "v.val", "u.val"), ["P1"]).matrix()
+        K = assemble_system(th, var_form([1, 1], ["v.grad", "v.val"],
+                                         ["u.grad", "u.val"]), ["P1"]).matrix()
+        A = sp.bmat([[M, K], [K.T, None]], format="csr")
+        assert A.nnz > 9 * A.shape[0]
+        solver = DirichletSolver(A, [])
+        assert solver.ordering == "COLAMD"
+        b = np.random.default_rng(3).standard_normal(A.shape[0])
+        x = solver.solve(b, [])
+        assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
+
+    def test_biharmonic_p2_fill_stays_at_colamd_level(self, solvers):
+        # COLAMD fills this zero-diagonal block with 226,873 entries; the
+        # symmetric path would fill 1,341,349 and factorize 14 times slower
+        run_problem(default_spec("biharmonic-vector", degree=2, refinements=3))
+        assert solvers[-1].lu_fill <= 226_873
+
+    def test_no_free_dof(self):
+        solver = DirichletSolver(sp.identity(3, format="csr"), [0, 1, 2])
+        assert (solver.ordering, solver.lu_fill) == ("COLAMD", 0)
+
+    def test_stats_are_read_only(self):
+        solver = DirichletSolver(sp.identity(3, format="csr"), [])
+        # L's unit diagonal and U's diagonal
+        assert (solver.ordering, solver.lu_fill) == ("COLAMD", 6)
+        for name in ("ordering", "lu_fill"):
+            with pytest.raises(AttributeError):
+                setattr(solver, name, 0)
 
 
 class TestSolveSparse:
