@@ -12,8 +12,11 @@ or into (ii, jj, ss) index triples.  The cells of an integral (every
 triangle, or the edges of one boundary region) are one
 ``fespace.Cells``: it gives the kernel its quadrature weights, measure
 (areas or edge lengths), dof columns and point values, so boundary (1d)
-assembly runs the same kernel with the trace basis.  Multi-component
-forms are grouped into blocks by (test component, trial component); one
+assembly runs the same kernel with the trace basis.  The basis tables
+come from the FeMesh's level cache (see fespace) as one (nl, NC, ng)
+array per side; an axis a table does not vary along stays a zero-stride
+view (every 'val' table, P1's derivatives), never a dense copy.
+Multi-component forms are grouped into blocks by (test component, trial component); one
 block routine offsets each block's triples by the cumulative row/column
 dof counts and concatenates them, for assemble_system and
 system_from_blocks alike.
@@ -149,9 +152,14 @@ def _component_index(symbol, prefix, ncomp):
 
 
 def _kernel_tables(cells, space, tag):
+    """The tabulate_basis tables as one (nl, NC, ng) array.  An axis the
+    tables are broadcast along stays a zero-stride view, so a 'val' or
+    P1 derivative table is never expanded to one value per (cell, point)."""
     tabs = tabulate_basis(tag, cells.th, space, cells.order,
                           domain=cells.domain, region=cells.region)
-    return np.stack([np.asarray(t) for t in tabs])
+    keep = tuple(slice(None) if stride else slice(0, 1) for stride in tabs[0].strides)
+    return np.broadcast_to(np.stack([t[keep] for t in tabs]),
+                           (len(tabs),) + tabs[0].shape)
 
 
 def _local_kernel(cells, entries, spaces):

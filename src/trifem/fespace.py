@@ -7,7 +7,18 @@ of finite element functions, and point evaluation.
 
 ``Cells`` is the domain of one integral, as FreeFEM's int2d(Th) or
 int1d(Th, label): it checks the (domain, region) pair once and is the
-only code that tells triangles from region edges.
+only code that tells triangles from region edges.  It also holds the
+one evaluator of a finite element function at quadrature points
+(``Cells.fe_values``), which coefficient matrices, FeFunction
+coefficients and error norms share.
+
+What a mesh level needs is tabulated once per FeMesh, in its private
+cache beside the dof maps, and handed out read-only: the quadrature
+points per order (and per set of region edges), the barycentric
+gradients, and the 'dx'/'dy' tables per (space, tag, order).  Tables
+that do not vary along an axis are stored without it and read as
+zero-stride views: a 'val' table is one (nl, ng) block for every cell,
+and a P1 derivative table one value per element for every point.
 
 Global numbering: vertex dofs first, then edge dofs by global edge
 index (two per edge for P3, ordered from the smaller to the larger
@@ -202,13 +213,17 @@ def trace_values(space, t):
 
 
 def lam_gradients(mesh, topo):
-    """Cartesian gradients of the barycentric coordinates; (NT, 3, 2)."""
+    """Cartesian gradients of the barycentric coordinates; (NT, 3, 2).
+
+    The opposite edge, rotated by -90 degrees, over twice the area.  Each
+    component is one difference, so a zero component is 0.0, never -0.0.
+    """
     z = mesh.node[mesh.elem]
     rot = np.empty((len(mesh.elem), 3, 2))
     for i in range(3):
-        d = z[:, (i + 1) % 3] - z[:, (i + 2) % 3]
-        rot[:, i, 0] = d[:, 1]
-        rot[:, i, 1] = -d[:, 0]
+        a, b = z[:, (i + 1) % 3], z[:, (i + 2) % 3]
+        rot[:, i, 0] = a[:, 1] - b[:, 1]
+        rot[:, i, 1] = b[:, 0] - a[:, 0]
     return rot / (2.0 * topo.area)[:, None, None]
 
 
@@ -235,7 +250,6 @@ class Cells:
     region: object = None
     rule: object = field(init=False, repr=False)
     measure: np.ndarray = field(init=False, repr=False)
-    _points: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.domain == "2d":
@@ -259,12 +273,14 @@ class Cells:
         return (len(self.measure), self.rule.npoints)
 
     def points(self):
-        """Physical quadrature points, (NC, ng, 2); built on first use."""
-        if self._points is None:
-            pts = (quad_points_2d(self.th.mesh, self.rule) if self.region is None
-                   else edge_quad_points(self.th, self.region, self.rule))
-            object.__setattr__(self, "_points", pts)
-        return self._points
+        """Physical quadrature points, (NC, ng, 2), read-only; built once
+        per FeMesh, order and set of edges."""
+        th, rule = self.th, self.rule
+        if self.region is None:
+            return th._cached(("points", self.order),
+                              lambda: quad_points_2d(th.mesh, rule))
+        return th._cached(("edge_points", self.order, self.region.edge_idx.tobytes()),
+                          lambda: edge_quad_points(th, self.region, rule))
 
     def dofs(self, space):
         """Global dofs of a space on every cell: (NC, nl) element dofs,
@@ -293,10 +309,25 @@ class Cells:
         if self.region is not None and ncomp == 1 and vals.shape == want + (2,):
             return np.einsum("epd,ed->ep", vals.reshape(pts.shape),
                              outward_normals(self.th, self.region))
-        if vals.shape != want:
-            raise FormError(f"point function returned shape {vals.shape}, "
-                            f"expected {want}")
-        return vals.reshape(self.shape + want[1:])
+        return _check_shape(vals, want).reshape(self.shape + want[1:])
+
+    def fe_values(self, dofs, space, tag="val"):
+        """A finite element function, or its 'dx' or 'dy' derivative, at
+        the quadrature points: (NC, ng).  Sums dof * table over the
+        local dofs in their order."""
+        space = fe_space(space)
+        dofs = np.asarray(dofs, dtype=float)
+        num_dofs = self.th.dof_map(space).num_dofs
+        if dofs.shape != (num_dofs,):
+            raise FormError(f"dof vector of shape {dofs.shape} does not fit "
+                            f"{space.name} on this mesh (expected ({num_dofs},))")
+        tables = tabulate_basis(tag, self.th, space, self.order,
+                                self.domain, self.region)
+        local = dofs[self.dofs(space)]          # (NC, nl)
+        out = np.zeros(self.shape)
+        for i, tab in enumerate(tables):
+            out += local[:, i, None] * tab
+        return out
 
     def integrate(self, vals):
         """Sum over the cells of measure * sum_p w_p * vals[:, p]."""
@@ -313,6 +344,11 @@ def tabulate_basis(tag, th, space, quad_order, domain="2d", region=None):
     the pair (dx tables, dy tables).  1d trace (tag 'val' only): list of
     (NBE, ng) tables over the region's boundary edges, one per trace dof.
     ``tag`` may be a bare tag, a parsed Term, or a 'sym.tag' string.
+
+    The tables are read-only views.  A 'val' table is one (ng,) row
+    broadcast over the cells.  The 'dx'/'dy' tables are cached on the
+    FeMesh per (space, tag, order); for P1 they are one value per
+    element broadcast over the points.
     """
     if hasattr(tag, "tag"):
         tag = tag.tag
@@ -329,11 +365,24 @@ def tabulate_basis(tag, th, space, quad_order, domain="2d", region=None):
                 tabulate_basis("dy", th, space, quad_order))
     if tag not in ("dx", "dy"):
         raise ValueError(f"unknown derivative tag {tag!r}")
-    comp = 0 if tag == "dx" else 1
-    dl = shape_dlam(space, cells.rule.lam)       # (nl, ng, 3)
-    glam = lam_gradients(th.mesh, th.topo)       # (NT, 3, 2)
-    return [np.einsum("pk,tk->tp", dl[i], glam[:, :, comp])
-            for i in range(len(dl))]
+    return list(th._cached(("tables", space.name, tag, quad_order),
+                           lambda: _derivative_tables(th, space, tag, cells.rule)))
+
+
+def _derivative_tables(th, space, tag, rule):
+    """(nl, NT, ng) tables of the x (tag 'dx') or y derivative of the
+    local basis at the rule's points, from the cached barycentric
+    gradients.  P1's derivatives are the gradients themselves at every
+    point: its tables are a view of them, broadcast over the points."""
+    glam = th._cached(("lam_gradients",),
+                      lambda: lam_gradients(th.mesh, th.topo))
+    glam = glam[:, :, 0 if tag == "dx" else 1]             # (NT, 3)
+    if space.degree == 1:
+        tables = glam.T[:, :, None]
+    else:
+        tables = np.stack([np.einsum("pk,tk->tp", d, glam)
+                           for d in shape_dlam(space, rule.lam)])
+    return np.broadcast_to(tables, tables.shape[:2] + (rule.npoints,))
 
 
 def trace_dof_map(th, space, region):
@@ -388,7 +437,8 @@ def _eval_pointfun(f, points):
     """Evaluate a point function on an (m, 2) point array.
 
     A scalar return is broadcast to (m,) and an (m, 1) column squeezed
-    to (m,); any other shape is returned as is for the caller to check.
+    to (m,); any other shape is returned as is for the caller to check
+    with ``_check_shape``.
     """
     out = np.asarray(f(points), dtype=float)
     if out.ndim == 0:
@@ -398,14 +448,18 @@ def _eval_pointfun(f, points):
     return out
 
 
+def _check_shape(vals, want, name="point function"):
+    """vals, the values of a point function, if their shape is want."""
+    if vals.shape != want:
+        raise FormError(f"{name} returned shape {vals.shape}, expected {want}")
+    return vals
+
+
 def interpolate_nodal(f, th, space):
     """Dof vector of the nodal interpolant: f evaluated at dof points."""
     dofmap = th.dof_map(fe_space(space))
-    vals = _eval_pointfun(f, dofmap.dof_point)
-    if vals.shape != (dofmap.num_dofs,):
-        raise ValueError(f"interpolated function returned shape {vals.shape}, "
-                         f"expected ({dofmap.num_dofs},)")
-    return vals
+    return _check_shape(_eval_pointfun(f, dofmap.dof_point),
+                        (dofmap.num_dofs,), "interpolated function")
 
 
 def coef_matrix_from_dofs(dofs, term, th, space, quad_order):
@@ -415,22 +469,11 @@ def coef_matrix_from_dofs(dofs, term, th, space, quad_order):
     quadrature point p.  ``term`` is 'sym.tag' (the symbol is ignored)
     or a bare tag.
     """
-    space = fe_space(space)
     tag = term if term in ("val", "dx", "dy") else parse_term_sum(term).terms[0].tag
     if tag == "grad":
         raise ValueError("a coefficient matrix holds one scalar component; "
                          "use 'dx' or 'dy' instead of 'grad'")
-    dofs = np.asarray(dofs, dtype=float)
-    dofmap = th.dof_map(space)
-    if dofs.shape != (dofmap.num_dofs,):
-        raise ValueError(f"dof vector has length {dofs.shape}, "
-                         f"expected ({dofmap.num_dofs},)")
-    tables = tabulate_basis(tag, th, space, quad_order)
-    local = dofs[dofmap.elem2dof]               # (NT, nl)
-    out = np.zeros(tables[0].shape)
-    for i, tab in enumerate(tables):
-        out += local[:, i, None] * tab
-    return out
+    return Cells(th, quad_order).fe_values(dofs, space, tag)
 
 
 def coef_matrix_on_edges(f, th, region, quad_order):

@@ -154,9 +154,17 @@ def square_mesh(bbox, h):
     return Mesh2d(node=node, elem=elem)
 
 
-def uniform_refine(mesh):
-    """Split every triangle into 4 via edge midpoints (red refinement)."""
-    topo = build_topology(mesh)
+def uniform_refine(mesh, topo=None):
+    """Split every triangle into 4 via edge midpoints (red refinement).
+
+    topo is the mesh's topology when the caller has built it already
+    (an FeMesh's ``topo``); without it the topology is built here.
+    """
+    if topo is None:
+        topo = build_topology(mesh)
+    elif topo.elem2edge.shape != mesh.elem.shape:
+        raise ValueError(f"topology of {len(topo.elem2edge)} triangles given "
+                         f"for a mesh of {len(mesh.elem)}")
     node, elem = mesh.node, mesh.elem
     n = len(node)
     mid = 0.5 * (node[topo.edge[:, 0]] + node[topo.edge[:, 1]])
@@ -264,20 +272,36 @@ def _partition(topo, region, nregions, selectors):
 @dataclass
 class FeMesh:
     """Mesh bundle handed around by assembly routines and drivers: the
-    mesh itself, its topology, and the boundary partition."""
+    mesh itself, its topology, and the boundary partition.
+
+    What the spaces derive from the mesh is built once per FeMesh and
+    kept in one private cache: the dof maps, and (see fespace) the
+    quadrature points, the barycentric gradients and the derivative
+    tables.  Cached arrays are read-only.
+    """
 
     mesh: Mesh2d
     topo: MeshTopology
     partition: BoundaryPartition
-    _dofmaps: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)
 
     def dof_map(self, space):
         """Cached DofMap for a finite element space."""
         from .fespace import build_dof_map, fe_space
         space = fe_space(space)
-        if space.name not in self._dofmaps:
-            self._dofmaps[space.name] = build_dof_map(self.mesh, self.topo, space)
-        return self._dofmaps[space.name]
+        return self._cached(("dof_map", space.name),
+                            lambda: build_dof_map(self.mesh, self.topo, space))
+
+    def _cached(self, key, build):
+        """The value cached under key, made by build() on first use."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._cache[key] = value
+            return value
 
 
 def fe_mesh(mesh, selectors=()):

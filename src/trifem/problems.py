@@ -382,10 +382,12 @@ def _run_ladder(spec, solve_level, selectors=()):
     Neumann data pass spec.selectors); the report's columns are the keys
     of the dicts it returns."""
     mesh = square_mesh(spec.bbox, spec.h0)
+    topo = None                 # mesh's topology, once fe_mesh has built it
     hs, nts, errs = [], [], {}
     for k in range(1, spec.refinements + 1):
-        mesh = uniform_refine(mesh)
+        mesh = uniform_refine(mesh, topo)
         th = fe_mesh(mesh, selectors)
+        topo = th.topo
         h = spec.h0 / 2**k             # leg length at level k
         for name, err in solve_level(th, h).items():
             errs.setdefault(name, []).append(err)

@@ -30,8 +30,8 @@ import scipy.sparse.linalg as spla
 
 # compress and quad_points_2d are unused here; perfbench/spans.py wraps them
 from .assembly import AssembledSystem, compress
-from .fespace import (Cells, _eval_pointfun, coef_matrix_from_dofs, fe_space,
-                      quad_points_2d, region_dofs)
+from .fespace import (Cells, _check_shape, _eval_pointfun, coef_matrix_from_dofs,
+                      fe_space, quad_points_2d, region_dofs)
 
 __all__ = ["DirichletSpec", "DirichletSolver", "RateReport",
            "apply_dirichlet_and_solve", "dirichlet_dofs", "solve_sparse",
@@ -92,11 +92,9 @@ def dirichlet_dofs(th, system, spec):
             if len(local) == 0:
                 continue
             pts = th.dof_map(spaces[c]).dof_point[local]
-            gv = _eval_pointfun(g, pts)
-            if gv.shape != (len(local),):
-                raise ValueError(f"boundary function for component {c + 1} "
-                                 f"on region {r} returned shape {gv.shape}, "
-                                 f"expected ({len(local)},)")
+            gv = _check_shape(_eval_pointfun(g, pts), (len(local),),
+                              f"boundary function for component {c + 1} "
+                              f"on region {r}")
             gdofs = local + offsets[c]
             fresh = ~is_fixed[gdofs]
             x[gdofs[fresh]] = gv[fresh]

@@ -156,12 +156,7 @@ def coef_to_matrix(coef, th, quad_order, domain="2d", region=None):
     """
     cells = Cells(th, quad_order, domain, region)
     if isinstance(coef, FeFunction):
-        dofs = np.asarray(coef.dofs, dtype=float)
-        if dofs.shape != (th.dof_map(coef.space).num_dofs,):
-            raise FormError(f"FeFunction dof vector of shape {dofs.shape} "
-                            f"does not fit {coef.space.name} on this mesh")
-        return np.einsum("ei,ip->ep", dofs[cells.dofs(coef.space)],
-                         cells.basis(coef.space))
+        return cells.fe_values(coef.dofs, coef.space)
     if callable(coef):
         return cells.values(coef)
     arr = np.asarray(coef, dtype=float)

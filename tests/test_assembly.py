@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from trifem import (Mesh2d, SparseTriples, assemble_scalar_1d,
-                    assemble_scalar_2d, assemble_system, coef_to_matrix,
-                    compress, fe_mesh, load_operator, square_mesh,
-                    tabulate_basis, var_form)
+                    assemble_scalar_2d, assemble_system, coef_matrix_from_dofs,
+                    coef_to_matrix, compress, fe_mesh, interpolate_nodal,
+                    load_operator, square_mesh, tabulate_basis,
+                    uniform_refine, var_form)
+from trifem.assembly import _kernel_tables
+from trifem.fespace import Cells, lam_gradients, shape_dlam, shape_values
+from trifem.problems import (_ns_jacobian_form, _taylor_hood, default_spec,
+                             stokes_form)
+from trifem.quadrature import triangle_rule
 from oracles import direct_bilinear_2d, direct_boundary_mass
 
 # frozen local-matrix oracles (verified by exact symbolic integration of
@@ -336,3 +342,75 @@ def test_a_bad_domain_or_region_is_a_value_error(caller, domain, with_region):
     region = th.partition[0] if with_region else None
     with pytest.raises(ValueError, match="domain"):
         BAD_DOMAIN_CALLERS[caller](th, domain, region)
+
+
+def refine3_th():
+    mesh = square_mesh([0, 1, 0, 1], 0.5)
+    for _ in range(3):
+        mesh = uniform_refine(mesh)
+    return fe_mesh(mesh)
+
+
+class TestCompactTables:
+    """The kernel reads broadcast tables as zero-stride views, with the
+    values of a dense stack of one table per (cell, point)."""
+
+    def test_val_tables_are_one_block_broadcast_over_the_cells(self):
+        th = refine3_th()
+        tables = _kernel_tables(Cells(th, 3), "P1", "val")
+        rule = triangle_rule(3)
+        dense = np.stack([np.tile(row, (th.mesh.num_elems, 1))
+                          for row in shape_values("P1", rule.lam)])
+        assert tables.shape == dense.shape and tables.strides[1] == 0
+        assert np.array_equal(tables, dense)
+
+    @pytest.mark.parametrize("tag", ["dx", "dy"])
+    @pytest.mark.parametrize("space", ["P1", "P2"])
+    def test_derivative_tables_equal_the_dense_stack(self, space, tag):
+        th = refine3_th()
+        tables = _kernel_tables(Cells(th, 3), space, tag)
+        rule = triangle_rule(3)
+        glam = lam_gradients(th.mesh, th.topo)[:, :, "xy".index(tag[1])]
+        dense = np.stack([np.einsum("pk,tk->tp", d, glam)
+                          for d in shape_dlam(space, rule.lam)])
+        assert tables.shape == dense.shape
+        assert np.array_equal(tables, dense)
+        if space == "P1":       # one value per element, broadcast over points
+            assert tables.strides[2] == 0
+
+
+def _forms(th):
+    """Poisson, Stokes and Navier-Stokes Jacobian forms with their spaces."""
+    poisson = default_spec("poisson", degree=2)
+    stokes = default_spec("stokes")
+    newton = default_spec("ns-newton")
+    spaces = _taylor_hood(newton.data)[0]
+    u1 = interpolate_nodal(lambda p: np.sin(3 * p[:, 0]) * p[:, 1], th, "P2")
+    u2 = interpolate_nodal(lambda p: p[:, 0] ** 2 - p[:, 1], th, "P2")
+    pp = interpolate_nodal(lambda p: np.cos(p[:, 0] + p[:, 1]), th, "P1")
+    coefs = tuple(coef_matrix_from_dofs(d, tag, th, space, newton.order)
+                  for d, tag, space in ((u1, "dx", "P2"), (u1, "dy", "P2"),
+                                        (u2, "dx", "P2"), (u2, "dy", "P2"),
+                                        (u1, "val", "P2"), (u2, "val", "P2"),
+                                        (pp, "val", "P1")))
+    data = poisson.data
+    return [
+        (var_form([data.a, data.c], ["v.grad", "v.val"], ["u.grad", "u.val"]),
+         ["P2"], poisson.order),
+        (var_form(1, "v.grad", "u.grad"), ["P1"], 3),
+        (stokes_form(stokes), spaces, stokes.order),
+        (_ns_jacobian_form(th, newton, coefs, newton.order), spaces, newton.order),
+    ]
+
+
+def test_a_warm_level_cache_assembles_the_same_bits():
+    th = refine3_th()
+    for _ in range(2):          # the second pass reads every cached table
+        warm = [assemble_system(th, *args).matrix() for args in _forms(th)]
+    fresh = []
+    for k in range(len(warm)):
+        th = refine3_th()
+        fresh.append(assemble_system(th, *_forms(th)[k]).matrix())
+    for a, b in zip(warm, fresh):
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()

@@ -1,14 +1,21 @@
 """Lagrange spaces: dof maps, tabulation, interpolation, evaluation."""
 
+import re
+
 import numpy as np
 import pytest
 
-from trifem import (Mesh2d, build_dof_map, coef_matrix_from_dofs,
-                    coef_matrix_on_edges, evaluate_at_points, fe_mesh,
+import trifem.fespace
+from trifem import (DirichletSpec, FeFunction, FormError, Mesh2d,
+                    assemble_system, build_dof_map, coef_matrix_from_dofs,
+                    coef_matrix_on_edges, coef_to_matrix, dirichlet_dofs,
+                    error_H1_semi, error_L2, evaluate_at_points, fe_mesh,
                     fe_space, integrate_fe, interpolate_nodal, square_mesh,
-                    tabulate_basis)
-from trifem.fespace import (edge_quad_points, quad_points_2d, shape_values,
+                    tabulate_basis, uniform_refine, var_form)
+from trifem.fespace import (Cells, edge_quad_points, lam_gradients,
+                            quad_points_2d, shape_dlam, shape_values,
                             trace_dof_map, trace_values)
+from trifem.problems import default_spec, solve_poisson
 from trifem.quadrature import segment_rule, triangle_rule
 
 SPACES = ["P1", "P2", "P3"]
@@ -166,6 +173,33 @@ class TestCoefMatrixFromDofs:
         with pytest.raises(ValueError):
             coef_matrix_from_dofs(np.ones(5), "val", th, "P1", 2)
 
+    @pytest.mark.parametrize("space", SPACES)
+    @pytest.mark.parametrize("tag", ["val", "dx", "dy"])
+    def test_one_evaluator_sums_the_local_dofs_in_order(self, space, tag):
+        # the reference: dense tables from shape functions and barycentric
+        # gradients, summed over the local dofs one after the other
+        th = fe_mesh(uniform_refine(square_mesh([0, 1, 0, 1], 0.5)))
+        order = 4
+        rule = triangle_rule(order)
+        if tag == "val":
+            dense = np.broadcast_to(shape_values(space, rule.lam)[:, None, :],
+                                    (fe_space(space).ndof_local,
+                                     th.mesh.num_elems, rule.npoints))
+        else:
+            glam = lam_gradients(th.mesh, th.topo)[:, :, "xy".index(tag[1])]
+            dense = [np.einsum("pk,tk->tp", d, glam)
+                     for d in shape_dlam(space, rule.lam)]
+        dofs = np.random.default_rng(3).standard_normal(th.dof_map(space).num_dofs)
+        local = dofs[th.dof_map(space).elem2dof]
+        expected = np.zeros((th.mesh.num_elems, rule.npoints))
+        for i, tab in enumerate(dense):
+            expected += local[:, i, None] * tab
+        assert np.array_equal(coef_matrix_from_dofs(dofs, tag, th, space, order),
+                              expected)
+        if tag == "val":
+            coef = FeFunction(dofs=dofs, space=fe_space(space))
+            assert np.array_equal(coef_to_matrix(coef, th, order), expected)
+
 
 class TestCoefMatrixOnEdges:
     def test_constant_vector_bottom_side(self):
@@ -297,3 +331,90 @@ class TestConformity:
                 local = dofs[dm.elem2dof[t]]
                 vals.append(local @ sv)
             assert np.allclose(vals[0], vals[1], atol=1e-12, rtol=0)
+
+
+class TestPointFunctionShape:
+    # every caller that evaluates a point function checks its shape with
+    # one message form, naming the component and region where there is one
+    @pytest.mark.parametrize("call, name", [
+        (lambda th, f: interpolate_nodal(f, th, "P2"), "interpolated function"),
+        (lambda th, f: dirichlet_dofs(
+            th, assemble_system(th, var_form(1, "v.grad", "u.grad"), ["P1"], 3),
+            DirichletSpec((1,), (f,))),
+         "boundary function for component 1 on region 1"),
+        (lambda th, f: coef_to_matrix(f, th, 3), "point function"),
+        (lambda th, f: Cells(th, 3, "1d", th.partition[0]).values(f),
+         "point function"),
+    ])
+    def test_a_wrong_shape_raises_a_named_form_error(self, call, name):
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5), ["x==0"])
+        with pytest.raises(FormError, match=re.escape(name)
+                           + r" returned shape \(\d+, 3\), expected \(\d+,\)"):
+            call(th, lambda p: np.ones((len(p), 3)))
+
+
+class TestLevelCache:
+    """Per-level geometry is built once per FeMesh and shared read-only."""
+
+    def test_a_poisson_level_builds_points_and_gradients_once(self, monkeypatch):
+        calls = {"quad_points_2d": [], "lam_gradients": []}
+        for name, log in calls.items():
+            original = getattr(trifem.fespace, name)
+
+            def counted(mesh, arg, original=original, log=log):
+                log.append(mesh)
+                return original(mesh, arg)
+            monkeypatch.setattr(trifem.fespace, name, counted)
+        spec = default_spec("poisson", degree=2, refinements=1)
+        th = fe_mesh(uniform_refine(square_mesh(spec.bbox, spec.h0)), spec.selectors)
+        uh = solve_poisson(th, spec)
+        error_L2(th, spec.space, spec.order, spec.data.exact, uh)
+        error_H1_semi(th, spec.space, spec.order, spec.data.exact_grad, uh)
+        # one quadrature order serves the whole level
+        assert calls == {"quad_points_2d": [th.mesh], "lam_gradients": [th.mesh]}
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_cached_arrays_are_read_only(self, space):
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5), ["x==0"])
+        pts = Cells(th, 3).points()
+        edge_pts = Cells(th, 3, "1d", th.partition[0]).points()
+        tables = [t for tag in ("val", "dx", "dy")
+                  for t in tabulate_basis(tag, th, space, 3)]
+        for arr in [pts, edge_pts] + tables:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
+        cached = [v for v in th._cache.values() if isinstance(v, np.ndarray)]
+        assert len(cached) >= 5 and not any(v.flags.writeable for v in cached)
+
+    def test_repeated_calls_share_one_copy(self):
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+        assert Cells(th, 4).points() is Cells(th, 4).points()
+        assert Cells(th, 4).points() is not Cells(th, 5).points()
+        first, again = (tabulate_basis("dx", th, "P2", 4) for _ in range(2))
+        assert all(np.shares_memory(a, b) for a, b in zip(first, again))
+
+    def test_p1_derivatives_hold_one_value_per_element(self):
+        # axis-aligned edges give zero gradient components: 0.0, as a
+        # sum over the barycentric partials gives, never -0.0
+        th = fe_mesh(uniform_refine(square_mesh([0, 1, 0, 1], 0.5)))
+        for tag in ("dx", "dy"):
+            for tab in tabulate_basis(tag, th, "P1", 4):
+                assert tab.shape == (th.mesh.num_elems, triangle_rule(4).npoints)
+                assert tab.strides[1] == 0
+                assert np.any(tab == 0) and not np.any(np.signbit(tab[tab == 0]))
+
+    def test_two_fe_meshes_of_one_mesh_share_no_entry(self):
+        mesh = uniform_refine(square_mesh([0, 1, 0, 1], 0.5))
+        ths = [fe_mesh(mesh, ["x==0"]) for _ in range(2)]
+        for th in ths:
+            for space in SPACES:
+                tabulate_basis("dx", th, space, 3)
+                th.dof_map(space)
+            Cells(th, 3).points()
+            Cells(th, 3, "1d", th.partition[0]).points()
+        a, b = (th._cache for th in ths)
+        assert a is not b and a.keys() == b.keys()
+        for key in a:
+            assert a[key] is not b[key]
+            if isinstance(a[key], np.ndarray):
+                assert not np.shares_memory(a[key], b[key])

@@ -80,6 +80,34 @@ class TestUniformRefine:
         m = uniform_refine(uniform_refine(unit_triangle()))
         assert np.all(build_topology(m).area > 0)
 
+    @pytest.mark.parametrize("bbox,h0,refines", [([0, 1, 0, 1], 0.5, 3),
+                                                 ([0, 2, 0, 1], 0.25, 1)])
+    def test_a_given_topology_refines_to_the_same_bits(self, bbox, h0, refines):
+        m = square_mesh(bbox, h0)
+        for _ in range(refines):
+            m = uniform_refine(m)
+        built, given = uniform_refine(m), uniform_refine(m, build_topology(m))
+        assert built.node.tobytes() == given.node.tobytes()
+        assert np.array_equal(built.elem, given.elem)
+
+    def test_a_topology_of_another_mesh_is_rejected(self):
+        m = square_mesh([0, 1, 0, 1], 0.5)
+        with pytest.raises(ValueError, match="topology of 32 triangles"):
+            uniform_refine(m, build_topology(uniform_refine(m)))
+
+    def test_the_ladder_builds_each_level_topology_once(self, monkeypatch):
+        import trifem.mesh
+        from trifem.problems import default_spec, run_problem
+        built = []
+        original = trifem.mesh.build_topology
+
+        def counted(mesh):
+            built.append(mesh.num_elems)
+            return original(mesh)
+        monkeypatch.setattr(trifem.mesh, "build_topology", counted)
+        run_problem(default_spec("poisson", degree=1, refinements=3))
+        assert built == [8, 32, 128, 512]   # the base mesh, then each level
+
 
 class TestTopology:
     def test_edge_ordering(self):
