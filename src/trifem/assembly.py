@@ -12,10 +12,10 @@ or into (ii, jj, ss) index triples.  The cells of an integral (every
 triangle, or the edges of one boundary region) are one
 ``fespace.Cells``: it gives the kernel its quadrature weights, measure
 (areas or edge lengths), dof columns and point values, so boundary (1d)
-assembly runs the same kernel with the trace basis.  The basis tables
-come from the FeMesh's level cache (see fespace) as one (nl, NC, ng)
-array per side; an axis a table does not vary along stays a zero-stride
-view (every 'val' table, P1's derivatives), never a dense copy.
+assembly runs the same kernel with the trace basis.  Each side's basis
+tables are the one (nl, NC, ng) array ``tabulate_basis`` returns (for
+'dx'/'dy' the FeMesh's cached array), contracted as is: a constant axis
+stays zero-stride, never a dense copy.
 Multi-component forms are grouped into blocks by (test component, trial component); one
 block routine offsets each block's triples by the cumulative row/column
 dof counts and concatenates them, for assemble_system and
@@ -151,17 +151,6 @@ def _component_index(symbol, prefix, ncomp):
     return idx
 
 
-def _kernel_tables(cells, space, tag):
-    """The tabulate_basis tables as one (nl, NC, ng) array.  An axis the
-    tables are broadcast along stays a zero-stride view, so a 'val' or
-    P1 derivative table is never expanded to one value per (cell, point)."""
-    tabs = tabulate_basis(tag, cells.th, space, cells.order,
-                          domain=cells.domain, region=cells.region)
-    keep = tuple(slice(None) if stride else slice(0, 1) for stride in tabs[0].strides)
-    return np.broadcast_to(np.stack([t[keep] for t in tabs]),
-                           (len(tabs),) + tabs[0].shape)
-
-
 def _local_kernel(cells, entries, spaces):
     """Local arrays (NC, nlv) or (NC, nlv, nlu) for elementary entries on
     the cells; spaces is [test] for a linear form, [test, trial] for a
@@ -171,10 +160,10 @@ def _local_kernel(cells, entries, spaces):
     for entry in entries:
         cc = coef_to_matrix(entry.coef, cells.th, cells.order,
                             domain=cells.domain, region=cells.region)
-        tables = [_kernel_tables(cells, space, side.terms[0].tag)
+        tables = [tabulate_basis(side.terms[0].tag, cells.th, space, cells.order,
+                                 cells.domain, cells.region)
                   for space, side in zip(spaces, (entry.test, entry.trial))]
         blk = np.einsum(subscripts, cells.rule.weight, cc, *tables, optimize=True)
-        del tables                  # freed before the next entry tabulates
         local = blk if local is None else local + blk
     return local * cells.measure.reshape((-1,) + (1,) * len(spaces))
 
@@ -192,7 +181,7 @@ def load_operator(th, space, quad_order, domain="2d", region=None):
     """
     space = fe_space(space)
     cells = Cells(th, quad_order, domain, region)
-    tables = _kernel_tables(cells, space, "val")
+    tables = tabulate_basis("val", th, space, quad_order, domain, region)
     dofs = cells.dofs(space)                                # (NE, nl)
     nl, ne, ng = tables.shape
     # row e * ng + p of L^T holds the nl entries of element e at point p

@@ -15,10 +15,10 @@ coefficients and error norms share.
 What a mesh level needs is tabulated once per FeMesh, in its private
 cache beside the dof maps, and handed out read-only: the quadrature
 points per order (and per set of region edges), the barycentric
-gradients, and the 'dx'/'dy' tables per (space, tag, order).  Tables
-that do not vary along an axis are stored without it and read as
-zero-stride views: a 'val' table is one (nl, ng) block for every cell,
-and a P1 derivative table one value per element for every point.
+gradients, and the 'dx'/'dy' tables per (space, tag, order).  Only
+``tabulate_basis`` lays out basis tables: one (nl, NC, ng) array, where
+an axis the tables do not vary along has stride zero ('val': one (nl,
+ng) block for every cell; P1 derivatives: one value per element).
 
 Global numbering: vertex dofs first, then edge dofs by global edge
 index (two per edge for P3, ordered from the smaller to the larger
@@ -316,11 +316,7 @@ class Cells:
         the quadrature points: (NC, ng).  Sums dof * table over the
         local dofs in their order."""
         space = fe_space(space)
-        dofs = np.asarray(dofs, dtype=float)
-        num_dofs = self.th.dof_map(space).num_dofs
-        if dofs.shape != (num_dofs,):
-            raise FormError(f"dof vector of shape {dofs.shape} does not fit "
-                            f"{space.name} on this mesh (expected ({num_dofs},))")
+        dofs = _check_dofs(dofs, self.th, space)
         tables = tabulate_basis(tag, self.th, space, self.order,
                                 self.domain, self.region)
         local = dofs[self.dofs(space)]          # (NC, nl)
@@ -340,24 +336,18 @@ class Cells:
 def tabulate_basis(tag, th, space, quad_order, domain="2d", region=None):
     """Tabulate values of a derivative of every local basis function.
 
-    2d: list of (NT, ng) tables, one per local dof; tag 'grad' returns
-    the pair (dx tables, dy tables).  1d trace (tag 'val' only): list of
-    (NBE, ng) tables over the region's boundary edges, one per trace dof.
-    ``tag`` may be a bare tag, a parsed Term, or a 'sym.tag' string.
-
-    The tables are read-only views.  A 'val' table is one (ng,) row
-    broadcast over the cells.  The 'dx'/'dy' tables are cached on the
-    FeMesh per (space, tag, order); for P1 they are one value per
-    element broadcast over the points.
+    One read-only (nl, NC, ng) array, row i local dof i's table over the
+    cells: every triangle, or on '1d' (tag 'val' of the trace basis only)
+    the region's edges.  'grad' gives the pair (dx, dy).  ``tag`` may be
+    a bare tag, a Term or a 'sym.tag' string.  Constant axes have stride
+    zero; 'dx'/'dy' return the FeMesh's cached array itself, no copy.
     """
-    if hasattr(tag, "tag"):
-        tag = tag.tag
-    elif "." in str(tag):
-        tag = parse_term_sum(tag).terms[0].tag
+    tag = _tag(tag)
     space = fe_space(space)
     cells = Cells(th, quad_order, domain, region)
     if tag == "val":
-        return [np.broadcast_to(v, cells.shape) for v in cells.basis(space)]
+        basis = cells.basis(space)
+        return np.broadcast_to(basis[:, None, :], (len(basis),) + cells.shape)
     if region is not None:
         raise ValueError(f"boundary-trace tabulation supports only 'val', got {tag!r}")
     if tag == "grad":
@@ -365,8 +355,17 @@ def tabulate_basis(tag, th, space, quad_order, domain="2d", region=None):
                 tabulate_basis("dy", th, space, quad_order))
     if tag not in ("dx", "dy"):
         raise ValueError(f"unknown derivative tag {tag!r}")
-    return list(th._cached(("tables", space.name, tag, quad_order),
-                           lambda: _derivative_tables(th, space, tag, cells.rule)))
+    return th._cached(("tables", space.name, tag, quad_order),
+                      lambda: _derivative_tables(th, space, tag, cells.rule))
+
+
+def _tag(term):
+    """The tag of a Term, of a 'sym.tag' string, or a bare tag as is."""
+    if hasattr(term, "tag"):
+        return term.tag
+    if "." in str(term):
+        return parse_term_sum(term).terms[0].tag
+    return term
 
 
 def _derivative_tables(th, space, tag, rule):
@@ -448,6 +447,15 @@ def _eval_pointfun(f, points):
     return out
 
 
+def _check_dofs(dofs, th, space):
+    """dofs as a float array, if it is one value per dof of space on th."""
+    dofs, want = np.asarray(dofs, dtype=float), (th.dof_map(space).num_dofs,)
+    if dofs.shape != want:
+        raise FormError(f"dof vector of shape {dofs.shape} does not fit "
+                        f"{space.name} on this mesh (expected {want})")
+    return dofs
+
+
 def _check_shape(vals, want, name="point function"):
     """vals, the values of a point function, if their shape is want."""
     if vals.shape != want:
@@ -466,10 +474,10 @@ def coef_matrix_from_dofs(dofs, term, th, space, quad_order):
     """Coefficient matrix of a finite element function's value/derivative.
 
     Entry (e, p) sums dof * basis over the local dofs of element e at
-    quadrature point p.  ``term`` is 'sym.tag' (the symbol is ignored)
-    or a bare tag.
+    quadrature point p.  ``term`` is a Term, 'sym.tag' (the symbol is
+    ignored) or a bare tag.
     """
-    tag = term if term in ("val", "dx", "dy") else parse_term_sum(term).terms[0].tag
+    tag = _tag(term)
     if tag == "grad":
         raise ValueError("a coefficient matrix holds one scalar component; "
                          "use 'dx' or 'dy' instead of 'grad'")
@@ -509,7 +517,7 @@ def evaluate_at_points(dofs, th, space, points, tol=1e-12):
     values at dofs, read the dof vector instead.
     """
     space = fe_space(space)
-    dofs = np.asarray(dofs, dtype=float)
+    dofs = _check_dofs(dofs, th, space)
     dofmap = th.dof_map(space)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     z = th.mesh.node[th.mesh.elem]              # (NT, 3, 2)

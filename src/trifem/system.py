@@ -235,8 +235,8 @@ def fit_rate(h, err):
     err = np.asarray(err, dtype=float)
     if len(h) < 2 or len(h) != len(err):
         raise ValueError("rate fit needs at least two matching levels")
-    if np.any(h <= 0) or np.any(err <= 0):
-        raise ValueError("rate fit needs positive mesh sizes and errors")
+    if not np.all(np.isfinite(h) & (h > 0) & np.isfinite(err) & (err > 0)):
+        raise ValueError("rate fit needs finite positive mesh sizes and errors")
     return float(np.polyfit(np.log(h), np.log(err), 1)[0])
 
 

@@ -41,8 +41,9 @@ class VarForm:
 
     def __post_init__(self):
         kinds = {e.trial is None for e in self.entries}
-        if len(kinds) > 1:
-            raise FormError("form mixes entries with and without trial terms")
+        if len(kinds) != 1:
+            raise FormError("form mixes entries with and without trial terms"
+                            if kinds else "a form needs at least one entry")
 
     @property
     def is_linear(self):

@@ -9,8 +9,7 @@ from trifem import (Mesh2d, SparseTriples, assemble_scalar_1d,
                     coef_to_matrix, compress, fe_mesh, interpolate_nodal,
                     load_operator, square_mesh, tabulate_basis,
                     uniform_refine, var_form)
-from trifem.assembly import _kernel_tables
-from trifem.fespace import Cells, lam_gradients, shape_dlam, shape_values
+from trifem.fespace import lam_gradients, shape_dlam, shape_values
 from trifem.problems import (_ns_jacobian_form, _taylor_hood, default_spec,
                              stokes_form)
 from trifem.quadrature import triangle_rule
@@ -352,12 +351,13 @@ def refine3_th():
 
 
 class TestCompactTables:
-    """The kernel reads broadcast tables as zero-stride views, with the
-    values of a dense stack of one table per (cell, point)."""
+    """tabulate_basis hands the kernel broadcast tables as zero-stride
+    views, with the values of a dense stack of one table per (cell,
+    point), and the cached derivative arrays without a copy."""
 
     def test_val_tables_are_one_block_broadcast_over_the_cells(self):
         th = refine3_th()
-        tables = _kernel_tables(Cells(th, 3), "P1", "val")
+        tables = tabulate_basis("val", th, "P1", 3)
         rule = triangle_rule(3)
         dense = np.stack([np.tile(row, (th.mesh.num_elems, 1))
                           for row in shape_values("P1", rule.lam)])
@@ -368,7 +368,7 @@ class TestCompactTables:
     @pytest.mark.parametrize("space", ["P1", "P2"])
     def test_derivative_tables_equal_the_dense_stack(self, space, tag):
         th = refine3_th()
-        tables = _kernel_tables(Cells(th, 3), space, tag)
+        tables = tabulate_basis(tag, th, space, 3)
         rule = triangle_rule(3)
         glam = lam_gradients(th.mesh, th.topo)[:, :, "xy".index(tag[1])]
         dense = np.stack([np.einsum("pk,tk->tp", d, glam)
@@ -377,6 +377,14 @@ class TestCompactTables:
         assert np.array_equal(tables, dense)
         if space == "P1":       # one value per element, broadcast over points
             assert tables.strides[2] == 0
+
+    @pytest.mark.parametrize("tag", ["dx", "dy"])
+    @pytest.mark.parametrize("space", ["P2", "P3"])
+    def test_derivative_tables_are_the_cached_array(self, space, tag):
+        th = refine3_th()
+        tables = tabulate_basis(tag, th, space, 3)
+        cached = th._cache[("tables", space, tag, 3)]
+        assert tables.shape == cached.shape and np.shares_memory(tables, cached)
 
 
 def _forms(th):

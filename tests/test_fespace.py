@@ -17,6 +17,7 @@ from trifem.fespace import (Cells, edge_quad_points, lam_gradients,
                             trace_dof_map, trace_values)
 from trifem.problems import default_spec, solve_poisson
 from trifem.quadrature import segment_rule, triangle_rule
+from trifem.terms import Term
 
 SPACES = ["P1", "P2", "P3"]
 
@@ -173,6 +174,19 @@ class TestCoefMatrixFromDofs:
         with pytest.raises(ValueError):
             coef_matrix_from_dofs(np.ones(5), "val", th, "P1", 2)
 
+    def test_tags_are_read_as_tabulate_basis_reads_them(self):
+        # a bare tag, a 'sym.tag' string and a Term name the same table;
+        # bare 'grad' and unknown tags get their own messages
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+        dofs = interpolate_nodal(lambda p: p[:, 0] * p[:, 1], th, "P2")
+        first, *rest = (coef_matrix_from_dofs(dofs, tag, th, "P2", 3)
+                        for tag in ("dy", "w.dy", Term("w", "dy")))
+        assert all(np.array_equal(first, other) for other in rest)
+        with pytest.raises(ValueError, match="use 'dx' or 'dy'"):
+            coef_matrix_from_dofs(dofs, "grad", th, "P2", 3)
+        with pytest.raises(ValueError, match="unknown derivative tag 'dz'"):
+            coef_matrix_from_dofs(dofs, "dz", th, "P2", 3)
+
     @pytest.mark.parametrize("space", SPACES)
     @pytest.mark.parametrize("tag", ["val", "dx", "dy"])
     def test_one_evaluator_sums_the_local_dofs_in_order(self, space, tag):
@@ -270,6 +284,12 @@ class TestEvaluateAtPoints:
         dofs = np.ones(9)
         val = evaluate_at_points(dofs, th, "P1", [(10.0, 10.0)])
         assert np.isnan(val[0])
+
+    def test_a_dof_vector_of_the_wrong_length_is_a_form_error(self):
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+        dofs = interpolate_nodal(lambda p: p[:, 0], th, "P1")
+        with pytest.raises(FormError, match="dof vector"):
+            evaluate_at_points(dofs[:-1], th, "P1", [(0.3, 0.4)])
 
 
 class TestTraceConsistency:

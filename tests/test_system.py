@@ -342,3 +342,10 @@ class TestFitRate:
             fit_rate([0.5], [1.0])
         with pytest.raises(ValueError):
             fit_rate([0.5, 0.25], [1.0, -1.0])
+
+    @pytest.mark.parametrize("h, err", [([0.5, 0.25], [1.0, np.nan]),
+                                        ([np.inf, 0.25], [1.0, 0.5]),
+                                        ([0.5, np.nan], [1.0, 0.5])])
+    def test_rejects_non_finite_input(self, h, err):
+        with pytest.raises(ValueError, match="finite"):
+            fit_rate(h, err)

@@ -87,6 +87,10 @@ class TestExpand:
         with pytest.raises(FormError):
             expand_extended(var_form([1], ["v.grad"]))
 
+    def test_an_empty_form_is_a_form_error(self):
+        with pytest.raises(FormError, match="at least one entry"):
+            var_form([], [])
+
     def test_linear_sum_distributes(self):
         out = expand_extended(var_form([1], ["v1.val + v2.val"]))
         assert entry_strings(out) == [("v1.val", None), ("v2.val", None)]
