@@ -360,11 +360,16 @@ def tabulate_basis(tag, th, space, quad_order, domain="2d", region=None):
 
 
 def _tag(term):
-    """The tag of a Term, of a 'sym.tag' string, or a bare tag as is."""
+    """The tag of a Term, of a 'sym.tag' string, or a bare tag as is.
+    A sum of terms names no single table: a ValueError."""
     if hasattr(term, "tag"):
         return term.tag
     if "." in str(term):
-        return parse_term_sum(term).terms[0].tag
+        terms = parse_term_sum(term).terms
+        if len(terms) > 1:
+            raise ValueError(f"{str(term)!r} is a sum of {len(terms)} terms; "
+                             "a table or coefficient matrix takes one")
+        return terms[0].tag
     return term
 
 

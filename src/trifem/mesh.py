@@ -11,25 +11,40 @@ the domain lies on their left), triangle areas and edge lengths.
 ``classify_boundary`` splits the boundary edges into regions using
 selector strings evaluated at edge midpoints; the first matching
 selector wins and unmatched edges form a trailing catch-all region.
+
+``uniform_refine`` links each fine mesh to the mesh it refined, so a
+ladder of refinements is a multigrid hierarchy: ``prolongation`` reads
+the P1 interpolation between two levels off that link.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .selector import parse_selector
 
 __all__ = ["Mesh2d", "MeshTopology", "BoundaryRegion", "BoundaryPartition",
-           "FeMesh", "square_mesh", "uniform_refine", "build_topology",
-           "classify_boundary", "classify_boundary_by_labels", "fe_mesh"]
+           "FeMesh", "square_mesh", "uniform_refine", "prolongation",
+           "build_topology", "classify_boundary", "classify_boundary_by_labels",
+           "fe_mesh"]
 
 
 @dataclass(frozen=True)
 class Mesh2d:
-    """Vertex coordinates (N, 2) and ccw triangle connectivity (NT, 3)."""
+    """Vertex coordinates (N, 2) and ccw triangle connectivity (NT, 3).
+
+    A mesh made by ``uniform_refine`` remembers the mesh it refined
+    (``parent``) and that mesh's edge array (``parent_edge``): its node
+    n + e is the midpoint of parent edge e, which is all the P1
+    prolongation needs.  Both are None on any other mesh.
+    """
 
     node: np.ndarray
     elem: np.ndarray
+    parent: "Mesh2d" = field(default=None, init=False, compare=False, repr=False)
+    parent_edge: np.ndarray = field(default=None, init=False, compare=False,
+                                    repr=False)
 
     def __post_init__(self):
         node = np.ascontiguousarray(np.asarray(self.node, dtype=float))
@@ -182,7 +197,24 @@ def uniform_refine(mesh, topo=None):
     new_elem = np.empty((4 * len(elem), 3), dtype=np.int64)
     for k, child in enumerate(children):
         new_elem[k::4] = child
-    return Mesh2d(node=new_node, elem=new_elem)
+    fine = Mesh2d(node=new_node, elem=new_elem)
+    object.__setattr__(fine, "parent", mesh)
+    object.__setattr__(fine, "parent_edge", topo.edge)
+    return fine
+
+
+def prolongation(mesh):
+    """P1 prolongation from mesh.parent to mesh, (N, N_c) CSR, or None
+    for a mesh that refines none: [I; (e_a + e_b) / 2], since node
+    n_c + e is the midpoint of parent edge (a, b)."""
+    if mesh.parent is None:
+        return None
+    n_c, edge = mesh.parent.num_nodes, mesh.parent_edge
+    ne = len(edge)
+    rows = np.concatenate([np.arange(n_c), np.repeat(n_c + np.arange(ne), 2)])
+    cols = np.concatenate([np.arange(n_c), edge.ravel()])
+    vals = np.concatenate([np.ones(n_c), np.full(2 * ne, 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n_c + ne, n_c))
 
 
 def build_topology(mesh):
@@ -291,6 +323,11 @@ class FeMesh:
         space = fe_space(space)
         return self._cached(("dof_map", space.name),
                             lambda: build_dof_map(self.mesh, self.topo, space))
+
+    def prolongation(self):
+        """Cached P1 prolongation from the parent mesh (see
+        ``prolongation``); None for a mesh that refines none."""
+        return self._cached(("prolongation",), lambda: prolongation(self.mesh))
 
     def _cached(self, key, build):
         """The value cached under key, made by build() on first use."""

@@ -187,6 +187,16 @@ class TestCoefMatrixFromDofs:
         with pytest.raises(ValueError, match="unknown derivative tag 'dz'"):
             coef_matrix_from_dofs(dofs, "dz", th, "P2", 3)
 
+    def test_a_sum_of_terms_is_rejected_not_cut_to_its_first_term(self):
+        # 'u.dx + u.dy' of x + 2y is 3 everywhere; reading the first term
+        # alone returned the x derivative, 1
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+        dofs = interpolate_nodal(lambda p: p[:, 0] + 2 * p[:, 1], th, "P1")
+        with pytest.raises(ValueError, match="sum of 2 terms"):
+            coef_matrix_from_dofs(dofs, "u.dx + u.dy", th, "P1", 2)
+        with pytest.raises(ValueError, match="sum of 2 terms"):
+            tabulate_basis("v.val + v.dx", th, "P1", 2)
+
     @pytest.mark.parametrize("space", SPACES)
     @pytest.mark.parametrize("tag", ["val", "dx", "dy"])
     def test_one_evaluator_sums_the_local_dofs_in_order(self, space, tag):

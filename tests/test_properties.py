@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from oracles import row_unique_topology
 from trifem import (FeFunction, Mesh2d, assemble_system, build_topology,
-                    coef_matrix_from_dofs, coef_to_matrix, fe_mesh, fe_space,
-                    interpolate_nodal, load_operator, square_mesh,
-                    tabulate_basis, uniform_refine, var_form)
+                    coef_matrix_from_dofs, coef_to_matrix, evaluate_at_points,
+                    fe_mesh, fe_space, interpolate_nodal, load_operator,
+                    square_mesh, tabulate_basis, uniform_refine, var_form)
 from trifem.fespace import quad_points_2d
+from trifem.mesh import prolongation, signed_area
 from trifem.quadrature import triangle_rule
 
 SPACES = st.sampled_from(["P1", "P2", "P3"])
@@ -198,3 +199,58 @@ def test_refined_square_topology_matches_row_unique_reference(refines):
     for _ in range(refines):
         mesh = uniform_refine(mesh)
     assert_topology_is_row_unique(mesh)
+
+
+@st.composite
+def ladder(draw):
+    """A random coarse mesh and one or two uniform refinements of it,
+    coarsest first."""
+    meshes = [draw(MESHES).mesh]
+    for _ in range(draw(st.integers(1, 2))):
+        meshes.append(uniform_refine(meshes[-1]))
+    return meshes
+
+
+def refinement_pairs(meshes):
+    """(coarse, fine) per ladder step; each fine mesh links its parent."""
+    for coarse, fine in zip(meshes, meshes[1:]):
+        assert fine.parent is coarse
+        yield coarse, fine
+
+
+@PROPERTY
+@given(meshes=ladder(), seed=st.integers(0, 2**32 - 1))
+def test_prolongation_is_the_coarse_p1_function_at_the_fine_nodes(meshes, seed):
+    rng = np.random.default_rng(seed)
+    for coarse, fine in refinement_pairs(meshes):
+        v = rng.standard_normal(coarse.num_nodes)
+        want = evaluate_at_points(v, fe_mesh(coarse), "P1", fine.node)
+        assert np.allclose(prolongation(fine) @ v, want, atol=1e-12, rtol=0)
+
+
+@PROPERTY
+@given(meshes=ladder(), coeffs=st.lists(COORD, min_size=3, max_size=3))
+def test_prolongation_rows_sum_to_one_and_reproduce_linears(meshes, coeffs):
+    a, b, c = coeffs
+    linear = lambda z: a + b * z[:, 0] + c * z[:, 1]
+    for coarse, fine in refinement_pairs(meshes):
+        P = prolongation(fine)
+        assert np.allclose(P.sum(axis=1), 1.0, atol=1e-15, rtol=0)
+        assert np.allclose(P @ linear(coarse.node), linear(fine.node),
+                           atol=1e-13, rtol=0)
+
+
+@PROPERTY
+@given(meshes=ladder())
+def test_children_4t_to_4t_plus_3_tile_their_parent_t(meshes):
+    for coarse, fine in refinement_pairs(meshes):
+        z = coarse.node[coarse.elem]                          # (NT, 3, 2)
+        child = fine.node[fine.elem].reshape(len(z), 12, 2)   # 4 children
+        # barycentric coordinates of every child vertex in its parent
+        legs = np.stack([z[:, 1] - z[:, 0], z[:, 2] - z[:, 0]], axis=2)
+        l12 = np.linalg.solve(legs[:, None], (child - z[:, None, 0])[..., None])
+        lam = np.concatenate([1 - l12.sum(axis=2), l12[..., 0]], axis=2)
+        assert lam.min() >= -1e-12
+        area = signed_area(fine.node, fine.elem).reshape(-1, 4).sum(axis=1)
+        assert np.allclose(area, signed_area(coarse.node, coarse.elem),
+                           rtol=1e-12, atol=0)

@@ -11,6 +11,7 @@ from trifem import (DirichletSolver, DirichletSpec, Mesh2d,
                     dirichlet_dofs, error_H1_semi, error_L2, fe_mesh,
                     fit_rate, interpolate_nodal, solve_sparse, square_mesh,
                     uniform_refine, var_form)
+from trifem.mesh import prolongation
 from trifem.problems import default_spec, run_problem
 
 
@@ -249,7 +250,135 @@ class TestOrdering:
         solver = DirichletSolver(sp.identity(3, format="csr"), [])
         # L's unit diagonal and U's diagonal
         assert (solver.ordering, solver.lu_fill) == ("COLAMD", 6)
-        for name in ("ordering", "lu_fill"):
+        assert (solver.method, solver.iterations, solver.residual) == ("lu", 0, None)
+        solver.solve(np.ones(3), [])
+        assert (solver.method, solver.iterations, solver.residual) == ("lu", 0, 0.0)
+        for name in ("ordering", "lu_fill", "method", "iterations", "residual"):
+            with pytest.raises(AttributeError):
+                setattr(solver, name, 0)
+
+
+def ladder_level(refinements, h0=0.5, selectors=("x==0",)):
+    """Level `refinements` of a refinement ladder of the unit square."""
+    mesh = square_mesh([0, 1, 0, 1], h0)
+    for _ in range(refinements):
+        mesh = uniform_refine(mesh)
+    return fe_mesh(mesh, selectors)
+
+
+def p1_problem(th, coefs, tests, trials, region=1):
+    """A P1 system, its load and Dirichlet data on one boundary region."""
+    kk = assemble_system(th, var_form(coefs, tests, trials), ["P1"], 3)
+    ff = assemble_system(th, var_form(lambda p: np.cos(3 * p[:, 0]) + p[:, 1],
+                                      "v.val"), ["P1"], 3)
+    spec = DirichletSpec((region,), (lambda p: np.sin(p[:, 0] + 2 * p[:, 1]),))
+    return kk, ff, spec
+
+
+@pytest.fixture
+def mg_solvers(monkeypatch):
+    """Every MultigridSolver apply_dirichlet_and_solve builds, in order."""
+    made = []
+
+    class Recorded(trifem.system.MultigridSolver):
+        def __init__(self, A, fixed, prolongations):
+            super().__init__(A, fixed, prolongations)
+            made.append(self)
+
+    monkeypatch.setattr(trifem.system, "MultigridSolver", Recorded)
+    return made
+
+
+def lu_solution(th, kk, ff, spec):
+    fixed, values = dirichlet_dofs(th, kk, spec)
+    return DirichletSolver(kk.matrix(), fixed).solve(ff, values)
+
+
+class TestMultigrid:
+    def test_matches_lu_in_iterations_that_do_not_grow(self, mg_solvers):
+        iterations = []
+        for level in (5, 6):
+            th = ladder_level(level)
+            kk, ff, spec = p1_problem(th, [1, 1], ["v.grad", "v.val"],
+                                      ["u.grad", "u.val"])
+            x = apply_dirichlet_and_solve(th, kk, ff, spec)
+            solver = mg_solvers[-1]
+            assert solver.method == "mg-pcg"
+            assert solver.residual <= 1e-12
+            # the root level's factor only: 2 free dofs at h = 1/2
+            assert 0 < solver.lu_fill < 10
+            lu = lu_solution(th, kk, ff, spec)
+            assert np.abs(x - lu).max() <= 1e-10 * np.abs(lu).max()
+            iterations.append(solver.iterations)
+        assert max(iterations) <= 20
+        assert iterations[1] - iterations[0] <= 2
+
+    def test_small_blocks_and_non_p1_systems_keep_lu(self, mg_solvers, solvers):
+        # 992 free dofs at refine 4, under the threshold; P2 at refine 5
+        for level, space in ((4, "P1"), (5, "P2")):
+            th = ladder_level(level)
+            kk, ff = poisson_system(th, space)
+            apply_dirichlet_and_solve(th, kk, ff, DirichletSpec(
+                (1,), (lambda p: np.zeros(len(p)),)))
+        assert mg_solvers == []
+        assert [s.method for s in solvers] == ["lu", "lu"]
+
+    def test_non_symmetric_form_takes_lu(self, mg_solvers):
+        th = ladder_level(5)
+        kk, ff, spec = p1_problem(th, [1, 1], ["v.grad", "v.val"],
+                                  ["u.grad", "u.dx"])
+        x = apply_dirichlet_and_solve(th, kk, ff, spec)
+        assert (mg_solvers[-1].method, mg_solvers[-1].ordering) == ("lu", "COLAMD")
+        assert np.array_equal(x, lu_solution(th, kk, ff, spec))
+
+    @pytest.mark.parametrize("k2", [25.0, 1000.0])
+    def test_indefinite_form_falls_back_to_lu(self, mg_solvers, k2):
+        # grad.grad - k2 mass: the smallest eigenvalue of -lap on this
+        # mixed problem is pi^2 / 4 + pi^2 = 12.3, so both are indefinite.
+        # At k2 = 25 every Galerkin level keeps a positive diagonal and
+        # CG breaks down; at 1000 the coarse diagonals turn negative and
+        # the solver factorizes at once.
+        th = ladder_level(5)
+        kk, ff, spec = p1_problem(th, [1, -k2], ["v.grad", "v.val"],
+                                  ["u.grad", "u.val"])
+        assert np.all(kk.matrix().diagonal() > 0)
+        x = apply_dirichlet_and_solve(th, kk, ff, spec)
+        assert mg_solvers[-1].method == "lu"
+        assert np.array_equal(x, lu_solution(th, kk, ff, spec))
+
+    def test_cg_that_misses_the_gate_falls_back_on_that_solve(self):
+        th = ladder_level(5)
+        kk, ff, spec = p1_problem(th, [1, -25.0], ["v.grad", "v.val"],
+                                  ["u.grad", "u.val"])
+        fixed, values = dirichlet_dofs(th, kk, spec)
+        ladder, mesh = [], th.mesh
+        while mesh.parent is not None:
+            ladder.append(prolongation(mesh))
+            mesh = mesh.parent
+        solver = trifem.system.MultigridSolver(kk.matrix(), fixed, ladder)
+        assert solver.method == "mg-pcg"
+        x = solver.solve(ff, values)
+        assert solver.method == "lu" and solver.residual <= 1e-8
+        assert np.array_equal(x, lu_solution(th, kk, ff, spec))
+
+    def test_root_level_without_free_dofs(self, mg_solvers):
+        # the 2-triangle root mesh has only boundary nodes, all fixed
+        th = ladder_level(6, h0=1.0, selectors=())
+        kk, ff, spec = p1_problem(th, 1, "v.grad", "u.grad", region=0)
+        x = apply_dirichlet_and_solve(th, kk, ff, spec)
+        solver = mg_solvers[-1]
+        assert solver.method == "mg-pcg" and solver.iterations <= 20
+        # refine 1 is the root: its one interior node, a 1 x 1 factor
+        assert solver.lu_fill == 2
+        lu = lu_solution(th, kk, ff, spec)
+        assert np.abs(x - lu).max() <= 1e-10 * np.abs(lu).max()
+
+    def test_stats_are_read_only(self, mg_solvers):
+        th = ladder_level(5)
+        apply_dirichlet_and_solve(th, *p1_problem(th, 1, "v.grad", "u.grad"))
+        solver = mg_solvers[-1]
+        assert (solver.method, solver.ordering) == ("mg-pcg", "COLAMD")
+        for name in ("ordering", "lu_fill", "method", "iterations", "residual"):
             with pytest.raises(AttributeError):
                 setattr(solver, name, 0)
 
