@@ -46,7 +46,7 @@ __all__ = ["SparseTriples", "AssembledSystem", "assemble_scalar_2d",
            "load_operator", "system_from_blocks"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseTriples:
     """Sparse index (ii, jj, ss); duplicate positions sum on compression."""
 

@@ -55,7 +55,8 @@ def build_parser():
                      help="(stokes, ns-newton) viscosity")
     run.add_argument("--max-iter", type=int, default=None, help="(ns-newton) cap")
     run.add_argument("--tol", type=float, default=None,
-                     help="(ns-newton) relative increment stopping tolerance")
+                     help="(ns-newton) stop when max(|du1|, |du2|, |dp - mean(dp)|) "
+                          "< tol * max(1, max|U|)")
 
     mesh = sub.add_parser("mesh", help="build a structured mesh and report/emit it")
     mesh.add_argument("--square", default="0,1,0,1")

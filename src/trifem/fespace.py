@@ -72,7 +72,7 @@ def fe_space(name):
                          "(expected 'P1', 'P2' or 'P3')") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DofMap:
     """Per-element global dof indices, dof total, and dof coordinates."""
 
@@ -81,7 +81,7 @@ class DofMap:
     dof_point: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeFunction:
     """A finite element function given by its dof vector and space.
 

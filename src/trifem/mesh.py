@@ -30,7 +30,7 @@ __all__ = ["Mesh2d", "MeshTopology", "BoundaryRegion", "BoundaryPartition",
            "fe_mesh"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh2d:
     """Vertex coordinates (N, 2) and ccw triangle connectivity (NT, 3).
 
@@ -42,9 +42,8 @@ class Mesh2d:
 
     node: np.ndarray
     elem: np.ndarray
-    parent: "Mesh2d" = field(default=None, init=False, compare=False, repr=False)
-    parent_edge: np.ndarray = field(default=None, init=False, compare=False,
-                                    repr=False)
+    parent: "Mesh2d" = field(default=None, init=False, repr=False)
+    parent_edge: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         node = np.ascontiguousarray(np.asarray(self.node, dtype=float))
@@ -80,7 +79,7 @@ def signed_area(node, elem):
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeshTopology:
     """Derived edge/adjacency data of a mesh.
 
@@ -105,7 +104,7 @@ class MeshTopology:
         return len(self.edge)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryRegion:
     """One boundary part: oriented edges, their global edge indices, and
     the endpoint vertex indices."""
@@ -115,7 +114,7 @@ class BoundaryRegion:
     node_idx: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryPartition:
     """Ordered boundary regions plus the selector strings that made them.
 

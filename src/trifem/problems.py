@@ -740,10 +740,10 @@ class NewtonResult:
     increment_norms: list
     iterations: int
     converged: bool
-    stop_reason: str     # "tolerance", "stagnation" or "max_iter"
+    stop_reason: str     # "tolerance" or "max_iter"
 
 
-def _ns_jacobian_form(th, spec, coefs, order):
+def _ns_jacobian_form(spec, coefs):
     """The linearized form at the current iterate: the eight convection
     entries in the increments (du1, du2, dp), then the Stokes form; both
     standardize their trial symbols to u1, u2, u3.  This entry order
@@ -789,8 +789,11 @@ def run_ns_newton(spec, th=None, initial=None):
     Solves DF(delta) = F(current) and updates current -= delta; the
     increment carries the boundary mismatch of the current iterate, so
     increments are homogeneous on the boundary after the first step.
-    Converged: an increment below tol relative to max(1, max|U|), or
-    below sqrt(tol) relative but no longer halving (the noise floor).
+    The increment norm is max(|du1|, |du2|, |dp - mean(dp)|): the eps
+    penalty leaves the constant pressure mode an eigenvalue near eps,
+    so the pressure mean of delta is solver noise amplified by about
+    1/eps and is left out (delta is still applied whole).  Converged:
+    that norm below tol relative to max(1, max|U|).
     """
     data, order = spec.data, spec.order
     if th is None:
@@ -823,8 +826,7 @@ def run_ns_newton(spec, th=None, initial=None):
                  coef_matrix_from_dofs(uh1, "val", th, "P2", order),
                  coef_matrix_from_dofs(uh2, "val", th, "P2", order),
                  coef_matrix_from_dofs(ph, "val", th, "P1", order))
-        kk = assemble_system(th, _ns_jacobian_form(th, spec, coefs, order),
-                             spaces, order)
+        kk = assemble_system(th, _ns_jacobian_form(spec, coefs), spaces, order)
         ff = _ns_residual_rhs(th, spec, coefs, f1c, f2c, spaces, order)
 
         if fixed is None:
@@ -836,14 +838,11 @@ def run_ns_newton(spec, th=None, initial=None):
         U = current - delta
         uh1, uh2, ph = _components(U, kk)
 
-        norm = float(np.abs(delta).max())
-        norms.append(norm)
-        rel = norm / max(1.0, float(np.abs(U).max()))
-        if rel < spec.tol:
+        du1, du2, dp = _components(delta, kk)
+        norms.append(float(max(np.abs(du1).max(), np.abs(du2).max(),
+                               np.abs(dp - dp.mean()).max())))
+        if norms[-1] < spec.tol * max(1.0, float(np.abs(U).max())):
             stop_reason = "tolerance"
-            break
-        if rel < np.sqrt(spec.tol) and len(norms) >= 2 and norm > 0.5 * norms[-2]:
-            stop_reason = "stagnation"
             break
         if len(norms) >= 3 and norms[-1] > 10 * norms[-2] > 100 * norms[-3]:
             raise RuntimeError(f"Newton iteration diverging after {it} steps: "

@@ -407,7 +407,7 @@ def _forms(th):
          ["P2"], poisson.order),
         (var_form(1, "v.grad", "u.grad"), ["P1"], 3),
         (stokes_form(stokes), spaces, stokes.order),
-        (_ns_jacobian_form(th, newton, coefs, newton.order), spaces, newton.order),
+        (_ns_jacobian_form(newton, coefs), spaces, newton.order),
     ]
 
 

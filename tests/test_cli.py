@@ -97,7 +97,7 @@ class TestRunCommand:
 
     def test_ns_newton_reports_increments(self, capsys):
         code = main(["run", "--problem", "ns-newton", "--refine", "1",
-                     "--max-iter", "4"])
+                     "--max-iter", "3"])
         assert code == 0
         out = capsys.readouterr().out
         assert "Newton iterations" in out

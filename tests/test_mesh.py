@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from trifem import (Mesh2d, build_topology, classify_boundary, fe_mesh,
-                    square_mesh, uniform_refine)
+from trifem import (FeFunction, Mesh2d, SparseTriples, build_dof_map,
+                    build_topology, classify_boundary, fe_mesh, square_mesh,
+                    uniform_refine)
 
 
 def unit_triangle():
@@ -243,3 +244,30 @@ class TestFeMesh:
     def test_dof_map_cache(self):
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
         assert th.dof_map("P2") is th.dof_map("P2")
+
+
+def _unit_square():
+    return square_mesh([0, 1, 0, 1], 0.5)
+
+
+ARRAY_RECORDS = {
+    "Mesh2d": _unit_square,
+    "MeshTopology": lambda: build_topology(_unit_square()),
+    "BoundaryPartition": lambda: classify_boundary(
+        _unit_square(), build_topology(_unit_square()), ["x==0"]),
+    "BoundaryRegion": lambda: classify_boundary(
+        _unit_square(), build_topology(_unit_square()))[0],
+    "DofMap": lambda: build_dof_map(_unit_square(), build_topology(_unit_square()),
+                                    "P2"),
+    "FeFunction": lambda: FeFunction(np.arange(9.0), "P1"),
+    "SparseTriples": lambda: SparseTriples(np.array([0, 1]), np.array([1, 0]),
+                                           np.array([2.0, 3.0]), 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_array_records_compare_and_hash_by_identity(name):
+    a, b = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+    assert type(a).__name__ == name
+    assert (a == b) is False and a == a
+    assert hash(a) == hash(a)

@@ -465,7 +465,24 @@ class TestNewtonDriver:
         res, _ = run_ns_newton(default_spec("ns-newton", refinements=refinements))
         assert res.converged
         assert res.iterations <= 8
-        assert res.stop_reason in ("tolerance", "stagnation")
+        assert res.stop_reason == "tolerance"
+
+    @pytest.mark.parametrize("refinements", [1, 2, 3, 4])
+    def test_stops_on_tolerance_within_four_iterates(self, refinements):
+        res, _ = run_ns_newton(default_spec("ns-newton", refinements=refinements))
+        assert (res.stop_reason, res.converged) == ("tolerance", True)
+        assert res.iterations <= 4
+
+    @pytest.mark.parametrize("refinements", [1, 2, 3])
+    def test_increments_in_the_basin_contract_superlinearly(self, refinements):
+        # no noise floor: the increment leaves out the pressure mean, the
+        # mode the eps penalty barely pins
+        res, _ = run_ns_newton(default_spec("ns-newton", refinements=refinements))
+        norms = res.increment_norms
+        assert any(a < 1.0 for a in norms[:-1])
+        for a, b in zip(norms, norms[1:]):
+            if a < 1.0:
+                assert b <= a**1.5
 
     def test_iteration_cap_is_not_convergence(self):
         res, _ = run_ns_newton(default_spec("ns-newton", max_iter=2))
@@ -519,9 +536,8 @@ class TestNewtonDriver:
         # coefficients with val*val products
         from trifem.problems import _ns_jacobian_form
         spec = default_spec("ns-newton")
-        th = refined_th(levels=1)
         mats = [np.full((32, 1), float(k)) for k in range(7)]
-        form = _ns_jacobian_form(th, spec, mats, spec.order)
+        form = _ns_jacobian_form(spec, mats)
         first4 = form.entries[:4]
         assert [str(e.test) for e in first4] == ["v1.val", "v1.val",
                                                  "v2.val", "v2.val"]
