@@ -106,7 +106,7 @@ def validate(args):
         overrides["h0"] = args.h
     try:
         return default_spec(args.problem, **overrides)
-    except ValueError as exc:     # a field the problem's runner does not read
+    except ValueError as exc:     # a field the runner does not read, or out of range
         raise UsageError(str(exc)) from None
 
 

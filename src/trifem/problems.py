@@ -334,6 +334,14 @@ _FIXED_BECAUSE = {
 }
 # the fields that only a generated mesh reads
 _GENERATED_MESH = ("refinements", "bbox", "h0")
+# the time and Newton controls: what a valid value is, and its test
+_CONTROLS = {
+    "dt": ("None or a finite number > 0", lambda v: v is None or 0 < v < np.inf),
+    "t_end": ("a finite number > 0", lambda v: 0 < v < np.inf),
+    "tol": ("a finite number > 0", lambda v: 0 < v < np.inf),
+    "max_iter": ("an integer >= 1",
+                 lambda v: isinstance(v, (int, np.integer)) and v >= 1),
+}
 
 
 def _row(problem):
@@ -348,8 +356,9 @@ def default_spec(problem, **overrides):
     row in the problem table; overrides that are None are ignored.
 
     Raises ValueError for an unknown problem or field name, for a change
-    to a field the problem's runner does not read, and for a mesh_path
-    together with a field that only a generated mesh reads.
+    to a field the problem's runner does not read, for a mesh_path
+    together with a field that only a generated mesh reads, and for a
+    time step, end time, Newton tolerance or iterate cap out of range.
     """
     row = _row(problem)
     spec = ProblemSpec(problem=problem, **row.defaults)
@@ -363,6 +372,9 @@ def default_spec(problem, **overrides):
             raise ValueError(f"{problem} fixes {name} = {getattr(spec, name)!r}: "
                              f"{why}")
         setattr(spec, name, value)
+    for name, (valid, ok) in _CONTROLS.items():
+        if not ok(getattr(spec, name)):
+            raise ValueError(f"{name} must be {valid}, got {getattr(spec, name)!r}")
     if spec.mesh_path is not None:
         ignored = [n for n in _GENERATED_MESH if overrides.get(n) is not None]
         if ignored:
@@ -744,11 +756,16 @@ class NewtonResult:
 
 
 def _ns_jacobian_form(spec, coefs):
-    """The linearized form at the current iterate: the eight convection
-    entries in the increments (du1, du2, dp), then the Stokes form; both
+    """DF(U), the form linearized at the iterate U = (u1, u2, p) whose
+    velocity coefficients are coefs: the eight convection entries in
+    the increments (du1, du2, dp), then the Stokes form; both
     standardize their trial symbols to u1, u2, u3.  This entry order
-    keeps each block's accumulation order, and so its rounding."""
-    u1xc, u1yc, u2xc, u2yc, u1c, u2c, pc = coefs
+    keeps each block's accumulation order, and so its rounding.
+
+    DF(U) applied to U itself doubles the convection and repeats every
+    other term, so the residual is F(U) = DF(U) U - load((u.grad)u + f).
+    """
+    u1xc, u1yc, u2xc, u2yc, u1c, u2c = coefs
     increments = ["du1", "du2", "dp"]
     convection = standardize_symbols(["v1", "v2", "q"], increments, var_form(
         [u1xc, u1yc, u2xc, u2yc, u1c, u2c, u1c, u2c],
@@ -759,39 +776,17 @@ def _ns_jacobian_form(spec, coefs):
     return VarForm(entries=convection.entries + stokes_form(spec).entries)
 
 
-def _ns_residual_rhs(th, spec, coefs, f1c, f2c, spaces, order):
-    """Residual of the penalized steady system as a linear form."""
-    nu, eps = spec.nu, spec.eps
-    u1xc, u1yc, u2xc, u2yc, u1c, u2c, pc = coefs
-    conv1 = u1c * u1xc + u2c * u1yc
-    conv2 = u1c * u2xc + u2c * u2yc
-    neg_f1 = lambda p: -f1c(p)
-    neg_f2 = lambda p: -f2c(p)
-    form = var_form(
-        [conv1, conv2,
-         nu * u1xc, nu * u1yc, nu * u2xc, nu * u2yc,
-         -pc, -pc,
-         -(u1xc + u2yc),
-         -eps * pc,
-         neg_f1, neg_f2],
-        ["v1.val", "v2.val",
-         "v1.dx", "v1.dy", "v2.dx", "v2.dy",
-         "v1.dx", "v2.dy",
-         "v3.val",
-         "v3.val",
-         "v1.val", "v2.val"])
-    return assemble_system(th, form, spaces, order)
-
-
 def run_ns_newton(spec, th=None, initial=None):
     """Newton iteration for the steady Navier-Stokes equations.
 
-    Solves DF(delta) = F(current) and updates current -= delta; the
-    increment carries the boundary mismatch of the current iterate, so
-    increments are homogeneous on the boundary after the first step.
-    The increment norm is max(|du1|, |du2|, |dp - mean(dp)|): the eps
-    penalty leaves the constant pressure mode an eigenvalue near eps,
-    so the pressure mean of delta is solver noise amplified by about
+    Solves DF(U) delta = F(U) and updates U -= delta, with the residual
+    F(U) = DF(U) U - load((u.grad)u + f): the Jacobian already assembled,
+    applied to the iterate, less one 2-entry load; f is evaluated once
+    per run.  The increment carries the boundary mismatch of the current
+    iterate, so increments are homogeneous on the boundary after the
+    first step.  The increment norm is max(|du1|, |du2|, |dp - mean(dp)|):
+    the eps penalty leaves the constant pressure mode an eigenvalue near
+    eps, so the pressure mean of delta is solver noise amplified by about
     1/eps and is left out (delta is still applied whole).  Converged:
     that norm below tol relative to max(1, max|U|).
     """
@@ -813,27 +808,28 @@ def run_ns_newton(spec, th=None, initial=None):
     else:
         uh1, uh2, ph = (np.array(v, dtype=float) for v in initial)
 
-    f1c, f2c = _split(data.f, 2)
+    fvals = Cells(th, order).values(data.f, 2)
 
     norms = []
     fixed = None
     stop_reason = "max_iter"
     for it in range(1, spec.max_iter + 1):
-        coefs = (coef_matrix_from_dofs(uh1, "dx", th, "P2", order),
-                 coef_matrix_from_dofs(uh1, "dy", th, "P2", order),
-                 coef_matrix_from_dofs(uh2, "dx", th, "P2", order),
-                 coef_matrix_from_dofs(uh2, "dy", th, "P2", order),
-                 coef_matrix_from_dofs(uh1, "val", th, "P2", order),
-                 coef_matrix_from_dofs(uh2, "val", th, "P2", order),
-                 coef_matrix_from_dofs(ph, "val", th, "P1", order))
+        coefs = tuple(coef_matrix_from_dofs(dofs, tag, th, "P2", order)
+                      for dofs, tag in ((uh1, "dx"), (uh1, "dy"), (uh2, "dx"),
+                                        (uh2, "dy"), (uh1, "val"), (uh2, "val")))
+        u1xc, u1yc, u2xc, u2yc, u1c, u2c = coefs
         kk = assemble_system(th, _ns_jacobian_form(spec, coefs), spaces, order)
-        ff = _ns_residual_rhs(th, spec, coefs, f1c, f2c, spaces, order)
+        load = assemble_system(th, var_form(
+            [u1c * u1xc + u2c * u1yc + fvals[..., 0],
+             u1c * u2xc + u2c * u2yc + fvals[..., 1]],
+            ["v1.val", "v2.val"]), spaces, order)
+        current = np.concatenate([uh1, uh2, ph])
+        ff = kk.matrix() @ current - load
 
         if fixed is None:
             fixed, g = dirichlet_dofs(th, kk, dirichlet)
         # delta = current - next, so its boundary data is the current
         # boundary mismatch (zero from the second iterate on)
-        current = np.concatenate([uh1, uh2, ph])
         delta = DirichletSolver(kk.matrix(), fixed).solve(ff, current[fixed] - g)
         U = current - delta
         uh1, uh2, ph = _components(U, kk)

@@ -395,12 +395,10 @@ def _forms(th):
     spaces = _taylor_hood(newton.data)[0]
     u1 = interpolate_nodal(lambda p: np.sin(3 * p[:, 0]) * p[:, 1], th, "P2")
     u2 = interpolate_nodal(lambda p: p[:, 0] ** 2 - p[:, 1], th, "P2")
-    pp = interpolate_nodal(lambda p: np.cos(p[:, 0] + p[:, 1]), th, "P1")
     coefs = tuple(coef_matrix_from_dofs(d, tag, th, space, newton.order)
                   for d, tag, space in ((u1, "dx", "P2"), (u1, "dy", "P2"),
                                         (u2, "dx", "P2"), (u2, "dy", "P2"),
-                                        (u1, "val", "P2"), (u2, "val", "P2"),
-                                        (pp, "val", "P1")))
+                                        (u1, "val", "P2"), (u2, "val", "P2")))
     data = poisson.data
     return [
         (var_form([data.a, data.c], ["v.grad", "v.val"], ["u.grad", "u.val"]),

@@ -135,6 +135,10 @@ class TestRunCommand:
         assert main(["run", "--problem", "stokes", "--dt", "0.1"]) == 2
         assert "stokes fixes dt" in capsys.readouterr().err
 
+    def test_a_negative_time_step_is_a_usage_error(self, capsys):
+        assert main(["run", "--problem", "heat", "--dt", "-0.1"]) == 2
+        assert "dt must be" in capsys.readouterr().err
+
     def test_mesh_with_refine_is_a_usage_error(self, capsys):
         assert main(["run", "--problem", "ns-newton", "--mesh", "m.msh",
                      "--refine", "2"]) == 2

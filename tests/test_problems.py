@@ -2,14 +2,15 @@
 points, Newton behavior.  Full convergence ladders live in the
 acceptance suite."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 import trifem.problems
-from trifem import (FeFunction, error_L2, fe_mesh, interpolate_nodal,
+from trifem import (FeFunction, assemble_system, coef_matrix_from_dofs,
+                    dirichlet_dofs, error_L2, fe_mesh, interpolate_nodal,
                     square_mesh, uniform_refine, var_form)
 from trifem.problems import (PROBLEM_IDS, HeatData, NewtonResult,
                              PoissonData, ProblemSpec, default_spec,
@@ -102,6 +103,19 @@ class TestProblemTable:
         spec = default_spec(problem, refinements=1)
         run_problem(Recording(**{f: getattr(spec, f) for f in FIELDS}))
         assert read - {"problem"} == set(trifem.problems._PROBLEMS[problem].reads)
+
+    @pytest.mark.parametrize("problem, field, value", [
+        ("heat", "dt", -0.1), ("heat", "dt", 0.0), ("heat", "dt", float("inf")),
+        ("heat", "t_end", -1.0), ("heat", "t_end", 0.0),
+        ("heat", "t_end", float("nan")),
+        ("ns-newton", "tol", 0.0), ("ns-newton", "tol", -1e-8),
+        ("ns-newton", "tol", float("nan")),
+        ("ns-newton", "max_iter", 0), ("ns-newton", "max_iter", -3),
+        ("ns-newton", "max_iter", 2.5)])
+    def test_a_control_out_of_range_is_a_named_error(self, problem, field, value):
+        # each used to run to a wrong number, or to die far from the cause
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            default_spec(problem, **{field: value})
 
     def test_fixed_field_may_be_restated(self):
         spec = default_spec("stokes", degree=2, selectors=(), mesh_path=None)
@@ -459,7 +473,75 @@ class TestLadder:
         assert list(report.h) == [0.25, 0.125]
 
 
+def written_out_ns_residual(th, spec, iterate, spaces):
+    """Reference: the residual F(U) of the penalized steady system at
+    U = (u1, u2, p), every term of the form written out as one entry of a
+    linear form."""
+    nu, eps, order = spec.nu, spec.eps, spec.order
+    u1, u2, p = iterate
+    u1xc, u1yc, u2xc, u2yc, u1c, u2c, pc = (
+        coef_matrix_from_dofs(dofs, tag, th, space, order)
+        for dofs, tag, space in ((u1, "dx", "P2"), (u1, "dy", "P2"),
+                                 (u2, "dx", "P2"), (u2, "dy", "P2"),
+                                 (u1, "val", "P2"), (u2, "val", "P2"),
+                                 (p, "val", "P1")))
+    form = var_form(
+        [u1c * u1xc + u2c * u1yc, u1c * u2xc + u2c * u2yc,
+         nu * u1xc, nu * u1yc, nu * u2xc, nu * u2yc,
+         -pc, -pc,
+         -(u1xc + u2yc),
+         -eps * pc,
+         lambda x: -spec.data.f(x)[:, 0], lambda x: -spec.data.f(x)[:, 1]],
+        ["v1.val", "v2.val",
+         "v1.dx", "v1.dy", "v2.dx", "v2.dy",
+         "v1.dx", "v2.dy",
+         "v3.val",
+         "v3.val",
+         "v1.val", "v2.val"])
+    return assemble_system(th, form, spaces, order)
+
+
 class TestNewtonDriver:
+    @pytest.mark.parametrize("refinements", [1, 3])
+    def test_first_step_solves_the_jacobian_against_the_residual(self, refinements):
+        # from a smooth iterate that is no solution, one Newton step
+        # solves DF(U) delta = F(U) on the free dofs, with F(U) the
+        # residual as Newton computes it, DF(U) U - load((u.grad)u + f)
+        from trifem.problems import _ns_jacobian_form, _taylor_hood
+        th = refined_th(levels=refinements)
+        spec = default_spec("ns-newton", max_iter=1)
+        spaces, dirichlet = _taylor_hood(spec.data)
+        iterate = (
+            interpolate_nodal(lambda p: np.sin(3 * p[:, 0]) * p[:, 1], th, "P2"),
+            interpolate_nodal(lambda p: p[:, 0] ** 2 - p[:, 1], th, "P2"),
+            interpolate_nodal(lambda p: np.cos(p[:, 0] + p[:, 1]), th, "P1"))
+        res, _ = run_ns_newton(spec, th=th, initial=iterate)
+        delta = np.concatenate(iterate) - np.concatenate([res.u1, res.u2, res.p])
+
+        u1, u2 = iterate[:2]
+        coefs = [coef_matrix_from_dofs(dofs, tag, th, "P2", spec.order)
+                 for dofs, tag in ((u1, "dx"), (u1, "dy"), (u2, "dx"),
+                                   (u2, "dy"), (u1, "val"), (u2, "val"))]
+        kk = assemble_system(th, _ns_jacobian_form(spec, coefs), spaces, spec.order)
+        free = np.setdiff1d(np.arange(kk.num_dofs), dirichlet_dofs(th, kk, dirichlet)[0])
+        want = written_out_ns_residual(th, spec, iterate, spaces)
+        got = kk.matrix() @ delta
+        assert np.abs(got[free] - want[free]).max() <= 1e-12 * np.abs(want).max()
+
+    def test_the_forcing_is_evaluated_once_per_run(self):
+        calls = []
+        spec = default_spec("ns-newton")
+        f = spec.data.f
+
+        def counted(p):
+            calls.append(len(p))
+            return f(p)
+
+        spec.data = replace(spec.data, f=counted)
+        res, _ = run_ns_newton(spec)
+        assert res.iterations > 1
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("refinements", [1, 3])
     def test_converges_within_eight_iterates(self, refinements):
         res, _ = run_ns_newton(default_spec("ns-newton", refinements=refinements))
@@ -536,7 +618,7 @@ class TestNewtonDriver:
         # coefficients with val*val products
         from trifem.problems import _ns_jacobian_form
         spec = default_spec("ns-newton")
-        mats = [np.full((32, 1), float(k)) for k in range(7)]
+        mats = [np.full((32, 1), float(k)) for k in range(6)]
         form = _ns_jacobian_form(spec, mats)
         first4 = form.entries[:4]
         assert [str(e.test) for e in first4] == ["v1.val", "v1.val",
