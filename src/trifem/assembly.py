@@ -6,7 +6,8 @@ accumulates, over the elementary entries of a form,
     K[e, i, j] += |K_e| * sum_p w_p * cc[e, p] * vi[e, p] * uj[e, p]
 
 for a bilinear form, and the same contraction without the trial table,
-F[e, i], for a linear one; one einsum covers all elements at once.  The
+F[e, i], for a linear one; one einsum covers all elements at once, on
+a contraction path planned once per subscripts and operand shapes.  The
 local arrays scatter through the dof maps into a load vector (bincount)
 or into (ii, jj, ss) index triples.  The cells of an integral (every
 triangle, or the edges of one boundary region) are one
@@ -163,9 +164,23 @@ def _local_kernel(cells, entries, spaces):
         tables = [tabulate_basis(side.terms[0].tag, cells.th, space, cells.order,
                                  cells.domain, cells.region)
                   for space, side in zip(spaces, (entry.test, entry.trial))]
-        blk = np.einsum(subscripts, cells.rule.weight, cc, *tables, optimize=True)
+        blk = _einsum(subscripts, cells.rule.weight, cc, *tables)
         local = blk if local is None else local + blk
     return local * cells.measure.reshape((-1,) + (1,) * len(spaces))
+
+
+# einsum's contraction path per (subscripts, operand shapes)
+_PATHS = {}
+
+
+def _einsum(subscripts, *operands):
+    """np.einsum on the path optimize=True plans, planned once per
+    subscripts and operand shapes."""
+    key = (subscripts,) + tuple(op.shape for op in operands)
+    path = _PATHS.get(key)
+    if path is None:
+        path = _PATHS[key] = np.einsum_path(subscripts, *operands, optimize=True)[0]
+    return np.einsum(subscripts, *operands, optimize=path)
 
 
 def load_operator(th, space, quad_order, domain="2d", region=None):

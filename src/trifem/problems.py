@@ -26,7 +26,7 @@ from .fespace import (Cells, coef_matrix_from_dofs, coef_matrix_on_edges,
                       outward_normals)
 from .io import read_freefem_msh
 from .mesh import fe_mesh, square_mesh, uniform_refine
-from .system import (DirichletSolver, DirichletSpec, RateReport,
+from .system import (DirichletSolver, DirichletSpec, RateReport, StokesSolver,
                      apply_dirichlet_and_solve, dirichlet_dofs, error_H1_semi,
                      error_L2)
 from .vform import VarForm, standardize_symbols, var_form
@@ -334,11 +334,14 @@ _FIXED_BECAUSE = {
 }
 # the fields that only a generated mesh reads
 _GENERATED_MESH = ("refinements", "bbox", "h0")
-# the time and Newton controls: what a valid value is, and its test
+# the time, Newton and Taylor-Hood controls: what a valid value is, and
+# its test
 _CONTROLS = {
     "dt": ("None or a finite number > 0", lambda v: v is None or 0 < v < np.inf),
     "t_end": ("a finite number > 0", lambda v: 0 < v < np.inf),
     "tol": ("a finite number > 0", lambda v: 0 < v < np.inf),
+    "nu": ("a finite number > 0", lambda v: 0 < v < np.inf),
+    "eps": ("a finite number > 0", lambda v: 0 < v < np.inf),
     "max_iter": ("an integer >= 1",
                  lambda v: isinstance(v, (int, np.integer)) and v >= 1),
 }
@@ -357,8 +360,9 @@ def default_spec(problem, **overrides):
 
     Raises ValueError for an unknown problem or field name, for a change
     to a field the problem's runner does not read, for a mesh_path
-    together with a field that only a generated mesh reads, and for a
-    time step, end time, Newton tolerance or iterate cap out of range.
+    together with a field that only a generated mesh reads, for a time
+    step, end time, Newton tolerance, iterate cap, viscosity or penalty
+    out of range, and for a time step that does not divide the end time.
     """
     row = _row(problem)
     spec = ProblemSpec(problem=problem, **row.defaults)
@@ -375,6 +379,8 @@ def default_spec(problem, **overrides):
     for name, (valid, ok) in _CONTROLS.items():
         if not ok(getattr(spec, name)):
             raise ValueError(f"{name} must be {valid}, got {getattr(spec, name)!r}")
+    if spec.dt is not None:
+        _fixed_steps(spec.dt, spec.t_end)
     if spec.mesh_path is not None:
         ignored = [n for n in _GENERATED_MESH if overrides.get(n) is not None]
         if ignored:
@@ -625,6 +631,14 @@ def run_biharmonic(spec, mode="vector"):
 # ---------------------------------------------------------------------------
 # Stokes (Taylor-Hood with penalty)
 
+# Free dofs above which a Stokes level takes StokesSolver.  Measured on
+# the Taylor-Hood ladder (elimination, factors and solve; 2 vCPU, BLAS on
+# one thread): MINRES tied LU at 9,027 free dofs (refine 4: 0.09-0.10 s
+# against 0.10 s) and won at 36,483 (refine 5: 0.36-0.51 s against
+# 0.79 s), and the whole refine-6 ladder took 2.9 s against 7.9 s.
+_MINRES_MIN_FREE = 10_000
+
+
 def _taylor_hood(data):
     """The P2-P2-P1 spaces and the velocity Dirichlet data on region 0,
     the whole boundary."""
@@ -642,13 +656,21 @@ def stokes_form(spec):
 
 
 def solve_stokes(th, spec):
+    """(u1, u2, p) of one level: above _MINRES_MIN_FREE free dofs by
+    block-preconditioned MINRES (StokesSolver), below by LU."""
     data, order = spec.data, spec.order
     spaces, dirichlet = _taylor_hood(data)
     kk = assemble_system(th, stokes_form(spec), spaces, order)
     ff = assemble_system(th, var_form(list(_split(data.f, 2)),
                                       ["v1.val", "v2.val"]), spaces, order)
-    U = apply_dirichlet_and_solve(th, kk, ff, dirichlet)
-    return _components(U, kk)
+    fixed, values = dirichlet_dofs(th, kk, dirichlet)
+    A, offsets = kk.matrix(), kk.offsets
+    del kk                      # its triples are not kept through the solve
+    if A.shape[0] - len(fixed) > _MINRES_MIN_FREE:
+        solver = StokesSolver(A, fixed, offsets, spec.nu, spec.eps)
+    else:
+        solver = DirichletSolver(A, fixed)
+    return tuple(np.split(solver.solve(ff, values), offsets[1:-1]))
 
 
 def run_stokes(spec):
@@ -723,14 +745,28 @@ def solve_heat(th, spec, dt, nsteps):
     return uh
 
 
+def _fixed_steps(dt, t_end):
+    """The number of steps of a fixed time step dt to t_end; ValueError
+    unless t_end / dt is a whole number to 1e-9 relative."""
+    ratio = t_end / dt
+    steps = round(ratio)
+    if steps < 1 or abs(ratio - steps) > 1e-9 * ratio:
+        raise ValueError(f"dt must divide t_end = {t_end!r} into whole steps, "
+                         f"got dt = {dt!r} (t_end / dt = {ratio:.6g})")
+    return steps
+
+
 def run_heat(spec):
-    """Convergence at final time; dt couples as h^(k+1) unless fixed."""
+    """Convergence at final time; dt couples as h^(k+1) unless fixed,
+    and then must divide t_end."""
     data, space, order = spec.data, spec.space, spec.order
     k = spec.degree
 
     def level(th, h):
-        target = spec.dt if spec.dt is not None else h**(k + 1)
-        nsteps = max(1, int(round(spec.t_end / target)))
+        if spec.dt is None:
+            nsteps = max(1, int(round(spec.t_end / h**(k + 1))))
+        else:
+            nsteps = _fixed_steps(spec.dt, spec.t_end)
         dt = spec.t_end / nsteps
         uh = solve_heat(th, spec, dt, nsteps)
         t = spec.t_end

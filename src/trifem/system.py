@@ -5,14 +5,15 @@ are assigned their boundary values exactly and the remaining free block
 
     A_ff x_f = b_f - A_fc x_c
 
-is solved by a direct sparse factorization (``DirichletSolver``) or, on
-a refinement ladder, by multigrid-preconditioned CG (``MultigridSolver``;
-see below).  SuperLU's ordering is chosen from the free block's
-structure.  A block with no zero on its diagonal and a stencil wider
-than P1's (more than 9 entries per row: P2/P3, elasticity, Taylor-Hood,
-the Newton Jacobian) is factorized in symmetric mode on a minimum-degree
-ordering of A + A^T, which cuts its fill by a quarter (elasticity P1)
-to two thirds (P3).  Every other block keeps COLAMD: on scalar P1 the
+is solved by a direct sparse factorization (``DirichletSolver``), on a
+refinement ladder by multigrid-preconditioned CG (``MultigridSolver``),
+or for a large Taylor-Hood Stokes block by block-preconditioned MINRES
+(``StokesSolver``; see below).  SuperLU's ordering is chosen from the
+free block's structure.  A block with no zero on its diagonal and a
+stencil wider than P1's (more than 9 entries per row: P2/P3,
+elasticity, Taylor-Hood, the Newton Jacobian) is factorized in
+symmetric mode on a minimum-degree ordering of A + A^T, which cuts its
+fill by a quarter (elasticity P1) to two thirds (P3).  Every other block keeps COLAMD: on scalar P1 the
 symmetric path factorizes about three times slower despite less fill,
 and on a zero-diagonal saddle block (the mixed biharmonic system) its
 pivoting fills several times more and runs up to a hundred times slower.
@@ -29,10 +30,33 @@ runs to a relative residual of 1e-13, and every solve passes the same
 1e-8 residual gate as the LU path; a CG that misses it, for instance on
 an indefinite form, falls back to LU.  At P1 refine 7 (65,280 free
 dofs) this takes 12 iterations and about a tenth of the factorization's
-time, without its 8.7M-entry fill.  Everything else factorizes: heat
-back-solves thousands of steps against one factor, Stokes and Newton
-are several components and not positive definite, and the biharmonic
-block has a zero diagonal.
+time, without its 8.7M-entry fill.
+
+``StokesSolver`` solves the penalized Taylor-Hood free block
+
+    [[K, 0, B1^T], [0, K, B2^T], [B1, B2, -eps M_p]]
+
+by MINRES, preconditioned by blockdiag(K^-1, K^-1, nu M_p^-1) (Elman,
+Silvester and Wathen, Finite Elements and Fast Iterative Solvers, 2nd
+ed., OUP 2014): one velocity component's block K, factorized once and
+back-solved for both components as one 2-column solve, and the P1
+pressure mass M_p = -A_pp / eps, read off the free block.  Both factors
+are small: at refine 5 they fill 1.41M entries where the whole block
+fills 7.32M.  The velocity is fixed on the whole boundary, so B^T e = 0
+for the constant pressure mode e, and e decouples: the penalty equation
+gives its amplitude, MINRES solves for the rest, and the pressure's
+e-part is set afterwards (the penalty gives e an eigenvalue near eps,
+so MINRES alone leaves it loose).  The path is taken only with eps > 0
+and nu > 0, for a symmetric block whose velocity components share one
+block and whose B^T e vanishes (each to 1e-12 of the largest entry).
+MINRES runs to rtol = 1e-14, which bounds a preconditioned residual
+estimate, so the 1e-8 gate is kept on the true residual; a solve that
+misses it falls back to LU.  ``problems.solve_stokes`` builds it
+above 10,000 free dofs: refine 5
+(36,483) takes 37 iterations and about half the time of LU, and refine 4
+(9,027) is a tie.  Everything else factorizes: heat back-solves
+thousands of steps against one factor, the Newton Jacobian is not
+symmetric, and the biharmonic block has a zero diagonal.
 
 Error norms integrate (u - u_h)^2 and |grad u - grad u_h|^2 by
 quadrature; convergence rates are least-squares slopes of log(err)
@@ -52,9 +76,10 @@ from .fespace import (Cells, _check_shape, _eval_pointfun, coef_matrix_from_dofs
                       fe_space, quad_points_2d, region_dofs)
 from .mesh import prolongation
 
-__all__ = ["DirichletSpec", "DirichletSolver", "MultigridSolver", "RateReport",
-           "apply_dirichlet_and_solve", "dirichlet_dofs", "solve_sparse",
-           "error_L2", "error_H1_semi", "fit_rate"]
+__all__ = ["DirichletSpec", "DirichletSolver", "MultigridSolver",
+           "StokesSolver", "RateReport", "apply_dirichlet_and_solve",
+           "dirichlet_dofs", "solve_sparse", "error_L2", "error_H1_semi",
+           "fit_rate"]
 
 # SuperLU's symmetric path: minimum degree on A + A^T, diagonal pivots
 # kept unless below 1e-3 of their column's largest entry
@@ -70,6 +95,8 @@ _MG_SWEEPS = 2          # damped Jacobi sweeps before and after the correction
 _MG_OMEGA = 0.8
 _CG_RTOL = 1e-13
 _CG_MAX_ITER = 50       # 12 iterations at P1 refine 5, 6 and 7
+_MINRES_RTOL = 1e-14
+_MINRES_MAX_ITER = 100  # 37 iterations at Taylor-Hood refine 5, 35 at refine 6
 
 
 @dataclass(frozen=True)
@@ -163,18 +190,16 @@ class DirichletSolver:
     def _factor(self):
         """Factorize A_ff with the ordering its structure picks."""
         self._A_ff = self._A_ff.tocsc()
-        n_free = len(self.free)
-        symmetric = (self._A_ff.nnz > 9 * n_free
-                     and np.all(self._A_ff.diagonal() != 0))
         self._method = "lu"
-        self._ordering = "MMD_AT_PLUS_A" if symmetric else "COLAMD"
-        self._lu = _splu(self._A_ff, **(_SYMMETRIC if symmetric else {})) \
-            if n_free else None
+        self._ordering, self._lu = (_structured_splu(self._A_ff) if len(self.free)
+                                    else ("COLAMD", None))
 
     @property
     def ordering(self):
         """SuperLU's column ordering, chosen from the free block's
-        structure (see the module docstring): "MMD_AT_PLUS_A" or "COLAMD"."""
+        structure (see the module docstring): "MMD_AT_PLUS_A" or "COLAMD";
+        under MINRES the velocity block's and the pressure mass's, joined
+        by "/"."""
         return self._ordering
 
     @property
@@ -342,10 +367,130 @@ def _hierarchy(A, free, prolongations):
     return levels, A
 
 
+class StokesSolver(DirichletSolver):
+    """DirichletSolver for a penalized Taylor-Hood Stokes block by MINRES,
+    preconditioned by blockdiag(K^-1, K^-1, nu M_p^-1) (see the module
+    docstring).
+
+    ``offsets`` are the system's component offsets (velocity, velocity,
+    pressure), ``nu`` the viscosity and ``eps`` the pressure penalty.  A
+    free block without the penalized Stokes structure is factorized as
+    DirichletSolver does; so is one whose MINRES misses the residual
+    gate, on its first such solve and from then on."""
+
+    def __init__(self, A, fixed, offsets, nu, eps):
+        self._eliminate(A, fixed)
+        blocks = (_stokes_blocks(self._A_ff, self.free, offsets)
+                  if 0 < nu < np.inf and 0 < eps < np.inf else None)
+        if blocks is None:
+            self._factor()
+            return
+        K, A_pp = blocks
+        self._method, self._nu = "minres", nu
+        self._n_u = 2 * K.shape[0]
+        ordering_K, self._K = _structured_splu(K.tocsc())
+        ordering_M, self._M = _structured_splu((A_pp * (-1.0 / eps)).tocsc())
+        self._ordering = f"{ordering_K}/{ordering_M}"
+        # the constant pressure mode e: A_pp e and e^T A_pp e
+        self._App_e = A_pp.sum(axis=1).A1
+        self._e_App_e = self._App_e.sum()
+
+    @property
+    def lu_fill(self):
+        """L.nnz + U.nnz of the factorization; for "minres", of the
+        velocity block's and the pressure mass's factors together.
+        Counted when read (see DirichletSolver.lu_fill)."""
+        if self._method != "minres":
+            return super().lu_fill
+        return sum(int(lu.L.nnz + lu.U.nnz) for lu in (self._K, self._M))
+
+    def _solve_free(self, b):
+        if self._method == "minres":
+            with np.errstate(all="ignore"):
+                xf, iterations, residual = self._minres(b)
+            if _passes(residual):
+                return xf, iterations, residual
+            self._K = self._M = None            # LU from here on
+            self._factor()
+        return super()._solve_free(b)
+
+    def _minres(self, b):
+        """(x_f, iterations, relative residual) of MINRES to _MINRES_RTOL.
+
+        The constant pressure mode e decouples (B^T e = 0): the penalty
+        equation sets its amplitude c = e^T g / e^T A_pp e, g being the
+        pressure part of b; MINRES solves with c A_pp e taken off g, and
+        its pressure's e-part, A_pp-orthogonally, is replaced by c."""
+        A, n_u = self._A_ff, self._n_u
+        App_e, e_App_e = self._App_e, self._e_App_e
+        c = b[n_u:].sum() / e_App_e
+        rhs = b.copy()
+        rhs[n_u:] -= c * App_e
+        iterations = 0
+
+        def count(xk):
+            nonlocal iterations
+            iterations += 1
+
+        precondition = spla.LinearOperator(A.shape, matvec=self._precondition,
+                                           dtype=float)
+        try:
+            x, _ = spla.minres(A, rhs, rtol=_MINRES_RTOL, maxiter=_MINRES_MAX_ITER,
+                               M=precondition, callback=count)
+        except ValueError:              # a preconditioner that is not positive
+            return np.zeros_like(b), iterations, np.inf
+        x[n_u:] += c - (App_e @ x[n_u:]) / e_App_e
+        return x, iterations, np.linalg.norm(b - A @ x) / max(np.linalg.norm(b), 1.0)
+
+    def _precondition(self, r):
+        """blockdiag(K^-1, K^-1, nu M_p^-1) r, both velocity components
+        by one 2-column back-solve."""
+        n_u = self._n_u
+        z = np.empty_like(r)
+        z[:n_u] = self._K.solve(r[:n_u].reshape(2, -1).T).T.ravel()
+        z[n_u:] = self._nu * self._M.solve(r[n_u:])
+        return z
+
+
+def _stokes_blocks(A, free, offsets):
+    """(K, A_pp): the first velocity component's block and the pressure
+    block of a free block A (CSR) ordered (velocity, velocity, pressure)
+    by ``offsets``; None unless both velocity components have the same
+    block, A is symmetric, the constant pressure mode e is decoupled
+    (B^T e = 0) and A_pp has a negative diagonal.  Each comparison is to
+    1e-12 of its largest entry."""
+    if len(offsets) != 4:
+        return None
+    n_u1, n_u = np.searchsorted(free, offsets[1:3])
+    n = A.shape[0]
+    if not (0 < n_u1 == n_u - n_u1 and n_u < n):
+        return None
+    scale = abs(A).max()
+    K = A[:n_u1, :n_u1]
+    if (abs(A - A.T).max() > 1e-12 * scale
+            or abs(K - A[n_u1:n_u, n_u1:n_u]).max() > 1e-12 * scale):
+        return None
+    B = A[n_u:, :n_u]
+    if not np.abs(B.T @ np.ones(n - n_u)).max() <= 1e-12 * abs(B).max():
+        return None
+    A_pp = A[n_u:, n_u:]
+    if not np.all(A_pp.diagonal() < 0):
+        return None
+    return K, A_pp
+
+
 def _passes(residual):
     """The residual gate of every solve: a finite relative residual of
     at most 1e-8."""
     return bool(residual <= 1e-8)
+
+
+def _structured_splu(A):
+    """(ordering, SuperLU factor) of a CSC matrix, on the ordering its
+    structure picks (see the module docstring)."""
+    if A.nnz > 9 * A.shape[0] and np.all(A.diagonal() != 0):
+        return "MMD_AT_PLUS_A", _splu(A, **_SYMMETRIC)
+    return "COLAMD", _splu(A)
 
 
 def _splu(A, **options):

@@ -420,3 +420,24 @@ def test_a_warm_level_cache_assembles_the_same_bits():
     for a, b in zip(warm, fresh):
         for attr in ("data", "indices", "indptr"):
             assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
+
+
+def test_planned_contraction_paths_assemble_the_same_bits(monkeypatch):
+    import trifem.assembly
+
+    th = refine3_th()
+    forms = _forms(th) + [(var_form(1, f"v.{tag}", f"u.{tag}"), [space], 4)
+                          for space in ("P1", "P2", "P3") for tag in ("val", "grad")]
+    monkeypatch.setattr(trifem.assembly, "_PATHS", {})
+    planned = [assemble_system(th, *args).matrix() for args in forms]
+    paths = dict(trifem.assembly._PATHS)
+    again = [assemble_system(th, *args).matrix() for args in forms]
+    assert trifem.assembly._PATHS == paths          # each plan made once
+    monkeypatch.setattr(trifem.assembly, "_einsum",
+                        lambda subscripts, *ops: np.einsum(subscripts, *ops,
+                                                           optimize=True))
+    replanned = [assemble_system(th, *args).matrix() for args in forms]
+    for a, b, c in zip(planned, again, replanned):
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
+            assert getattr(a, attr).tobytes() == getattr(c, attr).tobytes()

@@ -139,6 +139,15 @@ class TestRunCommand:
         assert main(["run", "--problem", "heat", "--dt", "-0.1"]) == 2
         assert "dt must be" in capsys.readouterr().err
 
+    def test_a_time_step_that_does_not_divide_t_end_is_a_usage_error(self, capsys):
+        assert main(["run", "--problem", "heat", "--dt", "0.3"]) == 2
+        assert "dt must divide t_end" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem", ["stokes", "ns-newton"])
+    def test_a_negative_viscosity_is_a_usage_error(self, problem, capsys):
+        assert main(["run", "--problem", problem, "--nu", "-1"]) == 2
+        assert "nu must be" in capsys.readouterr().err
+
     def test_mesh_with_refine_is_a_usage_error(self, capsys):
         assert main(["run", "--problem", "ns-newton", "--mesh", "m.msh",
                      "--refine", "2"]) == 2

@@ -111,11 +111,38 @@ class TestProblemTable:
         ("ns-newton", "tol", 0.0), ("ns-newton", "tol", -1e-8),
         ("ns-newton", "tol", float("nan")),
         ("ns-newton", "max_iter", 0), ("ns-newton", "max_iter", -3),
-        ("ns-newton", "max_iter", 2.5)])
+        ("ns-newton", "max_iter", 2.5),
+        ("stokes", "eps", 0.0), ("stokes", "eps", -1e-10),
+        ("stokes", "eps", float("inf")), ("stokes", "nu", -1.0),
+        ("stokes", "nu", 0.0), ("stokes", "nu", float("nan")),
+        ("ns-newton", "eps", 0.0), ("ns-newton", "nu", -1.0)])
     def test_a_control_out_of_range_is_a_named_error(self, problem, field, value):
         # each used to run to a wrong number, or to die far from the cause
         with pytest.raises(ValueError, match=f"^{field} must be"):
             default_spec(problem, **{field: value})
+
+    @pytest.mark.parametrize("dt, t_end", [(0.3, 1.0), (5.0, 1.0), (0.4, 1.0),
+                                           (0.07, 0.2)])
+    def test_a_time_step_that_does_not_divide_t_end_is_a_named_error(self, dt,
+                                                                     t_end):
+        # run_heat used to march with t_end / round(t_end / dt) instead
+        with pytest.raises(ValueError, match="^dt must divide t_end"):
+            default_spec("heat", dt=dt, t_end=t_end)
+
+    @pytest.mark.parametrize("dt, t_end, nsteps", [(0.1, 1.0, 10), (0.1, 9.0, 90),
+                                                   (0.05, 0.2, 4), (1.0, 1.0, 1)])
+    def test_a_time_step_that_divides_t_end_is_kept(self, monkeypatch, dt, t_end,
+                                                    nsteps):
+        steps = []
+
+        def record(th, spec, dt, nsteps):
+            steps.append((dt, nsteps))
+            return np.zeros(th.dof_map(spec.space).num_dofs)
+
+        monkeypatch.setattr(trifem.problems, "solve_heat", record)
+        run_heat(default_spec("heat", degree=1, refinements=2, dt=dt, t_end=t_end))
+        assert steps == [(t_end / nsteps, nsteps)] * 2
+        assert steps[0][0] == pytest.approx(dt, rel=1e-12)
 
     def test_fixed_field_may_be_restated(self):
         spec = default_spec("stokes", degree=2, selectors=(), mesh_path=None)

@@ -12,7 +12,7 @@ from trifem import (DirichletSolver, DirichletSpec, Mesh2d,
                     fit_rate, interpolate_nodal, solve_sparse, square_mesh,
                     uniform_refine, var_form)
 from trifem.mesh import prolongation
-from trifem.problems import default_spec, run_problem
+from trifem.problems import default_spec, run_problem, stokes_form
 
 
 def poisson_system(th, space="P1", order=3, f=lambda p: np.ones(len(p))):
@@ -218,7 +218,7 @@ class TestOrdering:
     def test_free_block_structure_picks_the_ordering(self, solvers, problem,
                                                      overrides, ordering):
         run_problem(default_spec(problem, **overrides))
-        assert solvers[-1].ordering == ordering
+        assert (solvers[-1].method, solvers[-1].ordering) == ("lu", ordering)
         assert solvers[-1].lu_fill > 0
 
     def test_zero_diagonal_saddle_block_keeps_colamd(self):
@@ -381,6 +381,135 @@ class TestMultigrid:
         for name in ("ordering", "lu_fill", "method", "iterations", "residual"):
             with pytest.raises(AttributeError):
                 setattr(solver, name, 0)
+
+
+def stokes_level(refinements, selectors=(), region=0):
+    """(spec, system, load, fixed, values) of a Taylor-Hood level with the
+    velocity fixed on one boundary region."""
+    spec = default_spec("stokes", refinements=refinements)
+    th = ladder_level(refinements, selectors=selectors)
+    kk = assemble_system(th, stokes_form(spec), ["P2", "P2", "P1"], spec.order)
+    f, u = spec.data.f, spec.data.exact_u
+    ff = assemble_system(th, var_form([lambda p: f(p)[:, 0], lambda p: f(p)[:, 1]],
+                                      ["v1.val", "v2.val"]), kk.spaces, spec.order)
+    fixed, values = dirichlet_dofs(th, kk, DirichletSpec(
+        (region,), ((lambda p: u(p)[:, 0], lambda p: u(p)[:, 1], None),)))
+    return spec, kk, ff, fixed, values
+
+
+def stokes_solver(spec, kk, fixed):
+    return trifem.system.StokesSolver(kk.matrix(), fixed, kk.offsets,
+                                      spec.nu, spec.eps)
+
+
+def pressure_mean(kk, p):
+    """The mean of a pressure vector in the pressure mass inner product."""
+    pp = slice(kk.offsets[2], kk.offsets[3])
+    mass = -kk.matrix()[pp][:, pp]
+    return (mass @ p).sum() / mass.sum()
+
+
+@pytest.fixture(scope="module")
+def stokes_r5():
+    """The refine-5 Taylor-Hood level, solved by MINRES and by LU."""
+    spec, kk, ff, fixed, values = stokes_level(5)
+    minres = stokes_solver(spec, kk, fixed)
+    lu = DirichletSolver(kk.matrix(), fixed)
+    return kk, ff, values, minres, minres.solve(ff, values), lu, lu.solve(ff, values)
+
+
+class TestStokesSolver:
+    def test_matches_lu_at_refine_5(self, stokes_r5):
+        kk, _, _, minres, x, _, y = stokes_r5
+        assert minres.method == "minres" and minres.iterations <= 50
+        assert minres.residual <= 1e-11
+        u = slice(0, kk.offsets[2])
+        assert np.abs(x[u] - y[u]).max() <= 1e-11 * np.abs(y[u]).max()
+        # LU's pressure carries a constant-mode mean of about 1e-6: noise
+        # amplified by 1/eps; without that mean the pressures agree
+        p, q = x[kk.offsets[2]:], y[kk.offsets[2]:]
+        assert abs(pressure_mean(kk, q)) > 1e-8
+        p, q = p - pressure_mean(kk, p), q - pressure_mean(kk, q)
+        assert np.abs(p - q).max() <= 1e-9 * np.abs(q).max()
+
+    def test_pressure_mean_is_set_by_the_penalty_equation(self, stokes_r5):
+        # a pressure load whose sum is not zero: the constant mode's
+        # amplitude is c = e^T g / e^T A_pp e, g the pressure part of b
+        kk, ff, values, minres, _, lu, _ = stokes_r5
+        pp = slice(kk.offsets[2], kk.offsets[3])
+        ff = ff.copy()
+        ff[pp] = 1e-10 * np.linspace(1.0, 3.0, pp.stop - pp.start)
+        x, y = minres.solve(ff, values), lu.solve(ff, values)
+        assert minres.method == "minres"
+        A = kk.matrix()
+        b = ff[minres.free] - A[minres.free][:, minres.fixed] @ values
+        c = b[-(pp.stop - pp.start):].sum() / A[pp][:, pp].sum()
+        assert abs(c) > 1
+        assert pressure_mean(kk, x[pp]) == pytest.approx(c, rel=1e-12)
+        u = slice(0, kk.offsets[2])
+        assert np.abs(x[u] - y[u]).max() <= 1e-11 * np.abs(y[u]).max()
+
+    @pytest.mark.parametrize("case", ["non-symmetric", "B^T e != 0", "eps = 0",
+                                      "nu = 0"])
+    def test_a_block_without_the_stokes_structure_takes_lu(self, case):
+        spec, kk, ff, fixed, values = (
+            stokes_level(2, selectors=("x==0",), region=1)
+            if case == "B^T e != 0" else stokes_level(2))
+        A = kk.matrix()
+        if case == "non-symmetric":
+            i, j = np.setdiff1d(np.arange(A.shape[0]), fixed)[:2]
+            A = A + sp.csr_matrix(([1e-3], ([i], [j])), shape=A.shape)
+        solver = trifem.system.StokesSolver(
+            A, fixed, kk.offsets, 0.0 if case == "nu = 0" else spec.nu,
+            0.0 if case == "eps = 0" else spec.eps)
+        assert (solver.method, solver.ordering) == ("lu", "MMD_AT_PLUS_A")
+        x = solver.solve(ff, values)
+        assert np.array_equal(x, DirichletSolver(A, fixed).solve(ff, values))
+
+    def test_minres_that_misses_the_gate_falls_back_to_lu(self, monkeypatch):
+        spec, kk, ff, fixed, values = stokes_level(3)
+        monkeypatch.setattr(trifem.system, "_MINRES_MAX_ITER", 1)
+        solver = stokes_solver(spec, kk, fixed)
+        assert solver.method == "minres"
+        x = solver.solve(ff, values)
+        assert solver.method == "lu" and solver.residual <= 1e-8
+        assert solver.ordering == "MMD_AT_PLUS_A"
+        assert np.array_equal(x, DirichletSolver(kk.matrix(), fixed).solve(ff, values))
+
+    def test_stats_are_read_only(self):
+        spec, kk, ff, fixed, values = stokes_level(3)
+        solver = stokes_solver(spec, kk, fixed)
+        assert (solver.method, solver.ordering) == ("minres", "MMD_AT_PLUS_A/COLAMD")
+        assert (solver.iterations, solver.residual) == (0, None)
+        assert solver.lu_fill > 0
+        solver.solve(ff, values)
+        assert solver.method == "minres" and 0 < solver.iterations <= 50
+        assert solver.residual <= 1e-11
+        for name in ("ordering", "lu_fill", "method", "iterations", "residual"):
+            with pytest.raises(AttributeError):
+                setattr(solver, name, 0)
+
+    def test_solve_stokes_picks_minres_above_the_threshold(self, monkeypatch,
+                                                           solvers):
+        made = []
+
+        class Recorded(trifem.system.StokesSolver):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(trifem.problems, "StokesSolver", Recorded)
+        monkeypatch.setattr(trifem.problems, "_MINRES_MIN_FREE", 1000)
+        lu = run_problem(default_spec("stokes", refinements=3))
+        # refine 1 and 2 have 123 and 531 free dofs, refine 3 has 2,211
+        assert [s.method for s in solvers] == ["lu", "lu"]
+        assert [s.method for s in made] == ["minres"]
+        monkeypatch.setattr(trifem.problems, "_MINRES_MIN_FREE", 10**9)
+        ref = run_problem(default_spec("stokes", refinements=3))
+        for name in ("u_L2", "u_H1"):
+            assert np.array_equal(lu.columns[name][:2], ref.columns[name][:2])
+            assert lu.columns[name][2] == pytest.approx(ref.columns[name][2],
+                                                        rel=1e-9)
 
 
 class TestSolveSparse:
