@@ -15,8 +15,15 @@ triangle, or the edges of one boundary region) are one
 (areas or edge lengths), dof columns and point values, so boundary (1d)
 assembly runs the same kernel with the trace basis.  Each side's basis
 tables are the one (nl, NC, ng) array ``tabulate_basis`` returns (for
-'dx'/'dy' the FeMesh's cached array), contracted as is: a constant axis
-stays zero-stride, never a dense copy.
+'dx'/'dy' the FeMesh's cached array), where an axis the tables do not
+vary along has stride zero.  The kernel drops that axis and its
+subscript letter before contracting: 'val' enters as (nl, ng) 'ip', a
+P1 derivative as (nl, NC) 'ie'; the coefficient matrix cc keeps both e
+and p.  The planned path then contracts the small operands first: a
+'val'/'val' entry is one matrix product of w * cc with the (nl, nl, ng)
+table products, and a P1 derivative pair sums w * cc over the points
+once per cell.  A table that varies on both axes (P2/P3 derivatives)
+keeps 'iep'; nothing is expanded to one value per (cell, point).
 Multi-component forms are grouped into blocks by (test component, trial component); one
 block routine offsets each block's triples by the cumulative row/column
 dof counts and concatenates them, for assemble_system and
@@ -156,17 +163,31 @@ def _local_kernel(cells, entries, spaces):
     """Local arrays (NC, nlv) or (NC, nlv, nlu) for elementary entries on
     the cells; spaces is [test] for a linear form, [test, trial] for a
     bilinear one."""
-    subscripts = ("p,ep,iep->ei", "p,ep,iep,jep->eij")[len(spaces) - 1]
+    output = "->e" + "ij"[:len(spaces)]
     local = None
     for entry in entries:
         cc = coef_to_matrix(entry.coef, cells.th, cells.order,
                             domain=cells.domain, region=cells.region)
-        tables = [tabulate_basis(side.terms[0].tag, cells.th, space, cells.order,
-                                 cells.domain, cells.region)
-                  for space, side in zip(spaces, (entry.test, entry.trial))]
-        blk = _einsum(subscripts, cells.rule.weight, cc, *tables)
+        operands, inputs = [cells.rule.weight, cc], ["p", "ep"]
+        for letter, space, side in zip("ij", spaces, (entry.test, entry.trial)):
+            table = tabulate_basis(side.terms[0].tag, cells.th, space, cells.order,
+                                   cells.domain, cells.region)
+            table, axes = _squeezed(table, letter + "ep")
+            operands.append(table)
+            inputs.append(axes)
+        blk = _einsum(",".join(inputs) + output, *operands)
         local = blk if local is None else local + blk
     return local * cells.measure.reshape((-1,) + (1,) * len(spaces))
+
+
+def _squeezed(table, axes):
+    """An (nl, NC, ng) basis table without its zero-stride cell or point
+    axis, and the subscript letters of the axes it keeps: 'val' becomes
+    (nl, ng), a P1 derivative (nl, NC).  The coefficient matrix keeps
+    both letters in the contraction, so any axis may go."""
+    keep = [0] + [k for k in (1, 2) if table.strides[k] != 0]
+    index = tuple(slice(None) if k in keep else 0 for k in range(3))
+    return table[index], "".join(axes[k] for k in keep)
 
 
 # einsum's contraction path per (subscripts, operand shapes)
@@ -228,7 +249,8 @@ def _scalar_assemble(cells, form, test_space, trial_space):
     rows, cols = dofs
     ii = np.broadcast_to(rows[:, :, None], local.shape).ravel()
     jj = np.broadcast_to(cols[:, None, :], local.shape).ravel()
-    return SparseTriples(ii=ii.astype(np.int64), jj=jj.astype(np.int64),
+    return SparseTriples(ii=ii.astype(np.int64, copy=False),
+                         jj=jj.astype(np.int64, copy=False),
                          ss=local.ravel(), nrows=sizes[0], ncols=sizes[1])
 
 
@@ -341,7 +363,7 @@ def assemble_system(th, form, spaces, quad_order=None, domain="2d", region=None)
     return _block_system(spaces, nndofu, (
         ((ci, cj), _scalar_assemble(cells, VarForm(entries=tuple(entries)),
                                     spaces[ci], spaces[cj]))
-        for (ci, cj), entries in blocks.items()))
+        for (ci, cj), entries in blocks.items()), owned=True)
 
 
 def system_from_blocks(th, spaces, blocks):
@@ -355,10 +377,12 @@ def system_from_blocks(th, spaces, blocks):
     return _block_system(spaces, nndofu, blocks.items())
 
 
-def _block_system(spaces, nndofu, blocks):
+def _block_system(spaces, nndofu, blocks, owned=False):
     """One AssembledSystem from ((ci, cj), triples) pairs: each block is
     shape-checked, offset by the cumulative dof counts and concatenated;
-    None blocks are skipped."""
+    None blocks are skipped.  With owned, the triples are new arrays the
+    system may keep: a lone block at offset zero is kept as it is.
+    Otherwise the system holds copies, never the caller's arrays."""
     offsets = np.concatenate([[0], np.cumsum(nndofu)])
     total = int(offsets[-1])
     ii, jj, ss = [], [], []
@@ -369,12 +393,15 @@ def _block_system(spaces, nndofu, blocks):
         if (triples.nrows, triples.ncols) != expected:
             raise ValueError(f"block ({ci}, {cj}) has shape "
                              f"{(triples.nrows, triples.ncols)}, expected {expected}")
-        ii.append(triples.ii + offsets[ci])
-        jj.append(triples.jj + offsets[cj])
+        ii.append(triples.ii + offsets[ci] if offsets[ci] else triples.ii)
+        jj.append(triples.jj + offsets[cj] if offsets[cj] else triples.jj)
         ss.append(triples.ss)
-    combined = SparseTriples(
-        ii=np.concatenate(ii) if ii else np.empty(0, np.int64),
-        jj=np.concatenate(jj) if jj else np.empty(0, np.int64),
-        ss=np.concatenate(ss) if ss else np.empty(0),
-        nrows=total, ncols=total)
+
+    def joined(parts, dtype):
+        if not parts:
+            return np.empty(0, dtype)
+        return parts[0] if owned and len(parts) == 1 else np.concatenate(parts)
+
+    combined = SparseTriples(ii=joined(ii, np.int64), jj=joined(jj, np.int64),
+                             ss=joined(ss, float), nrows=total, ncols=total)
     return AssembledSystem(triples=combined, nndofu=nndofu, spaces=spaces)

@@ -229,8 +229,7 @@ def lam_gradients(mesh, topo):
 
 def quad_points_2d(mesh, rule):
     """Physical quadrature points on every triangle; (NT, ng, 2)."""
-    z = mesh.node[mesh.elem]
-    return np.einsum("pk,tkd->tpd", rule.lam, z)
+    return rule.lam @ mesh.node[mesh.elem]
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +313,20 @@ class Cells:
     def fe_values(self, dofs, space, tag="val"):
         """A finite element function, or its 'dx' or 'dy' derivative, at
         the quadrature points: (NC, ng).  Sums dof * table over the
-        local dofs in their order."""
+        local dofs in their order; a table constant over the points (P1
+        derivatives) is summed once per cell, then repeated."""
         space = fe_space(space)
         dofs = _check_dofs(dofs, self.th, space)
         tables = tabulate_basis(tag, self.th, space, self.order,
                                 self.domain, self.region)
         local = dofs[self.dofs(space)]          # (NC, nl)
-        out = np.zeros(self.shape)
+        per_cell = tables.strides[2] == 0
+        if per_cell:
+            tables = tables[:, :, :1]
+        out = np.zeros(tables.shape[1:])
         for i, tab in enumerate(tables):
             out += local[:, i, None] * tab
-        return out
+        return np.repeat(out, self.shape[1], axis=1) if per_cell else out
 
     def integrate(self, vals):
         """Sum over the cells of measure * sum_p w_p * vals[:, p]."""

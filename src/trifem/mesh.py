@@ -34,16 +34,22 @@ __all__ = ["Mesh2d", "MeshTopology", "BoundaryRegion", "BoundaryPartition",
 class Mesh2d:
     """Vertex coordinates (N, 2) and ccw triangle connectivity (NT, 3).
 
+    ``area`` holds the triangles' signed areas, computed once to check
+    the orientation and read-only; the topology reuses it.
+
     A mesh made by ``uniform_refine`` remembers the mesh it refined
     (``parent``) and that mesh's edge array (``parent_edge``): its node
     n + e is the midpoint of parent edge e, which is all the P1
-    prolongation needs.  Both are None on any other mesh.
+    prolongation needs.  Both are None on any other mesh.  The
+    prolongation itself is built on first use and kept beside them.
     """
 
     node: np.ndarray
     elem: np.ndarray
+    area: np.ndarray = field(init=False, repr=False)
     parent: "Mesh2d" = field(default=None, init=False, repr=False)
     parent_edge: np.ndarray = field(default=None, init=False, repr=False)
+    _prolongation: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         node = np.ascontiguousarray(np.asarray(self.node, dtype=float))
@@ -61,6 +67,8 @@ class Mesh2d:
         if len(bad):
             raise ValueError(f"triangle {bad[0]} has non-positive signed area "
                              f"({area[bad[0]]:.3e}); vertices must be counterclockwise")
+        area.flags.writeable = False
+        object.__setattr__(self, "area", area)
 
     @property
     def num_nodes(self):
@@ -205,9 +213,17 @@ def uniform_refine(mesh, topo=None):
 def prolongation(mesh):
     """P1 prolongation from mesh.parent to mesh, (N, N_c) CSR, or None
     for a mesh that refines none: [I; (e_a + e_b) / 2], since node
-    n_c + e is the midpoint of parent edge (a, b)."""
+    n_c + e is the midpoint of parent edge (a, b).  Built once per mesh
+    and kept on it."""
     if mesh.parent is None:
         return None
+    if mesh._prolongation is None:
+        object.__setattr__(mesh, "_prolongation", _midpoint_prolongation(mesh))
+    return mesh._prolongation
+
+
+def _midpoint_prolongation(mesh):
+    """The CSR matrix ``prolongation`` keeps, built from the parent link."""
     n_c, edge = mesh.parent.num_nodes, mesh.parent_edge
     ne = len(edge)
     rows = np.concatenate([np.arange(n_c), np.repeat(n_c + np.arange(ne), 2)])
@@ -219,11 +235,6 @@ def prolongation(mesh):
 def build_topology(mesh):
     """Derive edges, elem2edge, boundary edges, areas and edge lengths."""
     node, elem = mesh.node, mesh.elem
-    area = signed_area(node, elem)
-    bad = np.nonzero(area <= 0)[0]
-    if len(bad):
-        raise ValueError(f"triangle {bad[0]} has non-positive area; "
-                         "inconsistent orientation")
 
     # local edge i is opposite local vertex i
     all_edges = np.vstack([elem[:, [1, 2]], elem[:, [2, 0]], elem[:, [0, 1]]])
@@ -247,7 +258,7 @@ def build_topology(mesh):
     edge_length = np.hypot(vec[:, 0], vec[:, 1])
     return MeshTopology(edge=edge, elem2edge=elem2edge, bd_edge=bd_edge,
                         bd_edge_idx=bd_edge_idx.astype(np.int64),
-                        area=area, edge_length=edge_length)
+                        area=mesh.area, edge_length=edge_length)
 
 
 def classify_boundary(mesh, topo, selectors=()):
@@ -322,11 +333,6 @@ class FeMesh:
         space = fe_space(space)
         return self._cached(("dof_map", space.name),
                             lambda: build_dof_map(self.mesh, self.topo, space))
-
-    def prolongation(self):
-        """Cached P1 prolongation from the parent mesh (see
-        ``prolongation``); None for a mesh that refines none."""
-        return self._cached(("prolongation",), lambda: prolongation(self.mesh))
 
     def _cached(self, key, build):
         """The value cached under key, made by build() on first use."""

@@ -539,7 +539,7 @@ def _p1_ladder(th, system, n_free):
     if ([fe_space(s).degree for s in system.spaces] != [1]
             or n_free <= _MG_MIN_FREE or th.mesh.parent is None):
         return []
-    ladder, mesh = [th.prolongation()], th.mesh.parent
+    ladder, mesh = [], th.mesh
     while mesh.parent is not None:
         ladder.append(prolongation(mesh))
         mesh = mesh.parent

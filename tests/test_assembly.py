@@ -9,7 +9,7 @@ from trifem import (Mesh2d, SparseTriples, assemble_scalar_1d,
                     coef_to_matrix, compress, fe_mesh, interpolate_nodal,
                     load_operator, square_mesh, tabulate_basis,
                     uniform_refine, var_form)
-from trifem.fespace import lam_gradients, shape_dlam, shape_values
+from trifem.fespace import Cells, lam_gradients, shape_dlam, shape_values
 from trifem.problems import (_ns_jacobian_form, _taylor_hood, default_spec,
                              stokes_form)
 from trifem.quadrature import triangle_rule
@@ -441,3 +441,149 @@ def test_planned_contraction_paths_assemble_the_same_bits(monkeypatch):
         for attr in ("data", "indices", "indptr"):
             assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
             assert getattr(a, attr).tobytes() == getattr(c, attr).tobytes()
+
+
+def _dense_reference(th, coef, tags, spaces, order, domain="2d", region=None):
+    """The assembled matrix (two tags) or load (one tag), dense, from one
+    plain einsum over contiguous (nl, NC, ng) tables, scattered with
+    np.add.at: no axis is squeezed."""
+    cells = Cells(th, order, domain, region)
+    cc = np.ascontiguousarray(coef_to_matrix(coef, th, order, domain, region))
+    tables = [np.ascontiguousarray(tabulate_basis(tag, th, space, order,
+                                                  domain, region))
+              for tag, space in zip(tags, spaces)]
+    subscripts = ("p,ep,iep->ei", "p,ep,iep,jep->eij")[len(tags) - 1]
+    local = np.einsum(subscripts, cells.rule.weight, cc, *tables) \
+        * cells.measure.reshape((-1,) + (1,) * len(tags))
+    dofs = [cells.dofs(space) for space in spaces]
+    out = np.zeros([th.dof_map(space).num_dofs for space in spaces])
+    if len(tags) == 1:
+        np.add.at(out, dofs[0], local)
+    else:
+        np.add.at(out, (dofs[0][:, :, None], dofs[1][:, None, :]), local)
+    return out
+
+
+def _coefficients(th, order, domain="2d", region=None):
+    """A constant, a point function and a ready coefficient matrix."""
+    shape = Cells(th, order, domain, region).shape
+    return {"constant": 2.5,
+            "callable": lambda p: 1 + np.sin(3 * p[:, 0]) * p[:, 1],
+            "matrix": np.random.default_rng(5).standard_normal(shape)}
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+TAGS = ("val", "dx", "dy")
+
+
+class TestSqueezedContraction:
+    """The kernel contracts each basis table without its constant axis;
+    the result is the contraction over dense tables."""
+
+    @pytest.mark.parametrize("space", ["P1", "P2", "P3"])
+    @pytest.mark.parametrize("kind", ["constant", "callable", "matrix"])
+    def test_every_table_pair_matches_the_dense_contraction(self, space, kind):
+        th = fe_mesh(uniform_refine(uniform_refine(square_mesh([0, 1, 0, 1], 0.5))),
+                     ["x==0"])
+        order = 4
+        coef = _coefficients(th, order)[kind]
+        for a in TAGS:
+            load = assemble_system(th, var_form(coef, f"v.{a}"), [space], order)
+            _assert_close(load, _dense_reference(th, coef, [a], [space], order))
+            for b in TAGS:
+                got = assemble_system(th, var_form(coef, f"v.{a}", f"u.{b}"),
+                                      [space], order).matrix().toarray()
+                _assert_close(got, _dense_reference(th, coef, [a, b],
+                                                    [space, space], order))
+        region = th.partition[0]
+        coef = _coefficients(th, order, "1d", region)[kind]
+        got = assemble_system(th, var_form(coef, "v.val", "u.val"), [space],
+                              order, "1d", region).matrix().toarray()
+        _assert_close(got, _dense_reference(th, coef, ["val", "val"],
+                                            [space, space], order, "1d", region))
+        load = assemble_system(th, var_form(coef, "v.val"), [space], order,
+                               "1d", region)
+        _assert_close(load, _dense_reference(th, coef, ["val"], [space], order,
+                                             "1d", region))
+
+    def test_mixed_spaces_match_the_dense_contraction(self):
+        th = refine3_th()
+        coef = _coefficients(th, 4)["callable"]
+        for a in TAGS:
+            for b in TAGS:
+                got = assemble_system(th, var_form(coef, f"v1.{a}", f"u2.{b}"),
+                                      ["P2", "P1"], 4).matrix().toarray()
+                n2 = th.dof_map("P2").num_dofs
+                _assert_close(got[:n2, n2:], _dense_reference(
+                    th, coef, [a, b], ["P2", "P1"], 4))
+
+    @pytest.mark.parametrize("stride", [0, 8, 8 * 12345])
+    @pytest.mark.parametrize("space", ["P1", "P2", "P3"])
+    def test_a_one_triangle_mesh_assembles_whatever_its_cell_stride(
+            self, monkeypatch, space, stride):
+        import trifem.assembly
+
+        # on one triangle (or one region edge) the cell axis has length
+        # 1, so its stride is never used and may be anything, zero too
+        def restrided(*args):
+            table = tabulate_basis(*args)
+            strides = list(table.strides)
+            strides[1] = stride
+            return np.lib.stride_tricks.as_strided(table, strides=strides,
+                                                   writeable=False)
+        monkeypatch.setattr(trifem.assembly, "tabulate_basis", restrided)
+        th = fe_mesh(unit_triangle_th().mesh, ["y==0"])
+        region = th.partition[0]
+        assert len(region.edge_idx) == 1
+        coef = _coefficients(th, 3)["callable"]
+        for a in TAGS:
+            load = assemble_system(th, var_form(coef, f"v.{a}"), [space], 3)
+            _assert_close(load, _dense_reference(th, coef, [a], [space], 3))
+            for b in TAGS:
+                got = assemble_system(th, var_form(coef, f"v.{a}", f"u.{b}"),
+                                      [space], 3).matrix().toarray()
+                _assert_close(got, _dense_reference(th, coef, [a, b],
+                                                    [space, space], 3))
+        got = assemble_system(th, var_form(coef, "v.val", "u.val"), [space], 3,
+                              "1d", region).matrix().toarray()
+        _assert_close(got, _dense_reference(th, coef, ["val", "val"],
+                                            [space, space], 3, "1d", region))
+
+
+class TestTriplesWithoutCopies:
+    def test_a_single_block_keeps_the_kernel_triples(self, monkeypatch):
+        import trifem.assembly
+
+        made = []
+        original = trifem.assembly._scalar_assemble
+
+        def recorded(*args):
+            made.append(original(*args))
+            return made[-1]
+        monkeypatch.setattr(trifem.assembly, "_scalar_assemble", recorded)
+        th = refine3_th()
+        triples = assemble_system(th, var_form([1, 1], ["v.grad", "v.val"],
+                                               ["u.grad", "u.val"]),
+                                  ["P1"], 3).triples
+        assert len(made) == 1
+        for attr in ("ii", "jj", "ss"):
+            assert getattr(triples, attr) is getattr(made[0], attr)
+        assert triples.ii.dtype == triples.jj.dtype == np.int64
+
+    @pytest.mark.parametrize("components", [[(0, 0)], [(0, 0), (1, 1)]])
+    def test_blocks_from_the_caller_are_copied(self, components):
+        from trifem import system_from_blocks
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+        given = assemble_scalar_2d(th, var_form(1, "v.grad", "u.grad"), "P1")
+        kk = system_from_blocks(th, ["P1", "P1"], {c: given for c in components})
+        for attr in ("ii", "jj", "ss"):
+            assert not np.shares_memory(getattr(kk.triples, attr),
+                                        getattr(given, attr))
+        before = kk.matrix().toarray()
+        given.ss[:] = 0.0
+        kk._matrix = None
+        assert np.array_equal(kk.matrix().toarray(), before)

@@ -225,6 +225,27 @@ class TestCoefMatrixFromDofs:
             assert np.array_equal(coef_to_matrix(coef, th, order), expected)
 
 
+    @pytest.mark.parametrize("tag", ["dx", "dy"])
+    def test_p1_derivatives_come_back_as_a_fresh_dense_array(self, tag):
+        th = fe_mesh(uniform_refine(square_mesh([0, 1, 0, 1], 0.5)))
+        dofs = np.random.default_rng(4).standard_normal(th.dof_map("P1").num_dofs)
+        vals = coef_matrix_from_dofs(dofs, tag, th, "P1", 4)
+        assert vals.shape == Cells(th, 4).shape and vals.flags.writeable
+        assert vals.flags.c_contiguous
+        assert np.all(vals == vals[:, :1])  # one value per element
+
+
+class TestQuadPoints:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_points_match_the_barycentric_sum(self, order):
+        mesh = uniform_refine(square_mesh([-1, 2, 0, 1], 0.25))
+        rule = triangle_rule(order)
+        want = np.einsum("pk,tkd->tpd", rule.lam, mesh.node[mesh.elem])
+        got = quad_points_2d(mesh, rule)
+        assert got.shape == want.shape == (mesh.num_elems, rule.npoints, 2)
+        assert np.abs(got - want).max() <= 1e-15
+
+
 class TestCoefMatrixOnEdges:
     def test_constant_vector_bottom_side(self):
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5), ["y==0"])

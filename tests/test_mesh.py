@@ -173,6 +173,22 @@ class TestTopology:
         topo = build_topology(unit_triangle())
         assert sorted(topo.edge_length) == pytest.approx([1.0, 1.0, np.sqrt(2)])
 
+    def test_the_topology_reuses_the_area_the_mesh_checked(self, monkeypatch):
+        import trifem.mesh
+        from trifem.mesh import signed_area
+        sizes = []
+
+        def counted(node, elem):
+            sizes.append(len(elem))
+            return signed_area(node, elem)
+        monkeypatch.setattr(trifem.mesh, "signed_area", counted)
+        coarse = square_mesh([0, 2, 0, 1], 0.5)
+        fine = uniform_refine(coarse)       # builds the coarse topology
+        topo = build_topology(fine)
+        assert sizes == [16, 64]            # once per mesh, at validation
+        assert topo.area is fine.area and not fine.area.flags.writeable
+        assert topo.area.tobytes() == signed_area(fine.node, fine.elem).tobytes()
+
 
 class TestClassifyBoundary:
     def test_single_selector(self):

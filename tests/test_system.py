@@ -361,6 +361,30 @@ class TestMultigrid:
         assert solver.method == "lu" and solver.residual <= 1e-8
         assert np.array_equal(x, lu_solution(th, kk, ff, spec))
 
+    def test_each_prolongation_is_built_once_per_mesh(self, monkeypatch,
+                                                      mg_solvers):
+        import trifem.mesh
+        built = []
+        original = trifem.mesh._midpoint_prolongation
+
+        def counted(mesh):
+            built.append(mesh)
+            return original(mesh)
+        monkeypatch.setattr(trifem.mesh, "_midpoint_prolongation", counted)
+        th = ladder_level(5)
+        kk, ff, spec = p1_problem(th, 1, "v.grad", "u.grad")
+        first = apply_dirichlet_and_solve(th, kk, ff, spec)
+        assert len(built) == 5          # one per refined mesh of the ladder
+        del built[:]
+        again = apply_dirichlet_and_solve(th, kk, ff, spec)
+        assert built == [] and len(mg_solvers) == 2
+        assert np.array_equal(first, again)
+        # a finer level reuses the ladder below it
+        fine = fe_mesh(uniform_refine(th.mesh, th.topo), ("x==0",))
+        kk, ff, spec = p1_problem(fine, 1, "v.grad", "u.grad")
+        apply_dirichlet_and_solve(fine, kk, ff, spec)
+        assert built == [fine.mesh] and mg_solvers[-1].method == "mg-pcg"
+
     def test_root_level_without_free_dofs(self, mg_solvers):
         # the 2-triangle root mesh has only boundary nodes, all fixed
         th = ladder_level(6, h0=1.0, selectors=())
