@@ -99,13 +99,14 @@ def read_freefem_msh(path):
     if edge.size and (edge.min() < 0 or edge.max() >= nv):
         raise MshFormatError(f"{path}: edge vertex index out of range 1..{nv}")
 
-    # reorient clockwise triangles
+    # reorient clockwise triangles; their areas change sign exactly
     area = signed_area(node, elem)
     flip = area < 0
     elem[flip] = elem[flip][:, [0, 2, 1]]
+    area[flip] = -area[flip]
 
     try:
-        mesh = Mesh2d(node=node, elem=elem)
+        mesh = Mesh2d(node=node, elem=elem, _area=area)
     except ValueError as exc:
         raise MshFormatError(f"{path}: {exc}") from exc
     labels = MshLabels(vertex_label=verts[:, 2].astype(np.int64),

@@ -17,7 +17,7 @@ ladder of refinements is a multigrid hierarchy: ``prolongation`` reads
 the P1 interpolation between two levels off that link.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,7 +35,9 @@ class Mesh2d:
     """Vertex coordinates (N, 2) and ccw triangle connectivity (NT, 3).
 
     ``area`` holds the triangles' signed areas, computed once to check
-    the orientation and read-only; the topology reuses it.
+    the orientation and read-only; the topology reuses it.  A reader that
+    has already computed them (``io.read_freefem_msh``) passes them as
+    the private ``_area``.
 
     A mesh made by ``uniform_refine`` remembers the mesh it refined
     (``parent``) and that mesh's edge array (``parent_edge``): its node
@@ -46,12 +48,13 @@ class Mesh2d:
 
     node: np.ndarray
     elem: np.ndarray
+    _area: InitVar[np.ndarray] = None
     area: np.ndarray = field(init=False, repr=False)
     parent: "Mesh2d" = field(default=None, init=False, repr=False)
     parent_edge: np.ndarray = field(default=None, init=False, repr=False)
     _prolongation: object = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _area):
         node = np.ascontiguousarray(np.asarray(self.node, dtype=float))
         elem = np.ascontiguousarray(np.asarray(self.elem, dtype=np.int64))
         if node.ndim != 2 or node.shape[1] != 2:
@@ -62,7 +65,7 @@ class Mesh2d:
             raise ValueError("elem contains vertex indices out of range")
         object.__setattr__(self, "node", node)
         object.__setattr__(self, "elem", elem)
-        area = signed_area(node, elem)
+        area = signed_area(node, elem) if _area is None else _area
         bad = np.nonzero(area <= 0)[0]
         if len(bad):
             raise ValueError(f"triangle {bad[0]} has non-positive signed area "

@@ -631,14 +631,6 @@ def run_biharmonic(spec, mode="vector"):
 # ---------------------------------------------------------------------------
 # Stokes (Taylor-Hood with penalty)
 
-# Free dofs above which a Stokes level takes StokesSolver.  Measured on
-# the Taylor-Hood ladder (elimination, factors and solve; 2 vCPU, BLAS on
-# one thread): MINRES tied LU at 9,027 free dofs (refine 4: 0.09-0.10 s
-# against 0.10 s) and won at 36,483 (refine 5: 0.36-0.51 s against
-# 0.79 s), and the whole refine-6 ladder took 2.9 s against 7.9 s.
-_MINRES_MIN_FREE = 10_000
-
-
 def _taylor_hood(data):
     """The P2-P2-P1 spaces and the velocity Dirichlet data on region 0,
     the whole boundary."""
@@ -656,8 +648,8 @@ def stokes_form(spec):
 
 
 def solve_stokes(th, spec):
-    """(u1, u2, p) of one level: above _MINRES_MIN_FREE free dofs by
-    block-preconditioned MINRES (StokesSolver), below by LU."""
+    """(u1, u2, p) of one level by CG on the pressure Schur complement
+    (StokesSolver)."""
     data, order = spec.data, spec.order
     spaces, dirichlet = _taylor_hood(data)
     kk = assemble_system(th, stokes_form(spec), spaces, order)
@@ -666,10 +658,7 @@ def solve_stokes(th, spec):
     fixed, values = dirichlet_dofs(th, kk, dirichlet)
     A, offsets = kk.matrix(), kk.offsets
     del kk                      # its triples are not kept through the solve
-    if A.shape[0] - len(fixed) > _MINRES_MIN_FREE:
-        solver = StokesSolver(A, fixed, offsets, spec.nu, spec.eps)
-    else:
-        solver = DirichletSolver(A, fixed)
+    solver = StokesSolver(A, fixed, offsets, spec.nu, spec.eps)
     return tuple(np.split(solver.solve(ff, values), offsets[1:-1]))
 
 

@@ -7,7 +7,7 @@ are assigned their boundary values exactly and the remaining free block
 
 is solved by a direct sparse factorization (``DirichletSolver``), on a
 refinement ladder by multigrid-preconditioned CG (``MultigridSolver``),
-or for a large Taylor-Hood Stokes block by block-preconditioned MINRES
+or for a Taylor-Hood Stokes block by CG on its pressure Schur complement
 (``StokesSolver``; see below).  SuperLU's ordering is chosen from the
 free block's structure.  A block with no zero on its diagonal and a
 stencil wider than P1's (more than 9 entries per row: P2/P3,
@@ -34,29 +34,32 @@ time, without its 8.7M-entry fill.
 
 ``StokesSolver`` solves the penalized Taylor-Hood free block
 
-    [[K, 0, B1^T], [0, K, B2^T], [B1, B2, -eps M_p]]
+    [[K, 0, B1^T], [0, K, B2^T], [B1, B2, A_pp]],  A_pp = -eps M_p,
 
-by MINRES, preconditioned by blockdiag(K^-1, K^-1, nu M_p^-1) (Elman,
-Silvester and Wathen, Finite Elements and Fast Iterative Solvers, 2nd
-ed., OUP 2014): one velocity component's block K, factorized once and
-back-solved for both components as one 2-column solve, and the P1
-pressure mass M_p = -A_pp / eps, read off the free block.  Both factors
-are small: at refine 5 they fill 1.41M entries where the whole block
-fills 7.32M.  The velocity is fixed on the whole boundary, so B^T e = 0
-for the constant pressure mode e, and e decouples: the penalty equation
-gives its amplitude, MINRES solves for the rest, and the pressure's
-e-part is set afterwards (the penalty gives e an eigenvalue near eps,
-so MINRES alone leaves it loose).  The path is taken only with eps > 0
-and nu > 0, for a symmetric block whose velocity components share one
-block and whose B^T e vanishes (each to 1e-12 of the largest entry).
-MINRES runs to rtol = 1e-14, which bounds a preconditioned residual
-estimate, so the 1e-8 gate is kept on the true residual; a solve that
-misses it falls back to LU.  ``problems.solve_stokes`` builds it
-above 10,000 free dofs: refine 5
-(36,483) takes 37 iterations and about half the time of LU, and refine 4
-(9,027) is a tie.  Everything else factorizes: heat back-solves
-thousands of steps against one factor, the Newton Jacobian is not
-symmetric, and the biharmonic block has a zero diagonal.
+by CG on the pressure Schur complement S = B K^-1 B^T - A_pp, then
+u = K^-1 (f - B^T p) (Elman, Silvester and Wathen, Finite Elements and
+Fast Iterative Solvers, 2nd ed., OUP 2014).  Only one velocity
+component's block K is factorized, and each K^-1 is one 2-column
+back-solve for both components: at refine 5 its factor fills 1.13M
+entries where the whole block fills 7.32M.  S is spectrally equivalent
+to M_p / nu, so CG is preconditioned by four Chebyshev steps on the P1
+pressure mass with Jacobi scaling, on the fixed bounds lambda(D^-1 M_p)
+in [1/2, 2] (Wathen, IMA J. Numer. Anal. 7, 1987; Wathen and Rees,
+ETNA 34, 2009): a fixed symmetric positive definite polynomial, so M_p
+is not factorized (a positive multiple of it, -A_pp, serves, since CG
+does not see the scale).  The velocity is fixed on the whole boundary,
+so B^T e = 0 for the constant pressure mode e, and e decouples: the
+penalty equation gives its amplitude, CG solves for the rest, and the
+pressure's e-part is set afterwards (the penalty gives e an eigenvalue
+near eps, so an LU solve leaves it loose).  The path is taken only with
+eps > 0 and nu > 0, for a symmetric block whose velocity components
+share one block and whose B^T e vanishes (each to 1e-12 of the largest
+entry).  CG runs to a relative residual of 1e-14 on S, and the 1e-8 gate
+is kept on the whole block's true residual; a solve that misses it
+falls back to LU.  ``problems.solve_stokes`` builds it on every level:
+12 to 26 iterations from refine 1 to 5.  Everything else factorizes:
+heat back-solves thousands of steps against one factor, the Newton
+Jacobian is not symmetric, and the biharmonic block has a zero diagonal.
 
 Error norms integrate (u - u_h)^2 and |grad u - grad u_h|^2 by
 quadrature; convergence rates are least-squares slopes of log(err)
@@ -93,10 +96,10 @@ _SYMMETRIC = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
 _MG_MIN_FREE = 2000
 _MG_SWEEPS = 2          # damped Jacobi sweeps before and after the correction
 _MG_OMEGA = 0.8
-_CG_RTOL = 1e-13
-_CG_MAX_ITER = 50       # 12 iterations at P1 refine 5, 6 and 7
-_MINRES_RTOL = 1e-14
-_MINRES_MAX_ITER = 100  # 37 iterations at Taylor-Hood refine 5, 35 at refine 6
+_CG_RTOL = 1e-13        # MG-PCG; 12 iterations at P1 refine 5, 6 and 7
+_SCHUR_RTOL = 1e-14     # Schur CG; 26 iterations at Taylor-Hood refine 5
+_CG_MAX_ITER = 50
+_CHEB_STEPS = 4         # Chebyshev steps per pressure-mass preconditioning
 
 
 @dataclass(frozen=True)
@@ -198,13 +201,13 @@ class DirichletSolver:
     def ordering(self):
         """SuperLU's column ordering, chosen from the free block's
         structure (see the module docstring): "MMD_AT_PLUS_A" or "COLAMD";
-        under MINRES the velocity block's and the pressure mass's, joined
-        by "/"."""
+        under Schur CG the velocity block's."""
         return self._ordering
 
     @property
     def lu_fill(self):
-        """L.nnz + U.nnz of the factorization, 0 with no free dof.  Counted
+        """L.nnz + U.nnz of the factorization (under Schur CG the velocity
+        block's), 0 with no free dof.  Counted
         when read: SuperLU then builds CSC copies of L and U and keeps them
         with the factor (for P1 at refine 7, counting on every
         factorization raised the peak memory from 249 to 330 MiB)."""
@@ -212,13 +215,13 @@ class DirichletSolver:
 
     @property
     def method(self):
-        """How the last solve was made: "lu" or "mg-pcg"."""
+        """How the last solve was made: "lu", "mg-pcg" or "schur-cg"."""
         return self._method
 
     @property
     def iterations(self):
-        """Refinement sweeps ("lu") or CG iterations ("mg-pcg") of the
-        last solve; 0 before the first."""
+        """Refinement sweeps ("lu") or CG iterations ("mg-pcg",
+        "schur-cg") of the last solve; 0 before the first."""
         return self._iterations
 
     @property
@@ -289,39 +292,15 @@ class MultigridSolver(DirichletSolver):
 
     def _solve_free(self, b):
         if self._method == "mg-pcg":
+            A = self._A_ff
             with np.errstate(all="ignore"):
-                xf, iterations, residual = self._pcg(b)
+                xf, iterations = _pcg(A.__matmul__, b, self._vcycle, _CG_RTOL)
+                residual = np.linalg.norm(b - A @ xf) / max(np.linalg.norm(b), 1.0)
             if _passes(residual):
                 return xf, iterations, residual
             self._levels = None                 # LU from here on
             self._factor()
         return super()._solve_free(b)
-
-    def _pcg(self, b):
-        """(x_f, iterations, relative residual) of CG to _CG_RTOL,
-        stopped early where A_ff or the V-cycle is not positive."""
-        A = self._A_ff
-        bnorm = np.linalg.norm(b)
-        x = np.zeros_like(b)
-        if bnorm == 0:
-            return x, 0, 0.0
-        r = b.copy()
-        z = self._vcycle(r)
-        p, rz = z, r @ z
-        for it in range(1, _CG_MAX_ITER + 1):
-            q = A @ p
-            pq = p @ q
-            if not (pq > 0 and rz > 0):
-                break
-            alpha = rz / pq
-            x += alpha * p
-            r -= alpha * q
-            if np.linalg.norm(r) <= _CG_RTOL * bnorm:
-                break
-            z = self._vcycle(r)
-            rz, rz_old = r @ z, rz
-            p = z + (rz / rz_old) * p
-        return x, it, np.linalg.norm(b - A @ x) / max(bnorm, 1.0)
 
     def _vcycle(self, b, level=0):
         """One V-cycle for A_l x = b from x = 0: damped Jacobi sweeps
@@ -368,15 +347,14 @@ def _hierarchy(A, free, prolongations):
 
 
 class StokesSolver(DirichletSolver):
-    """DirichletSolver for a penalized Taylor-Hood Stokes block by MINRES,
-    preconditioned by blockdiag(K^-1, K^-1, nu M_p^-1) (see the module
-    docstring).
+    """DirichletSolver for a penalized Taylor-Hood Stokes block by CG on
+    the pressure Schur complement (see the module docstring).
 
     ``offsets`` are the system's component offsets (velocity, velocity,
     pressure), ``nu`` the viscosity and ``eps`` the pressure penalty.  A
     free block without the penalized Stokes structure is factorized as
-    DirichletSolver does; so is one whose MINRES misses the residual
-    gate, on its first such solve and from then on."""
+    DirichletSolver does; so is one whose CG misses the residual gate,
+    on its first such solve and from then on."""
 
     def __init__(self, A, fixed, offsets, nu, eps):
         self._eliminate(A, fixed)
@@ -386,70 +364,98 @@ class StokesSolver(DirichletSolver):
             self._factor()
             return
         K, A_pp = blocks
-        self._method, self._nu = "minres", nu
-        self._n_u = 2 * K.shape[0]
-        ordering_K, self._K = _structured_splu(K.tocsc())
-        ordering_M, self._M = _structured_splu((A_pp * (-1.0 / eps)).tocsc())
-        self._ordering = f"{ordering_K}/{ordering_M}"
+        n_u = self._n_u = 2 * K.shape[0]
+        self._method = "schur-cg"
+        self._ordering, self._lu = _structured_splu(K.tocsc())
+        self._B = self._A_ff[n_u:, :n_u]
+        # -A_pp = eps M_p: S's pressure term, and the mass the
+        # preconditioner's Chebyshev steps invert
+        self._M = -A_pp
+        self._dinv = 1.0 / self._M.diagonal()
         # the constant pressure mode e: A_pp e and e^T A_pp e
         self._App_e = A_pp.sum(axis=1).A1
         self._e_App_e = self._App_e.sum()
 
-    @property
-    def lu_fill(self):
-        """L.nnz + U.nnz of the factorization; for "minres", of the
-        velocity block's and the pressure mass's factors together.
-        Counted when read (see DirichletSolver.lu_fill)."""
-        if self._method != "minres":
-            return super().lu_fill
-        return sum(int(lu.L.nnz + lu.U.nnz) for lu in (self._K, self._M))
-
     def _solve_free(self, b):
-        if self._method == "minres":
+        if self._method == "schur-cg":
             with np.errstate(all="ignore"):
-                xf, iterations, residual = self._minres(b)
+                xf, iterations, residual = self._schur_cg(b)
             if _passes(residual):
                 return xf, iterations, residual
-            self._K = self._M = None            # LU from here on
-            self._factor()
+            self._factor()                      # LU from here on
         return super()._solve_free(b)
 
-    def _minres(self, b):
-        """(x_f, iterations, relative residual) of MINRES to _MINRES_RTOL.
+    def _schur_cg(self, b):
+        """(x_f, iterations, relative residual) of CG on the Schur
+        complement S = B K^-1 B^T - A_pp to _SCHUR_RTOL.
 
         The constant pressure mode e decouples (B^T e = 0): the penalty
         equation sets its amplitude c = e^T g / e^T A_pp e, g being the
-        pressure part of b; MINRES solves with c A_pp e taken off g, and
-        its pressure's e-part, A_pp-orthogonally, is replaced by c."""
-        A, n_u = self._A_ff, self._n_u
+        pressure part of b; CG solves with c A_pp e taken off g, and its
+        pressure's e-part, A_pp-orthogonally, is replaced by c."""
+        n_u, B, Bt, M = self._n_u, self._B, self._B.T, self._M
         App_e, e_App_e = self._App_e, self._e_App_e
         c = b[n_u:].sum() / e_App_e
-        rhs = b.copy()
-        rhs[n_u:] -= c * App_e
-        iterations = 0
+        f, g = b[:n_u], b[n_u:] - c * App_e
+        p, iterations = _pcg(lambda d: B @ self._solve_K(Bt @ d) + M @ d,
+                             B @ self._solve_K(f) - g,
+                             lambda r: _chebyshev(M, self._dinv, r), _SCHUR_RTOL)
+        p += c - (App_e @ p) / e_App_e
+        x = np.concatenate([self._solve_K(f - Bt @ p), p])
+        residual = np.linalg.norm(b - self._A_ff @ x) / max(np.linalg.norm(b), 1.0)
+        return x, iterations, residual
 
-        def count(xk):
-            nonlocal iterations
-            iterations += 1
+    def _solve_K(self, u):
+        """blockdiag(K, K)^-1 u, both components by one 2-column back-solve
+        of a Fortran-ordered right-hand side."""
+        return self._lu.solve(u.reshape(2, -1).T).T.ravel()
 
-        precondition = spla.LinearOperator(A.shape, matvec=self._precondition,
-                                           dtype=float)
-        try:
-            x, _ = spla.minres(A, rhs, rtol=_MINRES_RTOL, maxiter=_MINRES_MAX_ITER,
-                               M=precondition, callback=count)
-        except ValueError:              # a preconditioner that is not positive
-            return np.zeros_like(b), iterations, np.inf
-        x[n_u:] += c - (App_e @ x[n_u:]) / e_App_e
-        return x, iterations, np.linalg.norm(b - A @ x) / max(np.linalg.norm(b), 1.0)
 
-    def _precondition(self, r):
-        """blockdiag(K^-1, K^-1, nu M_p^-1) r, both velocity components
-        by one 2-column back-solve."""
-        n_u = self._n_u
-        z = np.empty_like(r)
-        z[:n_u] = self._K.solve(r[:n_u].reshape(2, -1).T).T.ravel()
-        z[n_u:] = self._nu * self._M.solve(r[n_u:])
-        return z
+def _pcg(apply, b, precondition, rtol):
+    """(x, iterations) of preconditioned CG for apply(x) = b from x = 0, to
+    |r| <= rtol |b| in at most _CG_MAX_ITER iterations, stopped early
+    where the operator or the preconditioner is not positive."""
+    x = np.zeros_like(b)
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0:
+        return x, 0
+    r = b.copy()
+    z = precondition(r)
+    p, rz = z, r @ z
+    for it in range(1, _CG_MAX_ITER + 1):
+        q = apply(p)
+        pq = p @ q
+        if not (pq > 0 and rz > 0):
+            break
+        alpha = rz / pq
+        x += alpha * p
+        r -= alpha * q
+        if np.linalg.norm(r) <= rtol * bnorm:
+            break
+        z = precondition(r)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    return x, it
+
+
+def _chebyshev(M, dinv, r):
+    """_CHEB_STEPS steps of Jacobi-preconditioned Chebyshev semi-iteration
+    for M x = r from x = 0 (Saad, Iterative Methods for Sparse Linear
+    Systems, 2nd ed., Algorithm 12.1), on the P1 mass bounds
+    lambda(D^-1 M) in [1/2, 2]: a fixed polynomial in D^-1 M times D^-1,
+    so a symmetric positive definite approximation of M^-1."""
+    lo, hi = 0.5, 2.0
+    theta, delta = (hi + lo) / 2, (hi - lo) / 2
+    sigma = theta / delta
+    rho = 1 / sigma
+    d = dinv * r / theta
+    x = d
+    for _ in range(_CHEB_STEPS - 1):
+        r = r - M @ d
+        rho, rho_old = 1 / (2 * sigma - rho), rho
+        d = rho * rho_old * d + (2 * rho / delta) * (dinv * r)
+        x = x + d
+    return x
 
 
 def _stokes_blocks(A, free, offsets):

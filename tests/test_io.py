@@ -5,10 +5,13 @@ import csv
 import numpy as np
 import pytest
 
-from trifem import (build_topology, fe_mesh, read_freefem_msh,
+import trifem.io
+import trifem.mesh
+from trifem import (Mesh2d, build_topology, fe_mesh, read_freefem_msh,
                     read_freefem_solution, square_mesh, write_freefem_msh,
                     write_results)
 from trifem.io import MshFormatError, format_real
+from trifem.mesh import signed_area
 
 
 class TestReadMsh:
@@ -49,6 +52,44 @@ class TestReadMsh:
                         "1 3 2 0\n")
         mesh, _ = read_freefem_msh(path)
         assert build_topology(mesh).area[0] > 0
+
+    def test_areas_of_a_read_mesh_are_computed_once(self, tmp_path, monkeypatch):
+        mesh = square_mesh([0, 1, 0, 1], 0.25)
+        node = mesh.node + 0.01 * np.sin(7 * mesh.node[:, ::-1])
+        elem = mesh.elem.copy()
+        elem[::3] = elem[::3][:, [0, 2, 1]]     # every third triangle clockwise
+        path = tmp_path / "mixed.msh"
+        write_freefem_msh(path, Mesh2d(node=node, elem=mesh.elem))
+        text = path.read_text().splitlines()
+        for t in range(0, len(elem), 3):
+            i, j, k = elem[t] + 1
+            text[1 + len(node) + t] = f"{i} {j} {k} 0"
+        path.write_text("\n".join(text) + "\n")
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return signed_area(*args)
+
+        monkeypatch.setattr(trifem.io, "signed_area", counted)
+        monkeypatch.setattr(trifem.mesh, "signed_area", counted)
+        back, _ = read_freefem_msh(path)
+        assert len(calls) == 1
+        assert np.array_equal(back.elem, mesh.elem)
+        assert np.array_equal(back.area, signed_area(back.node, back.elem))
+        assert np.all(back.area > 0) and not back.area.flags.writeable
+
+    def test_orientation_error_is_unchanged(self, tmp_path):
+        path = tmp_path / "flat.msh"
+        path.write_text("4 2 0\n"
+                        "0.0 0.0 1\n1.0 0.0 1\n0.0 1.0 1\n2.0 0.0 1\n"
+                        "1 3 2 0\n"       # clockwise, reoriented
+                        "1 2 4 0\n")      # collinear
+        with pytest.raises(ValueError) as fresh:
+            Mesh2d(node=[[0, 0], [1, 0], [0, 1], [2, 0]], elem=[[0, 1, 2], [0, 1, 3]])
+        with pytest.raises(MshFormatError) as read:
+            read_freefem_msh(path)
+        assert str(read.value) == f"{path}: {fresh.value}"
 
     def test_topology_invariants_on_read_mesh(self, tmp_path):
         mesh = square_mesh([0, 2, 0, 1], 0.25)

@@ -254,3 +254,14 @@ def test_children_4t_to_4t_plus_3_tile_their_parent_t(meshes):
         area = signed_area(fine.node, fine.elem).reshape(-1, 4).sum(axis=1)
         assert np.allclose(area, signed_area(coarse.node, coarse.elem),
                            rtol=1e-12, atol=0)
+
+
+@PROPERTY
+@given(th=perturbed_mesh())
+def test_jacobi_scaled_p1_mass_spectrum_lies_in_half_to_two(th):
+    # Wathen's element bounds, which the Stokes pressure preconditioner's
+    # Chebyshev steps assume: D^-1 M_e has eigenvalues 1/2, 1/2 and 2
+    M = assemble_system(th, var_form(1, "v.val", "u.val"), ["P1"]).matrix().toarray()
+    d = np.sqrt(np.diag(M))
+    lam = np.linalg.eigvalsh(M / np.outer(d, d))
+    assert 0.5 - 1e-12 <= lam.min() and lam.max() <= 2.0 + 1e-12

@@ -12,7 +12,7 @@ from trifem import (DirichletSolver, DirichletSpec, Mesh2d,
                     fit_rate, interpolate_nodal, solve_sparse, square_mesh,
                     uniform_refine, var_form)
 from trifem.mesh import prolongation
-from trifem.problems import default_spec, run_problem, stokes_form
+from trifem.problems import default_spec, run_problem, solve_stokes, stokes_form
 
 
 def poisson_system(th, space="P1", order=3, f=lambda p: np.ones(len(p))):
@@ -205,7 +205,7 @@ def solvers(monkeypatch):
 
 class TestOrdering:
     @pytest.mark.parametrize("problem,overrides,ordering", [
-        ("stokes", {"refinements": 3}, "MMD_AT_PLUS_A"),
+        ("elasticity-tensor", {"degree": 1, "refinements": 3}, "MMD_AT_PLUS_A"),
         ("poisson", {"degree": 2, "refinements": 3}, "MMD_AT_PLUS_A"),
         ("poisson", {"degree": 3, "refinements": 3}, "MMD_AT_PLUS_A"),
         ("elasticity-disp", {"degree": 1, "refinements": 3}, "MMD_AT_PLUS_A"),
@@ -220,6 +220,16 @@ class TestOrdering:
         run_problem(default_spec(problem, **overrides))
         assert (solvers[-1].method, solvers[-1].ordering) == ("lu", ordering)
         assert solvers[-1].lu_fill > 0
+
+    def test_stokes_block_takes_the_symmetric_path(self):
+        # solve_stokes factorizes only the velocity block; the whole
+        # penalized Taylor-Hood block keeps its ordering for the LU fallback
+        spec, kk, ff, fixed, values = stokes_level(3)
+        solver = DirichletSolver(kk.matrix(), fixed)
+        assert (solver.method, solver.ordering) == ("lu", "MMD_AT_PLUS_A")
+        assert solver.lu_fill > 0
+        solver.solve(ff, values)
+        assert solver.residual <= 1e-8
 
     def test_zero_diagonal_saddle_block_keeps_colamd(self):
         # [[M, K], [K^T, 0]]: 9.2 entries per row, wider than P1's stencil,
@@ -435,18 +445,18 @@ def pressure_mean(kk, p):
 
 @pytest.fixture(scope="module")
 def stokes_r5():
-    """The refine-5 Taylor-Hood level, solved by MINRES and by LU."""
+    """The refine-5 Taylor-Hood level, solved by Schur CG and by LU."""
     spec, kk, ff, fixed, values = stokes_level(5)
-    minres = stokes_solver(spec, kk, fixed)
+    cg = stokes_solver(spec, kk, fixed)
     lu = DirichletSolver(kk.matrix(), fixed)
-    return kk, ff, values, minres, minres.solve(ff, values), lu, lu.solve(ff, values)
+    return kk, ff, values, cg, cg.solve(ff, values), lu, lu.solve(ff, values)
 
 
 class TestStokesSolver:
     def test_matches_lu_at_refine_5(self, stokes_r5):
-        kk, _, _, minres, x, _, y = stokes_r5
-        assert minres.method == "minres" and minres.iterations <= 50
-        assert minres.residual <= 1e-11
+        kk, _, _, cg, x, _, y = stokes_r5
+        assert cg.method == "schur-cg" and cg.iterations <= 50
+        assert cg.residual <= 1e-11
         u = slice(0, kk.offsets[2])
         assert np.abs(x[u] - y[u]).max() <= 1e-11 * np.abs(y[u]).max()
         # LU's pressure carries a constant-mode mean of about 1e-6: noise
@@ -459,14 +469,14 @@ class TestStokesSolver:
     def test_pressure_mean_is_set_by_the_penalty_equation(self, stokes_r5):
         # a pressure load whose sum is not zero: the constant mode's
         # amplitude is c = e^T g / e^T A_pp e, g the pressure part of b
-        kk, ff, values, minres, _, lu, _ = stokes_r5
+        kk, ff, values, cg, _, lu, _ = stokes_r5
         pp = slice(kk.offsets[2], kk.offsets[3])
         ff = ff.copy()
         ff[pp] = 1e-10 * np.linspace(1.0, 3.0, pp.stop - pp.start)
-        x, y = minres.solve(ff, values), lu.solve(ff, values)
-        assert minres.method == "minres"
+        x, y = cg.solve(ff, values), lu.solve(ff, values)
+        assert cg.method == "schur-cg"
         A = kk.matrix()
-        b = ff[minres.free] - A[minres.free][:, minres.fixed] @ values
+        b = ff[cg.free] - A[cg.free][:, cg.fixed] @ values
         c = b[-(pp.stop - pp.start):].sum() / A[pp][:, pp].sum()
         assert abs(c) > 1
         assert pressure_mean(kk, x[pp]) == pytest.approx(c, rel=1e-12)
@@ -490,11 +500,11 @@ class TestStokesSolver:
         x = solver.solve(ff, values)
         assert np.array_equal(x, DirichletSolver(A, fixed).solve(ff, values))
 
-    def test_minres_that_misses_the_gate_falls_back_to_lu(self, monkeypatch):
+    def test_cg_that_misses_the_gate_falls_back_to_lu(self, monkeypatch):
         spec, kk, ff, fixed, values = stokes_level(3)
-        monkeypatch.setattr(trifem.system, "_MINRES_MAX_ITER", 1)
+        monkeypatch.setattr(trifem.system, "_CG_MAX_ITER", 1)
         solver = stokes_solver(spec, kk, fixed)
-        assert solver.method == "minres"
+        assert solver.method == "schur-cg"
         x = solver.solve(ff, values)
         assert solver.method == "lu" and solver.residual <= 1e-8
         assert solver.ordering == "MMD_AT_PLUS_A"
@@ -503,18 +513,17 @@ class TestStokesSolver:
     def test_stats_are_read_only(self):
         spec, kk, ff, fixed, values = stokes_level(3)
         solver = stokes_solver(spec, kk, fixed)
-        assert (solver.method, solver.ordering) == ("minres", "MMD_AT_PLUS_A/COLAMD")
+        assert (solver.method, solver.ordering) == ("schur-cg", "MMD_AT_PLUS_A")
         assert (solver.iterations, solver.residual) == (0, None)
         assert solver.lu_fill > 0
         solver.solve(ff, values)
-        assert solver.method == "minres" and 0 < solver.iterations <= 50
+        assert solver.method == "schur-cg" and 0 < solver.iterations <= 50
         assert solver.residual <= 1e-11
         for name in ("ordering", "lu_fill", "method", "iterations", "residual"):
             with pytest.raises(AttributeError):
                 setattr(solver, name, 0)
 
-    def test_solve_stokes_picks_minres_above_the_threshold(self, monkeypatch,
-                                                           solvers):
+    def test_solve_stokes_takes_schur_cg_on_every_level(self, monkeypatch):
         made = []
 
         class Recorded(trifem.system.StokesSolver):
@@ -523,17 +532,35 @@ class TestStokesSolver:
                 made.append(self)
 
         monkeypatch.setattr(trifem.problems, "StokesSolver", Recorded)
-        monkeypatch.setattr(trifem.problems, "_MINRES_MIN_FREE", 1000)
-        lu = run_problem(default_spec("stokes", refinements=3))
-        # refine 1 and 2 have 123 and 531 free dofs, refine 3 has 2,211
-        assert [s.method for s in solvers] == ["lu", "lu"]
-        assert [s.method for s in made] == ["minres"]
-        monkeypatch.setattr(trifem.problems, "_MINRES_MIN_FREE", 10**9)
-        ref = run_problem(default_spec("stokes", refinements=3))
-        for name in ("u_L2", "u_H1"):
-            assert np.array_equal(lu.columns[name][:2], ref.columns[name][:2])
-            assert lu.columns[name][2] == pytest.approx(ref.columns[name][2],
-                                                        rel=1e-9)
+        run_problem(default_spec("stokes", refinements=5))
+        assert [len(s.free) for s in made] == [123, 531, 2211, 9027, 36483]
+        assert all(s.method == "schur-cg" and 0 < s.iterations <= 50
+                   and s.residual <= 1e-11 for s in made)
+
+    def test_pressure_mean_is_c_on_every_level(self):
+        # LU left a constant-mode mean of up to 2.3e-5 here (refine 1):
+        # solve noise amplified by 1/eps.  The load has e^T g = 0 on these
+        # levels, so c = 0 and the mean is compared on the pressure's scale.
+        for refinements in range(1, 5):
+            spec, kk, ff, fixed, values = stokes_level(refinements)
+            _, _, p = solve_stokes(ladder_level(refinements, selectors=()), spec)
+            pp = slice(kk.offsets[2], kk.offsets[3])
+            A = kk.matrix()
+            b = ff[pp] - A[pp][:, fixed] @ values
+            c = b.sum() / A[pp][:, pp].sum()
+            scale = max(abs(c), np.abs(p).max())
+            assert abs(pressure_mean(kk, p) - c) <= 1e-12 * scale
+
+
+class TestChebyshev:
+    def test_operator_is_symmetric_positive_definite(self):
+        th = ladder_level(2)
+        M = assemble_system(th, var_form(1, "v.val", "u.val"), ["P1"]).matrix()
+        dinv = 1.0 / M.diagonal()
+        C = np.column_stack([trifem.system._chebyshev(M, dinv, e)
+                             for e in np.identity(M.shape[0])])
+        assert np.abs(C - C.T).max() <= 1e-14 * np.abs(C).max()
+        assert np.linalg.eigvalsh((C + C.T) / 2).min() > 0
 
 
 class TestSolveSparse:
