@@ -24,12 +24,13 @@ and p.  The planned path then contracts the small operands first: a
 table products, and a P1 derivative pair sums w * cc over the points
 once per cell.  A table that varies on both axes (P2/P3 derivatives)
 keeps 'iep'; nothing is expanded to one value per (cell, point).
-Multi-component forms are grouped into blocks by (test component, trial component); one
-block routine offsets each block's triples by the cumulative row/column
-dof counts and concatenates them, for assemble_system and
-system_from_blocks alike.
-Triples stay uncompressed so contributions from the 2d domain and
-boundary terms can be concatenated cheaply and compressed once.
+Multi-component forms are grouped into blocks by (test component, trial
+component); one block routine, for assemble_system and
+system_from_blocks alike, compresses each block as it is made, before
+the next block's kernel runs, and stacks the compressed blocks at the
+cumulative dof offsets into one CSR matrix.  No triples are kept or
+concatenated: doing so held each triple twice at the peak (Taylor-Hood
+at refine 5 grew from 105 to 134 MiB in the join).
 
 A load 'v.val' is linear in its coefficient values, so
 ``load_operator`` builds it once as a sparse operator L with entries
@@ -39,7 +40,7 @@ that reloads one form every step applies L instead of assembling again.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,12 +111,14 @@ def compress(triples):
 
 @dataclass
 class AssembledSystem:
-    """Assembled multi-component system: triples plus component layout."""
+    """Assembled multi-component system: one canonical CSR matrix, no
+    triples, and its layout of nndofu dofs per component of spaces.
+    Two systems add as scipy adds CSR matrices: a sum that is exactly
+    zero is not stored."""
 
-    triples: SparseTriples
+    _csr: sp.csr_matrix
     nndofu: tuple
     spaces: tuple
-    _matrix: object = field(default=None, repr=False)
 
     @property
     def num_dofs(self):
@@ -126,17 +129,15 @@ class AssembledSystem:
         return np.concatenate([[0], np.cumsum(self.nndofu)])
 
     def matrix(self):
-        if self._matrix is None:
-            self._matrix = compress(self.triples)
-        return self._matrix
+        return self._csr
 
     def __add__(self, other):
         if isinstance(other, (int, float)) and other == 0:
             return self
         if self.nndofu != other.nndofu:
             raise ValueError("cannot add systems with different component layouts")
-        return AssembledSystem(triples=self.triples + other.triples,
-                               nndofu=self.nndofu, spaces=self.spaces)
+        return AssembledSystem(_csr=self._csr + other._csr, nndofu=self.nndofu,
+                               spaces=self.spaces)
 
     __radd__ = __add__
 
@@ -176,8 +177,9 @@ def _local_kernel(cells, entries, spaces):
             operands.append(table)
             inputs.append(axes)
         blk = _einsum(",".join(inputs) + output, *operands)
-        local = blk if local is None else local + blk
-    return local * cells.measure.reshape((-1,) + (1,) * len(spaces))
+        local = blk if local is None else np.add(local, blk, out=local)
+    local *= cells.measure.reshape((-1,) + (1,) * len(spaces))
+    return local
 
 
 def _squeezed(table, axes):
@@ -330,9 +332,9 @@ def assemble_system(th, form, spaces, quad_order=None, domain="2d", region=None)
     """Assemble a (possibly multi-component) form.
 
     Entries are grouped into blocks by test/trial component; each block
-    runs the scalar kernel and its triples are offset by the cumulative
-    dof counts.  Bilinear forms return an AssembledSystem, linear forms
-    the concatenated load vector.
+    runs the scalar kernel and is compressed before the next one runs,
+    then placed at the cumulative dof offsets.  Bilinear forms return an
+    AssembledSystem, linear forms the concatenated load vector.
     """
     form = _as_form(form)
     spaces = tuple(fe_space(s) for s in _aslist(spaces))
@@ -363,29 +365,27 @@ def assemble_system(th, form, spaces, quad_order=None, domain="2d", region=None)
     return _block_system(spaces, nndofu, (
         ((ci, cj), _scalar_assemble(cells, VarForm(entries=tuple(entries)),
                                     spaces[ci], spaces[cj]))
-        for (ci, cj), entries in blocks.items()), owned=True)
+        for (ci, cj), entries in blocks.items()))
 
 
 def system_from_blocks(th, spaces, blocks):
     """Build an AssembledSystem from scalar block triples.
 
     blocks maps (row component, column component) to SparseTriples (or
-    None for a zero block); the triples get the cumulative dof offsets.
+    None for a zero block); each block is compressed and placed at the
+    cumulative dof offsets.  The system shares no memory with them.
     """
     spaces = tuple(fe_space(s) for s in _aslist(spaces))
     nndofu = tuple(th.dof_map(s).num_dofs for s in spaces)
     return _block_system(spaces, nndofu, blocks.items())
 
 
-def _block_system(spaces, nndofu, blocks, owned=False):
+def _block_system(spaces, nndofu, blocks):
     """One AssembledSystem from ((ci, cj), triples) pairs: each block is
-    shape-checked, offset by the cumulative dof counts and concatenated;
-    None blocks are skipped.  With owned, the triples are new arrays the
-    system may keep: a lone block at offset zero is kept as it is.
-    Otherwise the system holds copies, never the caller's arrays."""
-    offsets = np.concatenate([[0], np.cumsum(nndofu)])
-    total = int(offsets[-1])
-    ii, jj, ss = [], [], []
+    shape-checked and compressed as it arrives, and its triples are
+    dropped before the next pair is made; None blocks are skipped.  The
+    compressed blocks are then stacked at the cumulative dof offsets."""
+    compressed = {}
     for (ci, cj), triples in blocks:
         if triples is None:
             continue
@@ -393,15 +393,32 @@ def _block_system(spaces, nndofu, blocks, owned=False):
         if (triples.nrows, triples.ncols) != expected:
             raise ValueError(f"block ({ci}, {cj}) has shape "
                              f"{(triples.nrows, triples.ncols)}, expected {expected}")
-        ii.append(triples.ii + offsets[ci] if offsets[ci] else triples.ii)
-        jj.append(triples.jj + offsets[cj] if offsets[cj] else triples.jj)
-        ss.append(triples.ss)
+        compressed[ci, cj] = compress(triples)
+        del triples             # not kept while the next block is made
+    return AssembledSystem(_csr=_stacked(compressed, nndofu), nndofu=nndofu,
+                           spaces=spaces)
 
-    def joined(parts, dtype):
-        if not parts:
-            return np.empty(0, dtype)
-        return parts[0] if owned and len(parts) == 1 else np.concatenate(parts)
 
-    combined = SparseTriples(ii=joined(ii, np.int64), jj=joined(jj, np.int64),
-                             ss=joined(ss, float), nrows=total, ncols=total)
-    return AssembledSystem(triples=combined, nndofu=nndofu, spaces=spaces)
+def _stacked(blocks, nndofu):
+    """The compressed blocks, popped from the dict, written at their
+    dof offsets in one pass; each row takes its blocks in increasing
+    column order, so the result is canonical."""
+    offsets = np.concatenate([[0], np.cumsum(nndofu)])
+    total = int(offsets[-1])
+    indptr = np.zeros(total + 1, dtype=np.int64)
+    for (ci, _), blk in blocks.items():
+        indptr[offsets[ci] + 1:offsets[ci + 1] + 1] += np.diff(blk.indptr)
+    np.cumsum(indptr, out=indptr)
+    nnz = int(indptr[-1])
+    indices = np.empty(nnz, dtype=np.int32 if max(nnz, total) < 2**31 else np.int64)
+    data = np.empty(nnz)
+    free = indptr[:-1].copy()           # each row's next unwritten slot
+    for ci, cj in sorted(blocks):
+        blk = blocks.pop((ci, cj))
+        rows = slice(offsets[ci], offsets[ci + 1])
+        counts = np.diff(blk.indptr)
+        dest = np.repeat(free[rows] - blk.indptr[:-1], counts) + np.arange(blk.nnz)
+        indices[dest] = blk.indices + offsets[cj]
+        data[dest] = blk.data
+        free[rows] += counts
+    return sp.csr_matrix((data, indices, indptr), shape=(total, total))

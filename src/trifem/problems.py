@@ -656,9 +656,9 @@ def solve_stokes(th, spec):
     ff = assemble_system(th, var_form(list(_split(data.f, 2)),
                                       ["v1.val", "v2.val"]), spaces, order)
     fixed, values = dirichlet_dofs(th, kk, dirichlet)
-    A, offsets = kk.matrix(), kk.offsets
-    del kk                      # its triples are not kept through the solve
-    solver = StokesSolver(A, fixed, offsets, spec.nu, spec.eps)
+    offsets = kk.offsets
+    solver = StokesSolver(kk.matrix(), fixed, offsets, spec.nu, spec.eps)
+    del kk                      # the solver keeps only its matrix's blocks
     return tuple(np.split(solver.solve(ff, values), offsets[1:-1]))
 
 
@@ -714,7 +714,7 @@ def solve_heat(th, spec, dt, nsteps):
     fixed, _ = dirichlet_dofs(th, kk, DirichletSpec(on, (initial,) * len(on)))
     fixed_points = th.dof_map(space).dof_point[fixed]
     solver = DirichletSolver(kk.matrix(), fixed)
-    del kk                      # not kept while the step operators are built
+    del kk                      # the full matrix goes before the step operators
 
     mass = assemble_system(th, var_form(1.0 / dt, "v.val", "u.val"),
                            [space], order).matrix()

@@ -363,11 +363,10 @@ class StokesSolver(DirichletSolver):
         if blocks is None:
             self._factor()
             return
-        K, A_pp = blocks
-        n_u = self._n_u = 2 * K.shape[0]
+        K, self._B, A_pp = blocks
+        self._n_u = 2 * K.shape[0]
         self._method = "schur-cg"
         self._ordering, self._lu = _structured_splu(K.tocsc())
-        self._B = self._A_ff[n_u:, :n_u]
         # -A_pp = eps M_p: S's pressure term, and the mass the
         # preconditioner's Chebyshev steps invert
         self._M = -A_pp
@@ -459,12 +458,13 @@ def _chebyshev(M, dinv, r):
 
 
 def _stokes_blocks(A, free, offsets):
-    """(K, A_pp): the first velocity component's block and the pressure
-    block of a free block A (CSR) ordered (velocity, velocity, pressure)
-    by ``offsets``; None unless both velocity components have the same
-    block, A is symmetric, the constant pressure mode e is decoupled
-    (B^T e = 0) and A_pp has a negative diagonal.  Each comparison is to
-    1e-12 of its largest entry."""
+    """(K, B, A_pp): the first velocity component's block, the
+    pressure-velocity block and the pressure block of a free block A
+    (CSR) ordered (velocity, velocity, pressure) by ``offsets``; None
+    unless both velocity components have the same block, A is
+    symmetric, the constant pressure mode e is decoupled (B^T e = 0) and
+    A_pp has a negative diagonal.  Each comparison is to 1e-12 of its
+    largest entry."""
     if len(offsets) != 4:
         return None
     n_u1, n_u = np.searchsorted(free, offsets[1:3])
@@ -482,7 +482,7 @@ def _stokes_blocks(A, free, offsets):
     A_pp = A[n_u:, n_u:]
     if not np.all(A_pp.diagonal() < 0):
         return None
-    return K, A_pp
+    return K, B, A_pp
 
 
 def _passes(residual):

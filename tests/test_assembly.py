@@ -555,7 +555,7 @@ class TestSqueezedContraction:
 
 
 class TestTriplesWithoutCopies:
-    def test_a_single_block_keeps_the_kernel_triples(self, monkeypatch):
+    def test_a_single_block_is_the_compressed_kernel_triples(self, monkeypatch):
         import trifem.assembly
 
         made = []
@@ -566,13 +566,15 @@ class TestTriplesWithoutCopies:
             return made[-1]
         monkeypatch.setattr(trifem.assembly, "_scalar_assemble", recorded)
         th = refine3_th()
-        triples = assemble_system(th, var_form([1, 1], ["v.grad", "v.val"],
-                                               ["u.grad", "u.val"]),
-                                  ["P1"], 3).triples
+        matrix = assemble_system(th, var_form([1, 1], ["v.grad", "v.val"],
+                                              ["u.grad", "u.val"]),
+                                 ["P1"], 3).matrix()
         assert len(made) == 1
-        for attr in ("ii", "jj", "ss"):
-            assert getattr(triples, attr) is getattr(made[0], attr)
-        assert triples.ii.dtype == triples.jj.dtype == np.int64
+        assert matrix.has_canonical_format
+        expected = compress(made[0])
+        for attr in ("data", "indices", "indptr"):
+            got, want = getattr(matrix, attr), getattr(expected, attr)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("components", [[(0, 0)], [(0, 0), (1, 1)]])
     def test_blocks_from_the_caller_are_copied(self, components):
@@ -580,10 +582,55 @@ class TestTriplesWithoutCopies:
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
         given = assemble_scalar_2d(th, var_form(1, "v.grad", "u.grad"), "P1")
         kk = system_from_blocks(th, ["P1", "P1"], {c: given for c in components})
-        for attr in ("ii", "jj", "ss"):
-            assert not np.shares_memory(getattr(kk.triples, attr),
-                                        getattr(given, attr))
-        before = kk.matrix().toarray()
+        matrix = kk.matrix()
+        for attr in ("data", "indices", "indptr"):
+            for source in ("ii", "jj", "ss"):
+                assert not np.shares_memory(getattr(matrix, attr),
+                                            getattr(given, source))
+        before = matrix.toarray()
         given.ss[:] = 0.0
-        kk._matrix = None
         assert np.array_equal(kk.matrix().toarray(), before)
+
+    def test_each_block_is_dropped_before_the_next_is_made(self, monkeypatch):
+        import weakref
+
+        import trifem.assembly
+
+        blocks, alive = [], []
+        original = trifem.assembly._scalar_assemble
+
+        def recorded(*args):
+            # earlier blocks whose triples are still alive as this one is made
+            alive.append(sum(ref() is not None for ref in blocks))
+            triples = original(*args)
+            blocks.append(weakref.ref(triples.ii))
+            return triples
+        monkeypatch.setattr(trifem.assembly, "_scalar_assemble", recorded)
+        th = refine3_th()
+        spec = default_spec("stokes")
+        kk = assemble_system(th, stokes_form(spec), _taylor_hood(spec.data)[0],
+                             spec.order)
+        assert len(blocks) > 1 and alive == [0] * len(blocks)
+        assert all(ref() is None for ref in blocks)
+        assert kk.matrix().shape == (kk.num_dofs, kk.num_dofs)
+
+    def test_systems_add_as_their_matrices(self):
+        # a domain and a boundary system add as canonical CSR matrices:
+        # the compressed concatenation of both triples, without the
+        # entries that sum to exactly zero; 0 + kk is kk, so sum() works
+        th = fe_mesh(refine3_th().mesh, ["x==0"])
+        region = th.partition[0]
+        form = var_form([1, 1], ["v.grad", "v.val"], ["u.grad", "u.val"])
+        edge = var_form(2, "v.val", "u.val")
+        kk = assemble_system(th, form, ["P2"], 4)
+        got = sum([kk, assemble_system(th, edge, ["P2"], 4, "1d", region)]).matrix()
+        want = compress(assemble_scalar_2d(th, form, "P2", quad_order=4)
+                        + assemble_scalar_1d(th, region, edge, "P2", quad_order=4))
+        want.eliminate_zeros()
+        assert got.has_canonical_format
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
+        assert 0 + kk is kk
+        with pytest.raises(ValueError, match="component layouts"):
+            kk + assemble_system(th, form, ["P1"], 4)

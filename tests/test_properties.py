@@ -3,14 +3,16 @@ randomized affine triangles and perturbed refined meshes over P1-P3."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import row_unique_topology
-from trifem import (FeFunction, Mesh2d, assemble_system, build_topology,
-                    coef_matrix_from_dofs, coef_to_matrix, evaluate_at_points,
-                    fe_mesh, fe_space, interpolate_nodal, load_operator,
-                    square_mesh, tabulate_basis, uniform_refine, var_form)
+from trifem import (FeFunction, Mesh2d, assemble_scalar_2d, assemble_system,
+                    build_topology, coef_matrix_from_dofs, coef_to_matrix,
+                    evaluate_at_points, fe_mesh, fe_space, interpolate_nodal,
+                    load_operator, square_mesh, tabulate_basis, uniform_refine,
+                    var_form)
 from trifem.fespace import quad_points_2d
 from trifem.mesh import prolongation, signed_area
 from trifem.quadrature import triangle_rule
@@ -265,3 +267,44 @@ def test_jacobi_scaled_p1_mass_spectrum_lies_in_half_to_two(th):
     d = np.sqrt(np.diag(M))
     lam = np.linalg.eigvalsh(M / np.outer(d, d))
     assert 0.5 - 1e-12 <= lam.min() and lam.max() <= 2.0 + 1e-12
+
+
+@PROPERTY
+@given(th=perturbed_mesh(), data=st.data())
+def test_a_system_is_its_blocks_concatenated_then_compressed(th, data):
+    # random bilinear forms over 1-3 components of P1-P3: the system
+    # has the pattern of the blocks' triples, offset, concatenated and
+    # compressed in one go, its values to rounding, and canonical storage
+    spaces = data.draw(st.lists(SPACES, min_size=1, max_size=3))
+    ncomp, order = len(spaces), max(int(s[1]) for s in spaces) + 2
+    blocks = {}
+    for _ in range(data.draw(st.integers(1, 6))):
+        ci, cj = (data.draw(st.integers(0, ncomp - 1)) for _ in range(2))
+        a, b = (data.draw(st.sampled_from(["val", "dx", "dy"])) for _ in range(2))
+        coef = data.draw(st.floats(-1.0, 1.0))
+        blocks.setdefault((ci, cj), []).append((coef, a, b))
+    form = var_form(*zip(*((coef, f"v{ci + 1}.{a}", f"u{cj + 1}.{b}")
+                           for (ci, cj), entries in blocks.items()
+                           for coef, a, b in entries)))
+    got = assemble_system(th, form, spaces, order).matrix()
+
+    offsets = np.cumsum([0] + [th.dof_map(s).num_dofs for s in spaces])
+    ii, jj, ss = [], [], []
+    for (ci, cj), entries in blocks.items():
+        coefs, tests, trials = zip(*((coef, f"v.{a}", f"u.{b}")
+                                     for coef, a, b in entries))
+        triples = assemble_scalar_2d(th, var_form(list(coefs), list(tests),
+                                                  list(trials)),
+                                     spaces[ci], spaces[cj], order)
+        ii.append(triples.ii + offsets[ci])
+        jj.append(triples.jj + offsets[cj])
+        ss.append(triples.ss)
+    want = sp.coo_matrix((np.concatenate(ss),
+                          (np.concatenate(ii), np.concatenate(jj))),
+                         shape=(offsets[-1], offsets[-1])).tocsr()
+    want.sum_duplicates()
+    want.sort_indices()
+    assert got.shape == want.shape and got.has_canonical_format
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
