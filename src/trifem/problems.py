@@ -26,7 +26,7 @@ from .fespace import (Cells, coef_matrix_from_dofs, coef_matrix_on_edges,
                       outward_normals)
 from .io import read_freefem_msh
 from .mesh import fe_mesh, square_mesh, uniform_refine
-from .system import (DirichletSolver, DirichletSpec, RateReport, StokesSolver,
+from .system import (DirichletSolver, DirichletSpec, RateReport, _solver,
                      apply_dirichlet_and_solve, dirichlet_dofs, error_H1_semi,
                      error_L2)
 from .vform import VarForm, standardize_symbols, var_form
@@ -648,8 +648,8 @@ def stokes_form(spec):
 
 
 def solve_stokes(th, spec):
-    """(u1, u2, p) of one level by CG on the pressure Schur complement
-    (StokesSolver)."""
+    """(u1, u2, p) of one level, by CG on the pressure Schur complement
+    where the block has the penalized Stokes structure (system._solver)."""
     data, order = spec.data, spec.order
     spaces, dirichlet = _taylor_hood(data)
     kk = assemble_system(th, stokes_form(spec), spaces, order)
@@ -657,7 +657,7 @@ def solve_stokes(th, spec):
                                       ["v1.val", "v2.val"]), spaces, order)
     fixed, values = dirichlet_dofs(th, kk, dirichlet)
     offsets = kk.offsets
-    solver = StokesSolver(kk.matrix(), fixed, offsets, spec.nu, spec.eps)
+    solver = _solver(th, kk, fixed)
     del kk                      # the solver keeps only its matrix's blocks
     return tuple(np.split(solver.solve(ff, values), offsets[1:-1]))
 

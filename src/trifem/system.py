@@ -5,61 +5,62 @@ are assigned their boundary values exactly and the remaining free block
 
     A_ff x_f = b_f - A_fc x_c
 
-is solved by a direct sparse factorization (``DirichletSolver``), on a
-refinement ladder by multigrid-preconditioned CG (``MultigridSolver``),
-or for a Taylor-Hood Stokes block by CG on its pressure Schur complement
-(``StokesSolver``; see below).  SuperLU's ordering is chosen from the
-free block's structure.  A block with no zero on its diagonal and a
-stencil wider than P1's (more than 9 entries per row: P2/P3,
-elasticity, Taylor-Hood, the Newton Jacobian) is factorized in
-symmetric mode on a minimum-degree ordering of A + A^T, which cuts its
-fill by a quarter (elasticity P1) to two thirds (P3).  Every other block keeps COLAMD: on scalar P1 the
-symmetric path factorizes about three times slower despite less fill,
-and on a zero-diagonal saddle block (the mixed biharmonic system) its
-pivoting fills several times more and runs up to a hundred times slower.
+is solved by LU (``DirichletSolver``), by multigrid-preconditioned CG
+on a refinement ladder, or for a Taylor-Hood Stokes block by CG on its
+pressure Schur complement.  One function, ``_solver``, picks the method
+from the component degrees, the mesh ladder and the free block's
+structure; ``apply_dirichlet_and_solve`` and ``problems.solve_stokes``
+call it.  Heat and Newton build a ``DirichletSolver`` directly: heat
+back-solves thousands of steps against one factor (P1 at refine 5 would
+cross _MG_MIN_FREE and run a V-cycle CG on every step), and the Newton
+Jacobian is not symmetric.  A Krylov solve that misses the LU path's
+1e-8 gate on the free block's true residual falls back to LU, on that
+solve and from then on.
 
-``apply_dirichlet_and_solve`` takes the multigrid path by structure: a
-single P1 component on a mesh made by ``uniform_refine``, more than
-_MG_MIN_FREE free dofs, and a free block that is symmetric with a
-positive diagonal.  Each ladder level's P1 space contains the coarser
-one, and the prolongation between them is exact interpolation, so one
-V-cycle over the ladder preconditions CG: Galerkin coarse operators
-P^T A P on the free dofs, two damped Jacobi sweeps (omega = 0.8) before
-and after each coarse correction, and SuperLU on the root level.  CG
-runs to a relative residual of 1e-13, and every solve passes the same
-1e-8 residual gate as the LU path; a CG that misses it, for instance on
-an indefinite form, falls back to LU.  At P1 refine 7 (65,280 free
+SuperLU's ordering is chosen from the free block's structure.  A block
+with no zero on its diagonal and a stencil wider than P1's (more than 9
+entries per row: P2/P3, elasticity, Taylor-Hood, the Newton Jacobian)
+is factorized in symmetric mode on a minimum-degree ordering of A + A^T,
+which cuts its fill by a quarter (elasticity P1) to two thirds (P3).
+Every other block keeps COLAMD: on scalar P1 the symmetric path
+factorizes about three times slower despite less fill, and on a
+zero-diagonal saddle block (the mixed biharmonic system) its pivoting
+fills several times more and runs up to a hundred times slower.
+
+Multigrid is taken for a single P1 component on a mesh made by
+``uniform_refine`` with more than _MG_MIN_FREE free dofs, and a free
+block that is symmetric with a positive diagonal.  Each level's P1 space
+contains the coarser one, and the prolongation is exact interpolation,
+so one V-cycle over the ladder preconditions CG: Galerkin coarse
+operators P^T A P on the free dofs, two damped Jacobi sweeps (omega =
+0.8) before and after each coarse correction, and SuperLU at the root.
+CG runs to a relative residual of 1e-13.  At P1 refine 7 (65,280 free
 dofs) this takes 12 iterations and about a tenth of the factorization's
 time, without its 8.7M-entry fill.
 
-``StokesSolver`` solves the penalized Taylor-Hood free block
+The penalized Taylor-Hood free block
 
     [[K, 0, B1^T], [0, K, B2^T], [B1, B2, A_pp]],  A_pp = -eps M_p,
 
-by CG on the pressure Schur complement S = B K^-1 B^T - A_pp, then
-u = K^-1 (f - B^T p) (Elman, Silvester and Wathen, Finite Elements and
-Fast Iterative Solvers, 2nd ed., OUP 2014).  Only one velocity
-component's block K is factorized, and each K^-1 is one 2-column
-back-solve for both components: at refine 5 its factor fills 1.13M
-entries where the whole block fills 7.32M.  S is spectrally equivalent
-to M_p / nu, so CG is preconditioned by four Chebyshev steps on the P1
-pressure mass with Jacobi scaling, on the fixed bounds lambda(D^-1 M_p)
-in [1/2, 2] (Wathen, IMA J. Numer. Anal. 7, 1987; Wathen and Rees,
-ETNA 34, 2009): a fixed symmetric positive definite polynomial, so M_p
-is not factorized (a positive multiple of it, -A_pp, serves, since CG
+is solved by CG on the pressure Schur complement S = B K^-1 B^T - A_pp,
+then u = K^-1 (f - B^T p) (Elman, Silvester and Wathen, Finite Elements
+and Fast Iterative Solvers, 2nd ed., OUP 2014).  Only K is factorized,
+and each K^-1 is one 2-column back-solve for both components: at refine
+5 its factor fills 1.13M entries where the whole block fills 7.32M.  S
+is spectrally equivalent to M_p / nu, so CG is preconditioned by four
+Chebyshev steps on the P1 pressure mass with Jacobi scaling, on the
+fixed bounds lambda(D^-1 M_p) in [1/2, 2] (Wathen, IMA J. Numer. Anal.
+7, 1987; Wathen and Rees, ETNA 34, 2009): a fixed symmetric positive
+definite polynomial, so M_p is not factorized (-A_pp serves, since CG
 does not see the scale).  The velocity is fixed on the whole boundary,
 so B^T e = 0 for the constant pressure mode e, and e decouples: the
-penalty equation gives its amplitude, CG solves for the rest, and the
-pressure's e-part is set afterwards (the penalty gives e an eigenvalue
-near eps, so an LU solve leaves it loose).  The path is taken only with
-eps > 0 and nu > 0, for a symmetric block whose velocity components
-share one block and whose B^T e vanishes (each to 1e-12 of the largest
-entry).  CG runs to a relative residual of 1e-14 on S, and the 1e-8 gate
-is kept on the whole block's true residual; a solve that misses it
-falls back to LU.  ``problems.solve_stokes`` builds it on every level:
-12 to 26 iterations from refine 1 to 5.  Everything else factorizes:
-heat back-solves thousands of steps against one factor, the Newton
-Jacobian is not symmetric, and the biharmonic block has a zero diagonal.
+penalty equation gives its amplitude, CG solves for the rest (the
+penalty gives e an eigenvalue near eps, so LU leaves it loose).  The
+path is taken for three components, the last P1, whose free block is
+symmetric, has this form with K's diagonal positive (nu > 0) and
+A_pp's negative (eps > 0), and has B^T e = 0, each to 1e-12 of its
+largest entry.  CG runs to a relative residual of 1e-14 on S: 12 to 26
+iterations from refine 1 to 5.
 
 Error norms integrate (u - u_h)^2 and |grad u - grad u_h|^2 by
 quadrature; convergence rates are least-squares slopes of log(err)
@@ -79,10 +80,9 @@ from .fespace import (Cells, _check_shape, _eval_pointfun, coef_matrix_from_dofs
                       fe_space, quad_points_2d, region_dofs)
 from .mesh import prolongation
 
-__all__ = ["DirichletSpec", "DirichletSolver", "MultigridSolver",
-           "StokesSolver", "RateReport", "apply_dirichlet_and_solve",
-           "dirichlet_dofs", "solve_sparse", "error_L2", "error_H1_semi",
-           "fit_rate"]
+__all__ = ["DirichletSpec", "DirichletSolver", "RateReport",
+           "apply_dirichlet_and_solve", "dirichlet_dofs", "solve_sparse",
+           "error_L2", "error_H1_semi", "fit_rate"]
 
 # SuperLU's symmetric path: minimum degree on A + A^T, diagonal pivots
 # kept unless below 1e-3 of their column's largest entry
@@ -167,7 +167,7 @@ class DirichletSolver:
 
     Two iterative-refinement sweeps per solve recover the digits a single
     backsolve loses on penalty-stabilized saddle points.  Raises on a
-    numerically singular free block."""
+    numerically singular free block.  ``_solver`` may add a Krylov method."""
 
     def __init__(self, A, fixed):
         self._eliminate(A, fixed)
@@ -191,7 +191,9 @@ class DirichletSolver:
         self._iterations, self._residual = 0, None
 
     def _factor(self):
-        """Factorize A_ff with the ordering its structure picks."""
+        """Factorize A_ff with the ordering its structure picks, after
+        dropping any Krylov method and its state."""
+        self._krylov = self._lu = None
         self._A_ff = self._A_ff.tocsc()
         self._method = "lu"
         self._ordering, self._lu = (_structured_splu(self._A_ff) if len(self.free)
@@ -253,7 +255,16 @@ class DirichletSolver:
         return x
 
     def _solve_free(self, b):
-        """(x_f, refinement sweeps, relative residual) by the factor."""
+        """(x_f, iterations, relative residual): by the Krylov method
+        while it passes the residual gate, by the factor from its first
+        miss on."""
+        if self._krylov is not None:
+            with np.errstate(all="ignore"):
+                xf, iterations = self._krylov(b)
+                residual = np.linalg.norm(b - self._A_ff @ xf) / max(np.linalg.norm(b), 1.0)
+            if _passes(residual):
+                return xf, iterations, residual
+            self._factor()                      # LU from here on
         try:
             # only numpy floating-point warnings can arise in a solve
             with np.errstate(all="ignore"):
@@ -270,51 +281,55 @@ class DirichletSolver:
         return xf, sweep, rnorm / bnorm
 
 
-class MultigridSolver(DirichletSolver):
-    """DirichletSolver by CG, preconditioned by one geometric multigrid
-    V-cycle on a refinement ladder (see the module docstring).
+def _solver(th, system, fixed):
+    """The solver of an AssembledSystem on th with the dofs ``fixed``
+    eliminated: MG-PCG, Schur CG or LU, picked as the module docstring says."""
+    degrees = [fe_space(s).degree for s in system.spaces]
+    ladder, mesh = [], th.mesh
+    if degrees == [1] and system.num_dofs - len(fixed) > _MG_MIN_FREE:
+        # before the free block is split off: a lower peak at P1 refine 7
+        while mesh.parent is not None:
+            ladder.append(prolongation(mesh))
+            mesh = mesh.parent
+    solver = DirichletSolver.__new__(DirichletSolver)
+    solver._eliminate(system.matrix(), fixed)
+    A, free = solver._A_ff, solver.free
+    schur = len(degrees) == 3 and degrees[2] == 1   # Chebyshev's P1 mass bounds
+    krylov = (_multigrid(A, free, ladder) if ladder
+              else _schur(A, free, system.offsets) if schur else None)
+    if krylov is None:
+        solver._factor()
+    else:
+        solver._method, solver._ordering, solver._lu, solver._krylov = krylov
+    return solver
 
-    ``prolongations`` are the P1 prolongations from A's mesh down its
-    ladder, finest first (``mesh.prolongation`` of each level).  A free
-    block that is not symmetric with a positive diagonal at every level
-    is factorized as DirichletSolver does; so is one whose CG misses
-    the residual gate, on its first such solve and from then on."""
 
-    def __init__(self, A, fixed, prolongations):
-        self._eliminate(A, fixed)
-        hierarchy = _hierarchy(self._A_ff, self.free, prolongations)
-        if hierarchy is None:
-            self._factor()
-            return
-        self._levels, root = hierarchy
-        self._method, self._ordering = "mg-pcg", "COLAMD"
-        self._lu = _splu(root.tocsc())
+def _multigrid(A, free, prolongations):
+    """("mg-pcg", ordering, root factor, Krylov method) of CG on a free
+    block A preconditioned by one V-cycle down a refinement ladder, its
+    P1 prolongations finest first; None where _hierarchy rejects A."""
+    hierarchy = _hierarchy(A, free, prolongations)
+    if hierarchy is None:
+        return None
+    levels, root = hierarchy
+    lu = _splu(root.tocsc())
+    vcycle = lambda r: _vcycle(levels, lu, r)
+    return "mg-pcg", "COLAMD", lu, lambda b: _pcg(A.__matmul__, b, vcycle, _CG_RTOL)
 
-    def _solve_free(self, b):
-        if self._method == "mg-pcg":
-            A = self._A_ff
-            with np.errstate(all="ignore"):
-                xf, iterations = _pcg(A.__matmul__, b, self._vcycle, _CG_RTOL)
-                residual = np.linalg.norm(b - A @ xf) / max(np.linalg.norm(b), 1.0)
-            if _passes(residual):
-                return xf, iterations, residual
-            self._levels = None                 # LU from here on
-            self._factor()
-        return super()._solve_free(b)
 
-    def _vcycle(self, b, level=0):
-        """One V-cycle for A_l x = b from x = 0: damped Jacobi sweeps
-        around the coarse correction, the root factor at the bottom."""
-        if level == len(self._levels):
-            return self._lu.solve(b)
-        A, P, R, dinv = self._levels[level]
-        x = dinv * b                    # the first sweep, from x = 0
-        for _ in range(_MG_SWEEPS - 1):
-            x += dinv * (b - A @ x)
-        x += P @ self._vcycle(R @ (b - A @ x), level + 1)
-        for _ in range(_MG_SWEEPS):
-            x += dinv * (b - A @ x)
-        return x
+def _vcycle(levels, lu, b, level=0):
+    """One V-cycle for A_l x = b from x = 0: damped Jacobi sweeps around
+    the coarse correction, the root factor lu at the bottom."""
+    if level == len(levels):
+        return lu.solve(b)
+    A, P, R, dinv = levels[level]
+    x = dinv * b                    # the first sweep, from x = 0
+    for _ in range(_MG_SWEEPS - 1):
+        x += dinv * (b - A @ x)
+    x += P @ _vcycle(levels, lu, R @ (b - A @ x), level + 1)
+    for _ in range(_MG_SWEEPS):
+        x += dinv * (b - A @ x)
+    return x
 
 
 def _hierarchy(A, free, prolongations):
@@ -325,9 +340,8 @@ def _hierarchy(A, free, prolongations):
     Each level's free dofs are the finer level's free dofs below the
     coarse node count (P1 numbers the coarse nodes first), P_l is the
     prolongation restricted to them, and A_{l+1} = P_l^T A_l P_l.  The
-    ladder ends at its root mesh or at the first level with no free dof.
-    """
-    if abs(A - A.T).max() > 1e-12 * abs(A).max():
+    ladder ends at its root mesh or at the first level with no free dof."""
+    if not _negligible(A - A.T, np.abs(A.data).max(initial=0)):
         return None
     levels = []
     for P in prolongations:
@@ -346,68 +360,42 @@ def _hierarchy(A, free, prolongations):
     return levels, A
 
 
-class StokesSolver(DirichletSolver):
-    """DirichletSolver for a penalized Taylor-Hood Stokes block by CG on
-    the pressure Schur complement (see the module docstring).
+def _schur(A, free, offsets):
+    """("schur-cg", ordering, velocity factor, Krylov method) of CG on
+    the pressure Schur complement S = B K^-1 B^T - A_pp of a free block
+    A to _SCHUR_RTOL; None where _stokes_blocks rejects A.
 
-    ``offsets`` are the system's component offsets (velocity, velocity,
-    pressure), ``nu`` the viscosity and ``eps`` the pressure penalty.  A
-    free block without the penalized Stokes structure is factorized as
-    DirichletSolver does; so is one whose CG misses the residual gate,
-    on its first such solve and from then on."""
+    The constant pressure mode e decouples (B^T e = 0): the penalty
+    equation sets its amplitude c = e^T g / e^T A_pp e, g the pressure
+    part of b; CG solves with c A_pp e taken off g, then p's e-part,
+    A_pp-orthogonally, is set to c."""
+    blocks = _stokes_blocks(A, free, offsets)
+    if blocks is None:
+        return None
+    K, B, A_pp = blocks
+    n_u, Bt = 2 * K.shape[0], B.T
+    ordering, lu = _structured_splu(K.tocsc())
+    # eps M_p: S's pressure term and the Chebyshev steps' mass
+    M = -A_pp
+    dinv = 1.0 / M.diagonal()
+    App_e = A_pp.sum(axis=1).A1         # A_pp e and e^T A_pp e
+    e_App_e = App_e.sum()
 
-    def __init__(self, A, fixed, offsets, nu, eps):
-        self._eliminate(A, fixed)
-        blocks = (_stokes_blocks(self._A_ff, self.free, offsets)
-                  if 0 < nu < np.inf and 0 < eps < np.inf else None)
-        if blocks is None:
-            self._factor()
-            return
-        K, self._B, A_pp = blocks
-        self._n_u = 2 * K.shape[0]
-        self._method = "schur-cg"
-        self._ordering, self._lu = _structured_splu(K.tocsc())
-        # -A_pp = eps M_p: S's pressure term, and the mass the
-        # preconditioner's Chebyshev steps invert
-        self._M = -A_pp
-        self._dinv = 1.0 / self._M.diagonal()
-        # the constant pressure mode e: A_pp e and e^T A_pp e
-        self._App_e = A_pp.sum(axis=1).A1
-        self._e_App_e = self._App_e.sum()
-
-    def _solve_free(self, b):
-        if self._method == "schur-cg":
-            with np.errstate(all="ignore"):
-                xf, iterations, residual = self._schur_cg(b)
-            if _passes(residual):
-                return xf, iterations, residual
-            self._factor()                      # LU from here on
-        return super()._solve_free(b)
-
-    def _schur_cg(self, b):
-        """(x_f, iterations, relative residual) of CG on the Schur
-        complement S = B K^-1 B^T - A_pp to _SCHUR_RTOL.
-
-        The constant pressure mode e decouples (B^T e = 0): the penalty
-        equation sets its amplitude c = e^T g / e^T A_pp e, g being the
-        pressure part of b; CG solves with c A_pp e taken off g, and its
-        pressure's e-part, A_pp-orthogonally, is replaced by c."""
-        n_u, B, Bt, M = self._n_u, self._B, self._B.T, self._M
-        App_e, e_App_e = self._App_e, self._e_App_e
-        c = b[n_u:].sum() / e_App_e
-        f, g = b[:n_u], b[n_u:] - c * App_e
-        p, iterations = _pcg(lambda d: B @ self._solve_K(Bt @ d) + M @ d,
-                             B @ self._solve_K(f) - g,
-                             lambda r: _chebyshev(M, self._dinv, r), _SCHUR_RTOL)
-        p += c - (App_e @ p) / e_App_e
-        x = np.concatenate([self._solve_K(f - Bt @ p), p])
-        residual = np.linalg.norm(b - self._A_ff @ x) / max(np.linalg.norm(b), 1.0)
-        return x, iterations, residual
-
-    def _solve_K(self, u):
+    def solve_K(u):
         """blockdiag(K, K)^-1 u, both components by one 2-column back-solve
         of a Fortran-ordered right-hand side."""
-        return self._lu.solve(u.reshape(2, -1).T).T.ravel()
+        return lu.solve(u.reshape(2, -1).T).T.ravel()
+
+    def schur_cg(b):
+        c = b[n_u:].sum() / e_App_e
+        f, g = b[:n_u], b[n_u:] - c * App_e
+        p, iterations = _pcg(lambda d: B @ solve_K(Bt @ d) + M @ d,
+                             B @ solve_K(f) - g,
+                             lambda r: _chebyshev(M, dinv, r), _SCHUR_RTOL)
+        p += c - (App_e @ p) / e_App_e
+        return np.concatenate([solve_K(f - Bt @ p), p]), iterations
+
+    return "schur-cg", ordering, lu, schur_cg
 
 
 def _pcg(apply, b, precondition, rtol):
@@ -459,30 +447,33 @@ def _chebyshev(M, dinv, r):
 
 def _stokes_blocks(A, free, offsets):
     """(K, B, A_pp): the first velocity component's block, the
-    pressure-velocity block and the pressure block of a free block A
-    (CSR) ordered (velocity, velocity, pressure) by ``offsets``; None
-    unless both velocity components have the same block, A is
-    symmetric, the constant pressure mode e is decoupled (B^T e = 0) and
-    A_pp has a negative diagonal.  Each comparison is to 1e-12 of its
-    largest entry."""
-    if len(offsets) != 4:
-        return None
+    pressure-velocity block and the pressure block of a three-component
+    free block A (CSR), ordered (velocity, velocity, pressure) by
+    ``offsets``; None unless A is symmetric, both velocity components
+    have the same block K, with a positive diagonal, and no coupling
+    between them, the constant pressure mode e is decoupled (B^T e = 0)
+    and A_pp has a negative diagonal.  Each comparison is to 1e-12 of
+    its largest entry, block by block: no temporary of A's size."""
     n_u1, n_u = np.searchsorted(free, offsets[1:3])
-    n = A.shape[0]
-    if not (0 < n_u1 == n_u - n_u1 and n_u < n):
+    if not (0 < n_u1 == n_u - n_u1 and n_u < A.shape[0]):
         return None
-    scale = abs(A).max()
-    K = A[:n_u1, :n_u1]
-    if (abs(A - A.T).max() > 1e-12 * scale
-            or abs(K - A[n_u1:n_u, n_u1:n_u]).max() > 1e-12 * scale):
-        return None
-    B = A[n_u:, :n_u]
-    if not np.abs(B.T @ np.ones(n - n_u)).max() <= 1e-12 * abs(B).max():
-        return None
-    A_pp = A[n_u:, n_u:]
-    if not np.all(A_pp.diagonal() < 0):
+    scale = np.abs(A.data).max(initial=0)
+    K, B, A_pp = A[:n_u1, :n_u1], A[n_u:, :n_u], A[n_u:, n_u:]
+    if not (np.all(K.diagonal() > 0) and np.all(A_pp.diagonal() < 0)
+            and _negligible(K - K.T, scale)
+            and _negligible(K - A[n_u1:n_u, n_u1:n_u], scale)
+            and _negligible(A[:n_u1, n_u1:n_u], scale)
+            and _negligible(A[n_u1:n_u, :n_u1], scale)
+            and _negligible(B - A[:n_u, n_u:].T, scale)
+            and _negligible(A_pp - A_pp.T, scale)
+            and _negligible(B.T @ np.ones(B.shape[0]), np.abs(B.data).max(initial=0))):
         return None
     return K, B, A_pp
+
+
+def _negligible(X, scale):
+    """Whether no entry of a sparse matrix or array X exceeds 1e-12 scale."""
+    return bool(abs(X).max() <= 1e-12 * scale)
 
 
 def _passes(residual):
@@ -528,28 +519,11 @@ def apply_dirichlet_and_solve(th, system, rhs, spec):
 
     fixed, values = dirichlet_dofs(th, system, spec)
     try:
-        ladder = _p1_ladder(th, system, total - len(fixed))
-        solver = (MultigridSolver(A, fixed, ladder) if ladder
-                  else DirichletSolver(A, fixed))
-        return solver.solve(rhs, values)
+        return _solver(th, system, fixed).solve(rhs, values)
     except RuntimeError as exc:
         hint = ("; no Dirichlet dof was fixed - an elliptic problem "
                 "needs at least one" if len(fixed) == 0 else "")
         raise RuntimeError(f"{exc}{hint}") from exc
-
-
-def _p1_ladder(th, system, n_free):
-    """The P1 prolongations from th's mesh down its refinement ladder,
-    finest first, for a single P1 component with more than _MG_MIN_FREE
-    free dofs on a refined mesh; otherwise none."""
-    if ([fe_space(s).degree for s in system.spaces] != [1]
-            or n_free <= _MG_MIN_FREE or th.mesh.parent is None):
-        return []
-    ladder, mesh = [], th.mesh
-    while mesh.parent is not None:
-        ladder.append(prolongation(mesh))
-        mesh = mesh.parent
-    return ladder
 
 
 def error_L2(th, space, quad_order, exact, dofs):

@@ -1,7 +1,9 @@
-"""Every name a trifem module imports is used in that module.
+"""Every name a trifem module imports is used in that module, and every
+name in its ``__all__`` is defined there.
 
 No linter ships with the project, so this parses each module with
-``ast`` and fails on an imported name that the module never reads.
+``ast`` and fails on an imported name that the module never reads, or
+an exported name that it never binds.
 """
 
 import ast
@@ -36,6 +38,23 @@ def _unused_imports(source):
     return imported - used
 
 
+def _undefined_exports(source):
+    """Names in the module's __all__ that no top-level statement binds."""
+    exported, bound = set(), set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            if "__all__" in names:
+                exported |= set(ast.literal_eval(node.value))
+            bound |= names
+    return exported - bound
+
+
 # the package's __init__ imports names only to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -63,3 +82,18 @@ def test_every_perfbench_hook_is_still_imported_and_unused():
 ])
 def test_the_check_sees_what_a_module_binds(source, unused):
     assert _unused_imports(source) == unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_exported_name_is_defined(path):
+    assert _undefined_exports(path.read_text()) == set()
+
+
+@pytest.mark.parametrize("source, undefined", [
+    ("__all__ = ['f']\ndef f(): pass\n", set()),
+    ("__all__ = ['C', 'gone']\nclass C: pass\n", {"gone"}),
+    ("from a import b\nX: int = 1\n__all__ = ['b', 'X']\n", set()),
+    ("def f():\n    g = 1\n__all__ = ['g']\n", {"g"}),
+])
+def test_the_export_check_sees_what_a_module_binds(source, undefined):
+    assert _undefined_exports(source) == undefined

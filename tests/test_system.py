@@ -1,5 +1,8 @@
 """Dirichlet elimination, sparse solving, error norms, rate fitting."""
 
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,7 +14,6 @@ from trifem import (DirichletSolver, DirichletSpec, Mesh2d,
                     dirichlet_dofs, error_H1_semi, error_L2, fe_mesh,
                     fit_rate, interpolate_nodal, solve_sparse, square_mesh,
                     uniform_refine, var_form)
-from trifem.mesh import prolongation
 from trifem.problems import default_spec, run_problem, solve_stokes, stokes_form
 
 
@@ -190,15 +192,22 @@ class TestDirichletSolver:
 
 @pytest.fixture
 def solvers(monkeypatch):
-    """Every DirichletSolver the drivers build, in order."""
+    """Every solver the drivers build, through the selector or directly,
+    in order."""
     made = []
+    select = trifem.system._solver
+
+    def recorded(*args):
+        made.append(select(*args))
+        return made[-1]
 
     class Recorded(DirichletSolver):
         def __init__(self, A, fixed):
             super().__init__(A, fixed)
             made.append(self)
 
-    monkeypatch.setattr(trifem.system, "DirichletSolver", Recorded)
+    monkeypatch.setattr(trifem.system, "_solver", recorded)
+    monkeypatch.setattr(trifem.problems, "_solver", recorded)
     monkeypatch.setattr(trifem.problems, "DirichletSolver", Recorded)
     return made
 
@@ -224,7 +233,7 @@ class TestOrdering:
     def test_stokes_block_takes_the_symmetric_path(self):
         # solve_stokes factorizes only the velocity block; the whole
         # penalized Taylor-Hood block keeps its ordering for the LU fallback
-        spec, kk, ff, fixed, values = stokes_level(3)
+        _, kk, ff, fixed, values = stokes_level(3)
         solver = DirichletSolver(kk.matrix(), fixed)
         assert (solver.method, solver.ordering) == ("lu", "MMD_AT_PLUS_A")
         assert solver.lu_fill > 0
@@ -287,15 +296,22 @@ def p1_problem(th, coefs, tests, trials, region=1):
 
 @pytest.fixture
 def mg_solvers(monkeypatch):
-    """Every MultigridSolver apply_dirichlet_and_solve builds, in order."""
-    made = []
+    """Every solver the selector builds past its multigrid gate (one P1
+    component on a refined mesh, more than _MG_MIN_FREE free dofs), in
+    order."""
+    made, tried = [], []
+    select, multigrid = trifem.system._solver, trifem.system._multigrid
 
-    class Recorded(trifem.system.MultigridSolver):
-        def __init__(self, A, fixed, prolongations):
-            super().__init__(A, fixed, prolongations)
-            made.append(self)
+    def recorded(*args):
+        tried.clear()
+        solver = select(*args)
+        if tried:
+            made.append(solver)
+        return solver
 
-    monkeypatch.setattr(trifem.system, "MultigridSolver", Recorded)
+    monkeypatch.setattr(trifem.system, "_multigrid",
+                        lambda *args: tried.append(True) or multigrid(*args))
+    monkeypatch.setattr(trifem.system, "_solver", recorded)
     return made
 
 
@@ -361,14 +377,13 @@ class TestMultigrid:
         kk, ff, spec = p1_problem(th, [1, -25.0], ["v.grad", "v.val"],
                                   ["u.grad", "u.val"])
         fixed, values = dirichlet_dofs(th, kk, spec)
-        ladder, mesh = [], th.mesh
-        while mesh.parent is not None:
-            ladder.append(prolongation(mesh))
-            mesh = mesh.parent
-        solver = trifem.system.MultigridSolver(kk.matrix(), fixed, ladder)
+        solver = trifem.system._solver(th, kk, fixed)
         assert solver.method == "mg-pcg"
+        # the V-cycle hierarchy goes with the Krylov method on the miss
+        krylov = weakref.ref(solver._krylov)
         x = solver.solve(ff, values)
         assert solver.method == "lu" and solver.residual <= 1e-8
+        assert krylov() is None
         assert np.array_equal(x, lu_solution(th, kk, ff, spec))
 
     def test_each_prolongation_is_built_once_per_mesh(self, monkeypatch,
@@ -417,10 +432,11 @@ class TestMultigrid:
                 setattr(solver, name, 0)
 
 
-def stokes_level(refinements, selectors=(), region=0):
-    """(spec, system, load, fixed, values) of a Taylor-Hood level with the
-    velocity fixed on one boundary region."""
-    spec = default_spec("stokes", refinements=refinements)
+def stokes_level(refinements, selectors=(), region=0, **form):
+    """(th, system, load, fixed, values) of a Taylor-Hood level with the
+    velocity fixed on one boundary region; ``form`` overrides the spec's
+    nu or eps in the Stokes form."""
+    spec = replace(default_spec("stokes", refinements=refinements), **form)
     th = ladder_level(refinements, selectors=selectors)
     kk = assemble_system(th, stokes_form(spec), ["P2", "P2", "P1"], spec.order)
     f, u = spec.data.f, spec.data.exact_u
@@ -428,12 +444,7 @@ def stokes_level(refinements, selectors=(), region=0):
                                       ["v1.val", "v2.val"]), kk.spaces, spec.order)
     fixed, values = dirichlet_dofs(th, kk, DirichletSpec(
         (region,), ((lambda p: u(p)[:, 0], lambda p: u(p)[:, 1], None),)))
-    return spec, kk, ff, fixed, values
-
-
-def stokes_solver(spec, kk, fixed):
-    return trifem.system.StokesSolver(kk.matrix(), fixed, kk.offsets,
-                                      spec.nu, spec.eps)
+    return th, kk, ff, fixed, values
 
 
 def pressure_mean(kk, p):
@@ -446,13 +457,13 @@ def pressure_mean(kk, p):
 @pytest.fixture(scope="module")
 def stokes_r5():
     """The refine-5 Taylor-Hood level, solved by Schur CG and by LU."""
-    spec, kk, ff, fixed, values = stokes_level(5)
-    cg = stokes_solver(spec, kk, fixed)
+    th, kk, ff, fixed, values = stokes_level(5)
+    cg = trifem.system._solver(th, kk, fixed)
     lu = DirichletSolver(kk.matrix(), fixed)
     return kk, ff, values, cg, cg.solve(ff, values), lu, lu.solve(ff, values)
 
 
-class TestStokesSolver:
+class TestSchurCG:
     def test_matches_lu_at_refine_5(self, stokes_r5):
         kk, _, _, cg, x, _, y = stokes_r5
         assert cg.method == "schur-cg" and cg.iterations <= 50
@@ -483,36 +494,45 @@ class TestStokesSolver:
         u = slice(0, kk.offsets[2])
         assert np.abs(x[u] - y[u]).max() <= 1e-11 * np.abs(y[u]).max()
 
-    @pytest.mark.parametrize("case", ["non-symmetric", "B^T e != 0", "eps = 0",
-                                      "nu = 0"])
+    @pytest.mark.parametrize("case", ["non-symmetric", "B^T e != 0", "eps < 0",
+                                      "nu < 0", "u1-u2 coupling"])
     def test_a_block_without_the_stokes_structure_takes_lu(self, case):
-        spec, kk, ff, fixed, values = (
+        th, kk, ff, fixed, values = (
             stokes_level(2, selectors=("x==0",), region=1)
-            if case == "B^T e != 0" else stokes_level(2))
+            if case == "B^T e != 0" else
+            stokes_level(2, eps=-1e-10) if case == "eps < 0" else
+            stokes_level(2, nu=-1.0) if case == "nu < 0" else stokes_level(2))
         A = kk.matrix()
         if case == "non-symmetric":
             i, j = np.setdiff1d(np.arange(A.shape[0]), fixed)[:2]
             A = A + sp.csr_matrix(([1e-3], ([i], [j])), shape=A.shape)
-        solver = trifem.system.StokesSolver(
-            A, fixed, kk.offsets, 0.0 if case == "nu = 0" else spec.nu,
-            0.0 if case == "eps = 0" else spec.eps)
+        elif case == "u1-u2 coupling":
+            # symmetric, with K shared and B^T e = 0: only the coupling
+            # is wrong (one CG iteration on the wrong operator, then LU)
+            A = A + assemble_system(th, var_form([0.5, 0.5], ["v1.val", "v2.val"],
+                                                 ["u2.val", "u1.val"]),
+                                    kk.spaces, 4).matrix()
+        solver = trifem.system._solver(th, replace(kk, _csr=A), fixed)
         assert (solver.method, solver.ordering) == ("lu", "MMD_AT_PLUS_A")
         x = solver.solve(ff, values)
         assert np.array_equal(x, DirichletSolver(A, fixed).solve(ff, values))
 
     def test_cg_that_misses_the_gate_falls_back_to_lu(self, monkeypatch):
-        spec, kk, ff, fixed, values = stokes_level(3)
+        th, kk, ff, fixed, values = stokes_level(3)
         monkeypatch.setattr(trifem.system, "_CG_MAX_ITER", 1)
-        solver = stokes_solver(spec, kk, fixed)
+        solver = trifem.system._solver(th, kk, fixed)
         assert solver.method == "schur-cg"
+        # B, the pressure mass and the velocity factor go with it
+        krylov = weakref.ref(solver._krylov)
         x = solver.solve(ff, values)
         assert solver.method == "lu" and solver.residual <= 1e-8
+        assert krylov() is None
         assert solver.ordering == "MMD_AT_PLUS_A"
         assert np.array_equal(x, DirichletSolver(kk.matrix(), fixed).solve(ff, values))
 
     def test_stats_are_read_only(self):
-        spec, kk, ff, fixed, values = stokes_level(3)
-        solver = stokes_solver(spec, kk, fixed)
+        th, kk, ff, fixed, values = stokes_level(3)
+        solver = trifem.system._solver(th, kk, fixed)
         assert (solver.method, solver.ordering) == ("schur-cg", "MMD_AT_PLUS_A")
         assert (solver.iterations, solver.residual) == (0, None)
         assert solver.lu_fill > 0
@@ -523,27 +543,19 @@ class TestStokesSolver:
             with pytest.raises(AttributeError):
                 setattr(solver, name, 0)
 
-    def test_solve_stokes_takes_schur_cg_on_every_level(self, monkeypatch):
-        made = []
-
-        class Recorded(trifem.system.StokesSolver):
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
-
-        monkeypatch.setattr(trifem.problems, "StokesSolver", Recorded)
+    def test_solve_stokes_takes_schur_cg_on_every_level(self, solvers):
         run_problem(default_spec("stokes", refinements=5))
-        assert [len(s.free) for s in made] == [123, 531, 2211, 9027, 36483]
+        assert [len(s.free) for s in solvers] == [123, 531, 2211, 9027, 36483]
         assert all(s.method == "schur-cg" and 0 < s.iterations <= 50
-                   and s.residual <= 1e-11 for s in made)
+                   and s.residual <= 1e-11 for s in solvers)
 
     def test_pressure_mean_is_c_on_every_level(self):
         # LU left a constant-mode mean of up to 2.3e-5 here (refine 1):
         # solve noise amplified by 1/eps.  The load has e^T g = 0 on these
         # levels, so c = 0 and the mean is compared on the pressure's scale.
         for refinements in range(1, 5):
-            spec, kk, ff, fixed, values = stokes_level(refinements)
-            _, _, p = solve_stokes(ladder_level(refinements, selectors=()), spec)
+            th, kk, ff, fixed, values = stokes_level(refinements)
+            _, _, p = solve_stokes(th, default_spec("stokes"))
             pp = slice(kk.offsets[2], kk.offsets[3])
             A = kk.matrix()
             b = ff[pp] - A[pp][:, fixed] @ values
