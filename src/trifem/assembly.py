@@ -24,13 +24,18 @@ and p.  The planned path then contracts the small operands first: a
 table products, and a P1 derivative pair sums w * cc over the points
 once per cell.  A table that varies on both axes (P2/P3 derivatives)
 keeps 'iep'; nothing is expanded to one value per (cell, point).
-Multi-component forms are grouped into blocks by (test component, trial
-component); one block routine, for assemble_system and
-system_from_blocks alike, compresses each block as it is made, before
-the next block's kernel runs, and stacks the compressed blocks at the
-cumulative dof offsets into one CSR matrix.  No triples are kept or
-concatenated: doing so held each triple twice at the peak (Taylor-Hood
-at refine 5 grew from 105 to 134 MiB in the join).
+
+A bilinear block's triples exist only inside the scalar kernel call:
+it hands them to ``compress`` and returns the canonical CSR matrix, so
+past the kernel there is one sparse type, scipy's.  Scalar blocks
+combine with scipy's +, scalar * and transpose, as the paper's block
+programs combine Matlab sparse matrices.  Multi-component forms are
+grouped into blocks by (test component, trial component); each block is
+compressed before the next block's kernel runs, and one routine stacks
+the compressed blocks at the cumulative dof offsets into one CSR
+matrix, for assemble_system and system_from_blocks alike.  No triples
+are kept or concatenated: doing so held each triple twice at the peak
+(Taylor-Hood at refine 5 grew from 105 to 134 MiB in the join).
 
 A load 'v.val' is linear in its coefficient values, so
 ``load_operator`` builds it once as a sparse operator L with entries
@@ -57,7 +62,8 @@ __all__ = ["SparseTriples", "AssembledSystem", "assemble_scalar_2d",
 
 @dataclass(frozen=True, eq=False)
 class SparseTriples:
-    """Sparse index (ii, jj, ss); duplicate positions sum on compression."""
+    """Sparse index (ii, jj, ss) of a matrix, the argument of compress;
+    duplicate positions sum."""
 
     ii: np.ndarray
     jj: np.ndarray
@@ -68,32 +74,6 @@ class SparseTriples:
     def __post_init__(self):
         if not (len(self.ii) == len(self.jj) == len(self.ss)):
             raise ValueError("ii, jj, ss must have equal lengths")
-
-    def __add__(self, other):
-        if isinstance(other, (int, float)) and other == 0:
-            return self
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("cannot add triples of different shapes")
-        return SparseTriples(ii=np.concatenate([self.ii, other.ii]),
-                             jj=np.concatenate([self.jj, other.jj]),
-                             ss=np.concatenate([self.ss, other.ss]),
-                             nrows=self.nrows, ncols=self.ncols)
-
-    __radd__ = __add__
-
-    def __mul__(self, scalar):
-        return SparseTriples(ii=self.ii, jj=self.jj, ss=self.ss * float(scalar),
-                             nrows=self.nrows, ncols=self.ncols)
-
-    __rmul__ = __mul__
-
-    @property
-    def T(self):
-        return SparseTriples(ii=self.jj, jj=self.ii, ss=self.ss,
-                             nrows=self.ncols, ncols=self.nrows)
-
-    def tocsr(self):
-        return compress(self)
 
 
 def compress(triples):
@@ -233,7 +213,9 @@ def load_operator(th, space, quad_order, domain="2d", region=None):
 
 
 def _scalar_assemble(cells, form, test_space, trial_space):
-    """form holds elementary entries (see expand_extended)."""
+    """The load vector or the compressed CSR block of a form of
+    elementary entries (see expand_extended); a block's triples are
+    dropped once compress returns."""
     spaces = [fe_space(test_space)]
     if not form.is_linear:
         spaces.append(fe_space(trial_space if trial_space is not None
@@ -251,16 +233,19 @@ def _scalar_assemble(cells, form, test_space, trial_space):
     rows, cols = dofs
     ii = np.broadcast_to(rows[:, :, None], local.shape).ravel()
     jj = np.broadcast_to(cols[:, None, :], local.shape).ravel()
-    return SparseTriples(ii=ii.astype(np.int64, copy=False),
-                         jj=jj.astype(np.int64, copy=False),
-                         ss=local.ravel(), nrows=sizes[0], ncols=sizes[1])
+    return compress(SparseTriples(ii=ii.astype(np.int64, copy=False),
+                                  jj=jj.astype(np.int64, copy=False),
+                                  ss=local.ravel(), nrows=sizes[0],
+                                  ncols=sizes[1]))
 
 
 def assemble_scalar_2d(th, form, test_space, trial_space=None, quad_order=None):
     """Assemble a scalar form over all elements.
 
-    Bilinear forms return SparseTriples, linear forms (trial absent) a
-    dense load vector.  Test and trial spaces may differ.
+    Bilinear forms return a canonical CSR matrix (duplicates summed,
+    indices sorted), linear forms (trial absent) a dense load vector.
+    Test and trial spaces may differ.  Blocks combine as scipy sparse
+    matrices (A + B, c * A, A.T) and stack with system_from_blocks.
     """
     form = expand_extended(_as_form(form))
     quad_order = _default_order(quad_order, test_space, trial_space)
@@ -272,7 +257,8 @@ def assemble_scalar_1d(th, region, form, test_space, trial_space=None,
                        quad_order=None):
     """Assemble a scalar form over the boundary edges of one region.
 
-    An empty region yields an all-zero contribution.
+    Returns what assemble_scalar_2d does; an empty region yields an
+    all-zero contribution.
     """
     form = expand_extended(_as_form(form))
     quad_order = _default_order(quad_order, test_space, trial_space)
@@ -362,39 +348,39 @@ def assemble_system(th, form, spaces, quad_order=None, domain="2d", region=None)
         ci = _component_index(entry.test.terms[0].symbol, "v", ncomp)
         cj = _component_index(entry.trial.terms[0].symbol, "u", ncomp)
         blocks.setdefault((ci, cj), []).append(entry)
-    return _block_system(spaces, nndofu, (
-        ((ci, cj), _scalar_assemble(cells, VarForm(entries=tuple(entries)),
-                                    spaces[ci], spaces[cj]))
-        for (ci, cj), entries in blocks.items()))
+    compressed = {(ci, cj): _scalar_assemble(cells, VarForm(entries=tuple(entries)),
+                                             spaces[ci], spaces[cj])
+                  for (ci, cj), entries in blocks.items()}
+    return AssembledSystem(_csr=_stacked(compressed, nndofu), nndofu=nndofu,
+                           spaces=spaces)
 
 
 def system_from_blocks(th, spaces, blocks):
-    """Build an AssembledSystem from scalar block triples.
+    """Build an AssembledSystem from scalar blocks.
 
-    blocks maps (row component, column component) to SparseTriples (or
-    None for a zero block); each block is compressed and placed at the
-    cumulative dof offsets.  The system shares no memory with them.
+    blocks maps (row component, column component) to a scipy sparse
+    matrix of any format (a sum of assemble_scalar_2d results, the CSC
+    transpose B.T, ...) or to None for a zero block.  Each block is
+    shape-checked, a canonical CSR copy of it is made (the caller's
+    matrix is not sorted in place), and the copies are stacked at the
+    cumulative dof offsets.  The system shares no memory with the blocks.
     """
     spaces = tuple(fe_space(s) for s in _aslist(spaces))
     nndofu = tuple(th.dof_map(s).num_dofs for s in spaces)
-    return _block_system(spaces, nndofu, blocks.items())
-
-
-def _block_system(spaces, nndofu, blocks):
-    """One AssembledSystem from ((ci, cj), triples) pairs: each block is
-    shape-checked and compressed as it arrives, and its triples are
-    dropped before the next pair is made; None blocks are skipped.  The
-    compressed blocks are then stacked at the cumulative dof offsets."""
     compressed = {}
-    for (ci, cj), triples in blocks:
-        if triples is None:
+    for (ci, cj), block in blocks.items():
+        if block is None:
             continue
+        if not sp.issparse(block):
+            raise TypeError(f"block ({ci}, {cj}) is a {type(block).__name__}, "
+                            "not a scipy sparse matrix")
         expected = (nndofu[ci], nndofu[cj])
-        if (triples.nrows, triples.ncols) != expected:
-            raise ValueError(f"block ({ci}, {cj}) has shape "
-                             f"{(triples.nrows, triples.ncols)}, expected {expected}")
-        compressed[ci, cj] = compress(triples)
-        del triples             # not kept while the next block is made
+        if block.shape != expected:
+            raise ValueError(f"block ({ci}, {cj}) has shape {block.shape}, "
+                             f"expected {expected}")
+        block = block.tocsr(copy=True)
+        block.sum_duplicates()          # sorts the indices too
+        compressed[ci, cj] = block
     return AssembledSystem(_csr=_stacked(compressed, nndofu), nndofu=nndofu,
                            spaces=spaces)
 

@@ -84,16 +84,8 @@ def _parse_bbox(text):
 
 
 def validate(args):
-    """Normalize run flags into a ProblemSpec; reject contradictions."""
-    if args.degree is not None and args.degree not in (1, 2, 3):
-        raise UsageError(f"--degree must be 1, 2 or 3, got {args.degree}")
-    if args.mesh is not None and args.square is not None:
-        raise UsageError("--mesh and --square are mutually exclusive")
-    if args.refine is not None and args.refine < 1:
-        raise UsageError("--refine must be at least 1")
-    if args.quad_order is not None and not 1 <= args.quad_order <= 8:
-        raise UsageError("--quad-order must be within 1..8")
-
+    """Normalize run flags into a ProblemSpec; default_spec rejects
+    contradictions and values out of range."""
     overrides = dict(degree=args.degree, quad_order=args.quad_order,
                      refinements=args.refine, mesh_path=args.mesh,
                      nu=args.nu, max_iter=args.max_iter, tol=args.tol,

@@ -26,7 +26,8 @@ from .fespace import (Cells, coef_matrix_from_dofs, coef_matrix_on_edges,
                       outward_normals)
 from .io import read_freefem_msh
 from .mesh import fe_mesh, square_mesh, uniform_refine
-from .system import (DirichletSolver, DirichletSpec, RateReport, _solver,
+from .quadrature import MAX_TRIANGLE_ORDER
+from .system import (DirichletSolver, DirichletSpec, RateReport,
                      apply_dirichlet_and_solve, dirichlet_dofs, error_H1_semi,
                      error_L2)
 from .vform import VarForm, standardize_symbols, var_form
@@ -334,9 +335,16 @@ _FIXED_BECAUSE = {
 }
 # the fields that only a generated mesh reads
 _GENERATED_MESH = ("refinements", "bbox", "h0")
-# the time, Newton and Taylor-Hood controls: what a valid value is, and
-# its test
+# the discretization, time, Newton and Taylor-Hood controls: what a
+# valid value is, and its test
 _CONTROLS = {
+    "degree": ("1, 2 or 3",
+               lambda v: isinstance(v, (int, np.integer)) and v in (1, 2, 3)),
+    "refinements": ("an integer >= 1",
+                    lambda v: isinstance(v, (int, np.integer)) and v >= 1),
+    "quad_order": (f"None or an integer in 1..{MAX_TRIANGLE_ORDER}",
+                   lambda v: v is None or (isinstance(v, (int, np.integer))
+                                           and 1 <= v <= MAX_TRIANGLE_ORDER)),
     "dt": ("None or a finite number > 0", lambda v: v is None or 0 < v < np.inf),
     "t_end": ("a finite number > 0", lambda v: 0 < v < np.inf),
     "tol": ("a finite number > 0", lambda v: 0 < v < np.inf),
@@ -360,9 +368,10 @@ def default_spec(problem, **overrides):
 
     Raises ValueError for an unknown problem or field name, for a change
     to a field the problem's runner does not read, for a mesh_path
-    together with a field that only a generated mesh reads, for a time
-    step, end time, Newton tolerance, iterate cap, viscosity or penalty
-    out of range, and for a time step that does not divide the end time.
+    together with a field that only a generated mesh reads, for a degree,
+    refinement count, quadrature order, time step, end time, Newton
+    tolerance, iterate cap, viscosity or penalty out of range (see
+    _CONTROLS), and for a time step that does not divide the end time.
     """
     row = _row(problem)
     spec = ProblemSpec(problem=problem, **row.defaults)
@@ -648,18 +657,15 @@ def stokes_form(spec):
 
 
 def solve_stokes(th, spec):
-    """(u1, u2, p) of one level, by CG on the pressure Schur complement
-    where the block has the penalized Stokes structure (system._solver)."""
+    """(u1, u2, p) of one level; apply_dirichlet_and_solve takes CG on
+    the pressure Schur complement where the block has the penalized
+    Stokes structure."""
     data, order = spec.data, spec.order
     spaces, dirichlet = _taylor_hood(data)
     kk = assemble_system(th, stokes_form(spec), spaces, order)
     ff = assemble_system(th, var_form(list(_split(data.f, 2)),
                                       ["v1.val", "v2.val"]), spaces, order)
-    fixed, values = dirichlet_dofs(th, kk, dirichlet)
-    offsets = kk.offsets
-    solver = _solver(th, kk, fixed)
-    del kk                      # the solver keeps only its matrix's blocks
-    return tuple(np.split(solver.solve(ff, values), offsets[1:-1]))
+    return _components(apply_dirichlet_and_solve(th, kk, ff, dirichlet), kk)
 
 
 def run_stokes(spec):

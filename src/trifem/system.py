@@ -9,13 +9,13 @@ is solved by LU (``DirichletSolver``), by multigrid-preconditioned CG
 on a refinement ladder, or for a Taylor-Hood Stokes block by CG on its
 pressure Schur complement.  One function, ``_solver``, picks the method
 from the component degrees, the mesh ladder and the free block's
-structure; ``apply_dirichlet_and_solve`` and ``problems.solve_stokes``
-call it.  Heat and Newton build a ``DirichletSolver`` directly: heat
-back-solves thousands of steps against one factor (P1 at refine 5 would
-cross _MG_MIN_FREE and run a V-cycle CG on every step), and the Newton
-Jacobian is not symmetric.  A Krylov solve that misses the LU path's
-1e-8 gate on the free block's true residual falls back to LU, on that
-solve and from then on.
+structure; ``apply_dirichlet_and_solve`` calls it, for every steady
+linear driver, Stokes included.  Heat and Newton build a
+``DirichletSolver`` directly: heat back-solves thousands of steps
+against one factor (P1 at refine 5 would cross _MG_MIN_FREE and run a
+V-cycle CG on every step), and the Newton Jacobian is not symmetric.
+A Krylov solve that misses the LU path's 1e-8 gate on the free block's
+true residual falls back to LU, on that solve and from then on.
 
 SuperLU's ordering is chosen from the free block's structure.  A block
 with no zero on its diagonal and a stencil wider than P1's (more than 9
@@ -510,7 +510,7 @@ def apply_dirichlet_and_solve(th, system, rhs, spec):
     dirichlet_dofs) get their boundary values exactly."""
     if not isinstance(system, AssembledSystem):
         raise TypeError("apply_dirichlet_and_solve needs an AssembledSystem "
-                        "(use assemble_system, or wrap scalar triples)")
+                        "(use assemble_system, or system_from_blocks)")
     A = system.matrix()
     rhs = np.asarray(rhs, dtype=float)
     total = system.num_dofs

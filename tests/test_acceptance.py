@@ -7,7 +7,7 @@ import numpy as np
 
 from trifem import (DirichletSpec, Mesh2d, apply_dirichlet_and_solve,
                     assemble_scalar_1d, assemble_scalar_2d, assemble_system,
-                    build_topology, compress, expand_extended, fe_mesh,
+                    build_topology, expand_extended, fe_mesh,
                     interpolate_nodal,
                     read_freefem_msh, read_freefem_solution, region_dofs,
                     square_mesh, tabulate_basis, triangle_rule,
@@ -35,13 +35,13 @@ def unit_triangle_th():
 
 def test_criterion_1_local_matrix_oracles():
     th = unit_triangle_th()
-    K = compress(assemble_scalar_2d(th, var_form(1, "v.grad", "u.grad"),
-                                    "P1", "P1", 2)).toarray()
+    K = assemble_scalar_2d(th, var_form(1, "v.grad", "u.grad"),
+                           "P1", "P1", 2).toarray()
     stiff_ref = 0.5 * np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]], dtype=float)
     ok1 = np.abs(K - stiff_ref).max() <= 1e-12
 
-    M = compress(assemble_scalar_2d(th, var_form(1, "v.val", "u.val"),
-                                    "P1", "P1", 3)).toarray()
+    M = assemble_scalar_2d(th, var_form(1, "v.val", "u.val"),
+                           "P1", "P1", 3).toarray()
     area = 0.5
     mass_ref = (area / 12.0) * np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]], dtype=float)
     ok2 = np.abs(M - mass_ref).max() <= 1e-12
@@ -170,7 +170,7 @@ def test_criterion_8_assembly_oracle():
     space = "P2"
     n = th2.dof_map(space).num_dofs
     for form, pointwise in kernels:
-        A = compress(assemble_scalar_2d(th2, form, space, space, 6))
+        A = assemble_scalar_2d(th2, form, space, space, 6)
         for _ in range(20):
             dv, du = rng.standard_normal(n), rng.standard_normal(n)
             got = dv @ (A @ du)
@@ -178,8 +178,8 @@ def test_criterion_8_assembly_oracle():
             worst = max(worst, abs(got - want) / max(abs(want), 1e-30))
 
     region = th1.partition[0]
-    B = compress(assemble_scalar_1d(th1, region, var_form(1, "v.val", "u.val"),
-                                    space, space, 6))
+    B = assemble_scalar_1d(th1, region, var_form(1, "v.val", "u.val"),
+                           space, space, 6)
     m = th1.dof_map(space).num_dofs
     for _ in range(20):
         dv, du = rng.standard_normal(m), rng.standard_normal(m)
@@ -232,8 +232,8 @@ def test_criterion_9_invariant_suites():
     th_b = fe_mesh(uniform_refine(square_mesh([0, 1, 0, 1], 0.5)), ["x==0"])
     form = var_form([lambda p: 1 + p[:, 1], 1], ["v.grad", "v.val"],
                     ["u.grad", "u.val"])
-    A1 = compress(assemble_scalar_2d(th, form, "P3", "P3", 5))
-    A2 = compress(assemble_scalar_2d(th_b, form, "P3", "P3", 5))
+    A1 = assemble_scalar_2d(th, form, "P3", "P3", 5)
+    A2 = assemble_scalar_2d(th_b, form, "P3", "P3", 5)
     if not (np.array_equal(A1.data, A2.data)
             and np.array_equal(A1.indices, A2.indices)
             and np.array_equal(A1.indptr, A2.indptr)):

@@ -3,12 +3,13 @@ random-dof equivalence with direct quadrature, block offsets."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from trifem import (Mesh2d, SparseTriples, assemble_scalar_1d,
                     assemble_scalar_2d, assemble_system, coef_matrix_from_dofs,
                     coef_to_matrix, compress, fe_mesh, interpolate_nodal,
-                    load_operator, square_mesh, tabulate_basis,
-                    uniform_refine, var_form)
+                    load_operator, square_mesh, system_from_blocks,
+                    tabulate_basis, uniform_refine, var_form)
 from trifem.fespace import Cells, lam_gradients, shape_dlam, shape_values
 from trifem.problems import (_ns_jacobian_form, _taylor_hood, default_spec,
                              stokes_form)
@@ -42,7 +43,7 @@ class TestLocalOracles:
     def test_p1_stiffness_unit_triangle(self):
         th = unit_triangle_th()
         form = var_form(1, "v.grad", "u.grad")
-        K = compress(assemble_scalar_2d(th, form, "P1", "P1", 2)).toarray()
+        K = assemble_scalar_2d(th, form, "P1", "P1", 2).toarray()
         assert np.allclose(K, P1_STIFFNESS_UNIT, atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("scale", [1.0, 2.5])
@@ -50,7 +51,7 @@ class TestLocalOracles:
         th = scaled_triangle_th(scale)
         area = 0.5 * scale**2
         form = var_form(1, "v.val", "u.val")
-        M = compress(assemble_scalar_2d(th, form, "P1", "P1", 3)).toarray()
+        M = assemble_scalar_2d(th, form, "P1", "P1", 3).toarray()
         assert np.allclose(M, area * P1_MASS_PATTERN, atol=1e-12, rtol=0)
 
     def test_load_vector_sums_to_area(self):
@@ -62,8 +63,8 @@ class TestLocalOracles:
         # bottom edge of the unit triangle has length 1
         th = fe_mesh(unit_triangle_th().mesh, ["y==0"])
         form = var_form(1, "v.val", "u.val")
-        K = compress(assemble_scalar_1d(th, th.partition[0], form,
-                                        "P1", "P1", 3)).toarray()
+        K = assemble_scalar_1d(th, th.partition[0], form,
+                               "P1", "P1", 3).toarray()
         assert np.allclose(K[:2, :2], EDGE_MASS_PATTERN, atol=1e-12, rtol=0)
         assert np.allclose(K[2], 0.0) and np.allclose(K[:, 2], 0.0)
 
@@ -98,41 +99,33 @@ class TestCompress:
         with pytest.raises(ValueError, match="out of range"):
             compress(t)
 
-    def test_triples_concatenate(self):
-        a = SparseTriples(ii=np.array([0]), jj=np.array([0]),
-                          ss=np.array([1.0]), nrows=2, ncols=2)
-        b = SparseTriples(ii=np.array([0]), jj=np.array([1]),
-                          ss=np.array([2.0]), nrows=2, ncols=2)
-        M = compress(a + b)
-        assert M[0, 0] == 1.0 and M[0, 1] == 2.0
-
     def test_sum_starts_from_zero(self):
-        a = SparseTriples(ii=np.array([0]), jj=np.array([0]),
-                          ss=np.array([1.0]), nrows=1, ncols=1)
-        assert sum([a]).ss[0] == 1.0
+        a = compress(SparseTriples(ii=np.array([0]), jj=np.array([0]),
+                                   ss=np.array([1.0]), nrows=1, ncols=1))
+        assert sum([a])[0, 0] == 1.0
 
 
 class TestInvariants:
     def test_laplacian_annihilates_constants(self):
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
         for space in ["P1", "P2", "P3"]:
-            A = compress(assemble_scalar_2d(th, var_form(1, "v.grad", "u.grad"),
-                                            space, space, 6))
+            A = assemble_scalar_2d(th, var_form(1, "v.grad", "u.grad"),
+                                   space, space, 6)
             ones = np.ones(A.shape[1])
             assert np.abs(A @ ones).max() <= 1e-12
 
     def test_mass_total_is_domain_area(self):
         th = fe_mesh(square_mesh([0, 2, 0, 1], 0.5))
         for space in ["P1", "P2"]:
-            M = compress(assemble_scalar_2d(th, var_form(1, "v.val", "u.val"),
-                                            space, space, 5))
+            M = assemble_scalar_2d(th, var_form(1, "v.val", "u.val"),
+                                   space, space, 5)
             ones = np.ones(M.shape[1])
             assert ones @ (M @ ones) == pytest.approx(2.0, abs=1e-12)
 
     def test_symmetric_form_gives_symmetric_matrix(self):
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.25))
-        A = compress(assemble_scalar_2d(th, var_form(1, "v.grad", "u.grad"),
-                                        "P2", "P2", 4))
+        A = assemble_scalar_2d(th, var_form(1, "v.grad", "u.grad"),
+                               "P2", "P2", 4)
         diff = (A - A.T)
         denom = np.sqrt((A.multiply(A)).sum())
         assert np.sqrt((diff.multiply(diff)).sum()) <= 1e-13 * denom
@@ -142,8 +135,8 @@ class TestInvariants:
         th2 = fe_mesh(square_mesh([0, 1, 0, 1], 0.25), ["x==0"])
         form = var_form([lambda p: 1 + p[:, 0], 1],
                         ["v.grad", "v.val"], ["u.grad", "u.val"])
-        A1 = compress(assemble_scalar_2d(th1, form, "P2", "P2", 4))
-        A2 = compress(assemble_scalar_2d(th2, form, "P2", "P2", 4))
+        A1 = assemble_scalar_2d(th1, form, "P2", "P2", 4)
+        A2 = assemble_scalar_2d(th2, form, "P2", "P2", 4)
         assert np.array_equal(A1.data, A2.data)
         assert np.array_equal(A1.indices, A2.indices)
         assert np.array_equal(A1.indptr, A2.indptr)
@@ -163,7 +156,7 @@ class TestRandomDofOracle:
         # mesh with 32 elements
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.25))
         form, pointwise = KERNELS[kernel]
-        A = compress(assemble_scalar_2d(th, form, space, space, 6))
+        A = assemble_scalar_2d(th, form, space, space, 6)
         n = th.dof_map(space).num_dofs
         rng = np.random.default_rng(2024)
         for _ in range(20):
@@ -178,7 +171,7 @@ class TestRandomDofOracle:
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.25), ["x==1"])
         region = th.partition[0]
         form = var_form(1, "v.val", "u.val")
-        A = compress(assemble_scalar_1d(th, region, form, space, space, 6))
+        A = assemble_scalar_1d(th, region, form, space, space, 6)
         n = th.dof_map(space).num_dofs
         rng = np.random.default_rng(99)
         for _ in range(20):
@@ -191,7 +184,7 @@ class TestRandomDofOracle:
     def test_variable_coefficient(self):
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.25))
         form = var_form(lambda p: 1 + p[:, 0] * p[:, 1], "v.grad", "u.grad")
-        A = compress(assemble_scalar_2d(th, form, "P2", "P2", 6))
+        A = assemble_scalar_2d(th, form, "P2", "P2", 6)
         n = th.dof_map("P2").num_dofs
         rng = np.random.default_rng(5)
         dv, du = rng.standard_normal(n), rng.standard_normal(n)
@@ -205,7 +198,7 @@ class TestSystemAssembly:
     def test_single_component_equals_scalar(self):
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
         form = var_form([1, 1], ["v.grad", "v.val"], ["u.grad", "u.val"])
-        A = compress(assemble_scalar_2d(th, form, "P2", "P2", 4))
+        A = assemble_scalar_2d(th, form, "P2", "P2", 4)
         sys2 = assemble_system(th, form, ["P2"], 4)
         assert (A != sys2.matrix()).nnz == 0
 
@@ -219,10 +212,10 @@ class TestSystemAssembly:
         K = sys2.matrix().toarray()
 
         n = th.dof_map("P1").num_dofs
-        M = compress(assemble_scalar_2d(th, var_form(1, "v.val", "u.val"),
-                                        "P1", "P1", 4)).toarray()
-        S = compress(assemble_scalar_2d(th, var_form(1, "v.grad", "u.grad"),
-                                        "P1", "P1", 4)).toarray()
+        M = assemble_scalar_2d(th, var_form(1, "v.val", "u.val"),
+                               "P1", "P1", 4).toarray()
+        S = assemble_scalar_2d(th, var_form(1, "v.grad", "u.grad"),
+                               "P1", "P1", 4).toarray()
         manual = np.block([[-M, S], [S, np.zeros((n, n))]])
         assert np.allclose(K, manual, atol=1e-14, rtol=0)
         assert sys2.nndofu == (n, n)
@@ -283,13 +276,13 @@ class TestSystemAssembly:
         assert np.all(ff == 0.0)
         K = assemble_scalar_1d(th, region, var_form(1, "v.val", "u.val"),
                                "P1", "P1", 3)
-        assert compress(K).nnz == 0
+        assert K.nnz == 0
 
     def test_mixed_test_trial_spaces(self):
         # rectangular block: P2 test against P1 trial
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
-        B = compress(assemble_scalar_2d(th, var_form(1, "v.dx", "u.val"),
-                                        "P2", "P1", 4))
+        B = assemble_scalar_2d(th, var_form(1, "v.dx", "u.val"),
+                               "P2", "P1", 4)
         n2 = th.dof_map("P2").num_dofs
         n1 = th.dof_map("P1").num_dofs
         assert B.shape == (n2, n1)
@@ -304,11 +297,11 @@ class TestSystemAssembly:
         kk1 = assemble_system(th, var_form(1, "v.val", "u.val"), ["P1"], 3,
                               domain="1d", region=th.partition[0])
         kk = kk2 + kk1
-        A2 = compress(assemble_scalar_2d(th, var_form(1, "v.grad", "u.grad"),
-                                         "P1", "P1", 3))
-        A1 = compress(assemble_scalar_1d(th, th.partition[0],
-                                         var_form(1, "v.val", "u.val"),
-                                         "P1", "P1", 3))
+        A2 = assemble_scalar_2d(th, var_form(1, "v.grad", "u.grad"),
+                                "P1", "P1", 3)
+        A1 = assemble_scalar_1d(th, th.partition[0],
+                                var_form(1, "v.val", "u.val"),
+                                "P1", "P1", 3)
         assert np.allclose(kk.matrix().toarray(), (A2 + A1).toarray(),
                            atol=1e-15, rtol=0)
 
@@ -559,36 +552,35 @@ class TestTriplesWithoutCopies:
         import trifem.assembly
 
         made = []
-        original = trifem.assembly._scalar_assemble
+        original = trifem.assembly.compress
 
-        def recorded(*args):
-            made.append(original(*args))
-            return made[-1]
-        monkeypatch.setattr(trifem.assembly, "_scalar_assemble", recorded)
+        def recorded(triples):
+            made.append(triples)
+            return original(triples)
+        monkeypatch.setattr(trifem.assembly, "compress", recorded)
         th = refine3_th()
         matrix = assemble_system(th, var_form([1, 1], ["v.grad", "v.val"],
                                               ["u.grad", "u.val"]),
                                  ["P1"], 3).matrix()
         assert len(made) == 1
         assert matrix.has_canonical_format
-        expected = compress(made[0])
+        expected = original(made[0])
         for attr in ("data", "indices", "indptr"):
             got, want = getattr(matrix, attr), getattr(expected, attr)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("components", [[(0, 0)], [(0, 0), (1, 1)]])
     def test_blocks_from_the_caller_are_copied(self, components):
-        from trifem import system_from_blocks
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
         given = assemble_scalar_2d(th, var_form(1, "v.grad", "u.grad"), "P1")
         kk = system_from_blocks(th, ["P1", "P1"], {c: given for c in components})
         matrix = kk.matrix()
         for attr in ("data", "indices", "indptr"):
-            for source in ("ii", "jj", "ss"):
+            for source in ("data", "indices", "indptr"):
                 assert not np.shares_memory(getattr(matrix, attr),
                                             getattr(given, source))
         before = matrix.toarray()
-        given.ss[:] = 0.0
+        given.data[:] = 0.0
         assert np.array_equal(kk.matrix().toarray(), before)
 
     def test_each_block_is_dropped_before_the_next_is_made(self, monkeypatch):
@@ -597,15 +589,18 @@ class TestTriplesWithoutCopies:
         import trifem.assembly
 
         blocks, alive = [], []
-        original = trifem.assembly._scalar_assemble
+        assemble, original = trifem.assembly._scalar_assemble, trifem.assembly.compress
 
-        def recorded(*args):
+        def made(*args):
             # earlier blocks whose triples are still alive as this one is made
             alive.append(sum(ref() is not None for ref in blocks))
-            triples = original(*args)
+            return assemble(*args)
+
+        def recorded(triples):
             blocks.append(weakref.ref(triples.ii))
-            return triples
-        monkeypatch.setattr(trifem.assembly, "_scalar_assemble", recorded)
+            return original(triples)
+        monkeypatch.setattr(trifem.assembly, "_scalar_assemble", made)
+        monkeypatch.setattr(trifem.assembly, "compress", recorded)
         th = refine3_th()
         spec = default_spec("stokes")
         kk = assemble_system(th, stokes_form(spec), _taylor_hood(spec.data)[0],
@@ -616,16 +611,21 @@ class TestTriplesWithoutCopies:
 
     def test_systems_add_as_their_matrices(self):
         # a domain and a boundary system add as canonical CSR matrices:
-        # the compressed concatenation of both triples, without the
-        # entries that sum to exactly zero; 0 + kk is kk, so sum() works
+        # the compressed concatenation of both blocks' entries, without
+        # the entries that sum to exactly zero; 0 + kk is kk, so sum() works
         th = fe_mesh(refine3_th().mesh, ["x==0"])
         region = th.partition[0]
         form = var_form([1, 1], ["v.grad", "v.val"], ["u.grad", "u.val"])
         edge = var_form(2, "v.val", "u.val")
         kk = assemble_system(th, form, ["P2"], 4)
         got = sum([kk, assemble_system(th, edge, ["P2"], 4, "1d", region)]).matrix()
-        want = compress(assemble_scalar_2d(th, form, "P2", quad_order=4)
-                        + assemble_scalar_1d(th, region, edge, "P2", quad_order=4))
+        parts = [assemble_scalar_2d(th, form, "P2", quad_order=4).tocoo(),
+                 assemble_scalar_1d(th, region, edge, "P2", quad_order=4).tocoo()]
+        want = compress(SparseTriples(
+            ii=np.concatenate([m.row for m in parts]),
+            jj=np.concatenate([m.col for m in parts]),
+            ss=np.concatenate([m.data for m in parts]), nrows=kk.num_dofs,
+            ncols=kk.num_dofs))
         want.eliminate_zeros()
         assert got.has_canonical_format
         assert np.array_equal(got.indptr, want.indptr)
@@ -634,3 +634,59 @@ class TestTriplesWithoutCopies:
         assert 0 + kk is kk
         with pytest.raises(ValueError, match="component layouts"):
             kk + assemble_system(th, form, ["P1"], 4)
+
+
+def _unsorted_block(fmt, n):
+    """An (n, n) block whose first row (CSR) or column (CSC) holds index
+    2 twice, stored before and after index 1."""
+    return fmt((np.array([1.0, 2.0, 4.0]), np.array([2, 1, 2]),
+                np.array([0] + [3] * n)), shape=(n, n))
+
+
+class TestSystemFromBlocks:
+    def test_a_csc_block_stacks_as_its_csr_form(self):
+        # the biharmonic block program passes B.T, a CSC matrix
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+        B = assemble_scalar_2d(th, var_form(1, "v.dx", "u.val"), "P1")
+        assert B.T.format == "csc"
+        got = system_from_blocks(th, ["P1", "P1"], {(1, 0): B.T}).matrix()
+        want = system_from_blocks(th, ["P1", "P1"], {(1, 0): B.T.tocsr()}).matrix()
+        assert got.has_canonical_format
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+    def test_a_block_with_duplicate_unsorted_entries_gives_a_canonical_system(self):
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+        n = th.dof_map("P1").num_dofs
+        block = _unsorted_block(sp.csr_matrix, n)
+        kk = system_from_blocks(th, ["P1", "P1"], {(0, 1): block, (1, 0): None})
+        got = kk.matrix()
+        assert got.has_canonical_format and got.nnz == 2
+        assert np.array_equal(got.indices[:2], [n + 1, n + 2])
+        assert np.array_equal(got.data[:2], [2.0, 5.0])
+
+    @pytest.mark.parametrize("fmt", [sp.csr_matrix, sp.csc_matrix])
+    def test_the_callers_block_is_left_unchanged(self, fmt):
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+        block = _unsorted_block(fmt, th.dof_map("P1").num_dofs)
+        arrays = (block.data, block.indices, block.indptr)
+        before = [a.tobytes() for a in arrays]
+        system_from_blocks(th, ["P1"], {(0, 0): block})
+        assert [a.tobytes() for a in arrays] == before
+        assert all(a is b for a, b in zip((block.data, block.indices,
+                                           block.indptr), arrays))
+        assert not block.has_canonical_format
+
+    def test_a_block_of_the_wrong_shape_is_a_value_error(self):
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+        B = assemble_scalar_2d(th, var_form(1, "v.dx", "u.val"), "P2", "P1")
+        with pytest.raises(ValueError, match=r"block \(0, 1\) has shape"):
+            system_from_blocks(th, ["P2", "P2"], {(0, 1): B})
+
+    def test_triples_are_not_a_block(self):
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+        triples = SparseTriples(np.array([0]), np.array([0]), np.array([1.0]),
+                                th.dof_map("P1").num_dofs,
+                                th.dof_map("P1").num_dofs)
+        with pytest.raises(TypeError, match="not a scipy sparse matrix"):
+            system_from_blocks(th, ["P1"], {(0, 0): triples})

@@ -121,6 +121,22 @@ class TestProblemTable:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             default_spec(problem, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("degree", 4), ("degree", 0), ("degree", 2.5),
+        ("refinements", 0), ("refinements", -1), ("refinements", 2.0),
+        ("quad_order", 9), ("quad_order", 0), ("quad_order", 4.0)])
+    def test_a_discretization_out_of_range_is_a_named_error(self, field, value):
+        # refinements=0 used to return a report with no level and no
+        # column; degree 4 and quad_order 9 failed later, in fe_space or
+        # triangle_rule
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            default_spec("poisson", **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("degree", 3), ("refinements", 1), ("quad_order", 1), ("quad_order", 8)])
+    def test_a_discretization_at_its_bounds_is_kept(self, field, value):
+        assert getattr(default_spec("poisson", **{field: value}), field) == value
+
     @pytest.mark.parametrize("dt, t_end", [(0.3, 1.0), (5.0, 1.0), (0.4, 1.0),
                                            (0.07, 0.2)])
     def test_a_time_step_that_does_not_divide_t_end_is_a_named_error(self, dt,

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import trifem.assembly
 from oracles import row_unique_topology
 from trifem import (FeFunction, Mesh2d, assemble_scalar_2d, assemble_system,
                     build_topology, coef_matrix_from_dofs, coef_to_matrix,
@@ -288,14 +289,25 @@ def test_a_system_is_its_blocks_concatenated_then_compressed(th, data):
                            for coef, a, b in entries)))
     got = assemble_system(th, form, spaces, order).matrix()
 
+    # each scalar block's triples, as the kernel hands them to compress
+    made = []
+    original = trifem.assembly.compress
+
+    def recorded(triples):
+        made.append(triples)
+        return original(triples)
+
     offsets = np.cumsum([0] + [th.dof_map(s).num_dofs for s in spaces])
     ii, jj, ss = [], [], []
     for (ci, cj), entries in blocks.items():
         coefs, tests, trials = zip(*((coef, f"v.{a}", f"u.{b}")
                                      for coef, a, b in entries))
-        triples = assemble_scalar_2d(th, var_form(list(coefs), list(tests),
-                                                  list(trials)),
-                                     spaces[ci], spaces[cj], order)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trifem.assembly, "compress", recorded)
+            assemble_scalar_2d(th, var_form(list(coefs), list(tests),
+                                            list(trials)),
+                               spaces[ci], spaces[cj], order)
+        triples = made.pop()
         ii.append(triples.ii + offsets[ci])
         jj.append(triples.jj + offsets[cj])
         ss.append(triples.ss)

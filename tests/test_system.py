@@ -207,7 +207,6 @@ def solvers(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(trifem.system, "_solver", recorded)
-    monkeypatch.setattr(trifem.problems, "_solver", recorded)
     monkeypatch.setattr(trifem.problems, "DirichletSolver", Recorded)
     return made
 
