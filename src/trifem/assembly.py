@@ -230,13 +230,14 @@ def _scalar_assemble(cells, form, test_space, trial_space):
         # bincount over an empty index would return integers
         return np.bincount(dofs[0].ravel(), weights=local.ravel(),
                            minlength=sizes[0]).astype(float, copy=False)
-    rows, cols = dofs
+    # the (NC, nl) dof arrays are cast, not the triples: coo_matrix would
+    # copy int64 triples down to the int32 it stores when the sizes fit
+    index = np.int32 if max(sizes) < 2**31 else np.int64
+    rows, cols = (d.astype(index, copy=False) for d in dofs)
     ii = np.broadcast_to(rows[:, :, None], local.shape).ravel()
     jj = np.broadcast_to(cols[:, None, :], local.shape).ravel()
-    return compress(SparseTriples(ii=ii.astype(np.int64, copy=False),
-                                  jj=jj.astype(np.int64, copy=False),
-                                  ss=local.ravel(), nrows=sizes[0],
-                                  ncols=sizes[1]))
+    return compress(SparseTriples(ii=ii, jj=jj, ss=local.ravel(),
+                                  nrows=sizes[0], ncols=sizes[1]))
 
 
 def assemble_scalar_2d(th, form, test_space, trial_space=None, quad_order=None):

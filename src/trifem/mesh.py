@@ -151,10 +151,12 @@ def square_mesh(bbox, h):
     into two ccw triangles.  h must divide both side lengths.
     """
     x0, x1, y0, y1 = map(float, bbox)
-    if h <= 0:
-        raise ValueError(f"grid spacing must be positive, got {h}")
-    if x1 <= x0 or y1 <= y0:
-        raise ValueError(f"degenerate bounding box {bbox}")
+    # NaN fails every comparison, so it fails both tests
+    if not 0 < h < np.inf:
+        raise ValueError(f"grid spacing must be a finite number > 0, got {h}")
+    if not (-np.inf < x0 < x1 < np.inf and -np.inf < y0 < y1 < np.inf):
+        raise ValueError(f"bounding box must be finite with x0 < x1 and "
+                         f"y0 < y1, got {bbox}")
     nx = (x1 - x0) / h
     ny = (y1 - y0) / h
     if abs(nx - round(nx)) > 1e-9 * max(1.0, nx) or abs(ny - round(ny)) > 1e-9 * max(1.0, ny):

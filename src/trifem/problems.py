@@ -335,8 +335,8 @@ _FIXED_BECAUSE = {
 }
 # the fields that only a generated mesh reads
 _GENERATED_MESH = ("refinements", "bbox", "h0")
-# the discretization, time, Newton and Taylor-Hood controls: what a
-# valid value is, and its test
+# the discretization, mesh, time, Newton and Taylor-Hood controls: what
+# a valid value is, and its test
 _CONTROLS = {
     "degree": ("1, 2 or 3",
                lambda v: isinstance(v, (int, np.integer)) and v in (1, 2, 3)),
@@ -345,6 +345,10 @@ _CONTROLS = {
     "quad_order": (f"None or an integer in 1..{MAX_TRIANGLE_ORDER}",
                    lambda v: v is None or (isinstance(v, (int, np.integer))
                                            and 1 <= v <= MAX_TRIANGLE_ORDER)),
+    "bbox": ("four finite numbers x0, x1, y0, y1 with x0 < x1 and y0 < y1",
+             lambda v: (np.shape(v) == (4,) and -np.inf < v[0] < v[1] < np.inf
+                        and -np.inf < v[2] < v[3] < np.inf)),
+    "h0": ("a finite number > 0", lambda v: 0 < v < np.inf),
     "dt": ("None or a finite number > 0", lambda v: v is None or 0 < v < np.inf),
     "t_end": ("a finite number > 0", lambda v: 0 < v < np.inf),
     "tol": ("a finite number > 0", lambda v: 0 < v < np.inf),
@@ -369,9 +373,10 @@ def default_spec(problem, **overrides):
     Raises ValueError for an unknown problem or field name, for a change
     to a field the problem's runner does not read, for a mesh_path
     together with a field that only a generated mesh reads, for a degree,
-    refinement count, quadrature order, time step, end time, Newton
-    tolerance, iterate cap, viscosity or penalty out of range (see
-    _CONTROLS), and for a time step that does not divide the end time.
+    refinement count, quadrature order, bounding box, grid spacing, time
+    step, end time, Newton tolerance, iterate cap, viscosity or penalty
+    out of range (see _CONTROLS), and for a time step that does not
+    divide the end time.
     """
     row = _row(problem)
     spec = ProblemSpec(problem=problem, **row.defaults)
@@ -656,16 +661,21 @@ def stokes_form(spec):
     return standardize_symbols(["v1", "v2", "q"], ["u1", "u2", "p"], form)
 
 
-def solve_stokes(th, spec):
-    """(u1, u2, p) of one level; apply_dirichlet_and_solve takes CG on
-    the pressure Schur complement where the block has the penalized
-    Stokes structure."""
-    data, order = spec.data, spec.order
-    spaces, dirichlet = _taylor_hood(data)
-    kk = assemble_system(th, stokes_form(spec), spaces, order)
-    ff = assemble_system(th, var_form(list(_split(data.f, 2)),
-                                      ["v1.val", "v2.val"]), spaces, order)
+def _solve_taylor_hood(th, spec, form, load):
+    """(u1, u2, p) of one Taylor-Hood form whose load is the two 'v.val'
+    coefficients load = (f1, f2), under _taylor_hood's Dirichlet data.
+    apply_dirichlet_and_solve takes CG on the pressure Schur complement
+    where the block has the penalized Stokes structure."""
+    spaces, dirichlet = _taylor_hood(spec.data)
+    kk = assemble_system(th, form, spaces, spec.order)
+    ff = assemble_system(th, var_form(list(load), ["v1.val", "v2.val"]),
+                         spaces, spec.order)
     return _components(apply_dirichlet_and_solve(th, kk, ff, dirichlet), kk)
+
+
+def solve_stokes(th, spec):
+    """(u1, u2, p) of one level."""
+    return _solve_taylor_hood(th, spec, stokes_form(spec), _split(spec.data.f, 2))
 
 
 def run_stokes(spec):
@@ -789,37 +799,33 @@ class NewtonResult:
 def _ns_jacobian_form(spec, coefs):
     """DF(U), the form linearized at the iterate U = (u1, u2, p) whose
     velocity coefficients are coefs: the eight convection entries in
-    the increments (du1, du2, dp), then the Stokes form; both
-    standardize their trial symbols to u1, u2, u3.  This entry order
-    keeps each block's accumulation order, and so its rounding.
-
-    DF(U) applied to U itself doubles the convection and repeats every
-    other term, so the residual is F(U) = DF(U) U - load((u.grad)u + f).
+    the unknown (u1, u2, p), then the Stokes form; both standardize
+    their trial symbols to u1, u2, u3.  This entry order keeps each
+    block's accumulation order, and so its rounding.  At U = 0 every
+    convection coefficient is zero and DF(0) is the Stokes form.
     """
     u1xc, u1yc, u2xc, u2yc, u1c, u2c = coefs
-    increments = ["du1", "du2", "dp"]
-    convection = standardize_symbols(["v1", "v2", "q"], increments, var_form(
+    convection = standardize_symbols(["v1", "v2", "q"], ["u1", "u2", "p"], var_form(
         [u1xc, u1yc, u2xc, u2yc, u1c, u2c, u1c, u2c],
         ["v1.val", "v1.val", "v2.val", "v2.val",
          "v1.val", "v1.val", "v2.val", "v2.val"],
-        ["du1.val", "du2.val", "du1.val", "du2.val",
-         "du1.dx", "du1.dy", "du2.dx", "du2.dy"]))
+        ["u1.val", "u2.val", "u1.val", "u2.val",
+         "u1.dx", "u1.dy", "u2.dx", "u2.dy"]))
     return VarForm(entries=convection.entries + stokes_form(spec).entries)
 
 
 def run_ns_newton(spec, th=None, initial=None):
     """Newton iteration for the steady Navier-Stokes equations.
 
-    Solves DF(U) delta = F(U) and updates U -= delta, with the residual
-    F(U) = DF(U) U - load((u.grad)u + f): the Jacobian already assembled,
-    applied to the iterate, less one 2-entry load; f is evaluated once
-    per run.  The increment carries the boundary mismatch of the current
-    iterate, so increments are homogeneous on the boundary after the
-    first step.  The increment norm is max(|du1|, |du2|, |dp - mean(dp)|):
-    the eps penalty leaves the constant pressure mode an eigenvalue near
-    eps, so the pressure mean of delta is solver noise amplified by about
-    1/eps and is left out (delta is still applied whole).  Converged:
-    that norm below tol relative to max(1, max|U|).
+    Each step solves DF(U) U_new = load((u.grad)u + f), the same as
+    DF(U) (U - U_new) = F(U) since DF(U) U doubles the convection and
+    repeats every other term; f is evaluated once per run.  U_new has
+    the Taylor-Hood Dirichlet data, so a step is a Stokes solve with
+    another form and load (_solve_taylor_hood).  The increment norm is
+    max(|du1|, |du2|, |dp - mean(dp)|) of du = U - U_new: the eps penalty
+    leaves the constant pressure mode an eigenvalue near eps, so an LU
+    solve leaves its amplitude loose, and it is left out.  Converged:
+    that norm below tol relative to max(1, max|U_new|).
     """
     data, order = spec.data, spec.order
     if th is None:
@@ -830,7 +836,6 @@ def run_ns_newton(spec, th=None, initial=None):
             for _ in range(spec.refinements):
                 mesh = uniform_refine(mesh)
         th = fe_mesh(mesh)
-    spaces, dirichlet = _taylor_hood(data)
 
     if initial is None:
         uh1 = interpolate_nodal(lambda p: np.zeros(len(p)), th, "P2")
@@ -842,33 +847,21 @@ def run_ns_newton(spec, th=None, initial=None):
     fvals = Cells(th, order).values(data.f, 2)
 
     norms = []
-    fixed = None
     stop_reason = "max_iter"
     for it in range(1, spec.max_iter + 1):
         coefs = tuple(coef_matrix_from_dofs(dofs, tag, th, "P2", order)
                       for dofs, tag in ((uh1, "dx"), (uh1, "dy"), (uh2, "dx"),
                                         (uh2, "dy"), (uh1, "val"), (uh2, "val")))
         u1xc, u1yc, u2xc, u2yc, u1c, u2c = coefs
-        kk = assemble_system(th, _ns_jacobian_form(spec, coefs), spaces, order)
-        load = assemble_system(th, var_form(
-            [u1c * u1xc + u2c * u1yc + fvals[..., 0],
-             u1c * u2xc + u2c * u2yc + fvals[..., 1]],
-            ["v1.val", "v2.val"]), spaces, order)
-        current = np.concatenate([uh1, uh2, ph])
-        ff = kk.matrix() @ current - load
+        parts = _solve_taylor_hood(th, spec, _ns_jacobian_form(spec, coefs), (
+            u1c * u1xc + u2c * u1yc + fvals[..., 0],
+            u1c * u2xc + u2c * u2yc + fvals[..., 1]))
+        du1, du2, dp = (old - new for old, new in zip((uh1, uh2, ph), parts))
+        uh1, uh2, ph = parts
 
-        if fixed is None:
-            fixed, g = dirichlet_dofs(th, kk, dirichlet)
-        # delta = current - next, so its boundary data is the current
-        # boundary mismatch (zero from the second iterate on)
-        delta = DirichletSolver(kk.matrix(), fixed).solve(ff, current[fixed] - g)
-        U = current - delta
-        uh1, uh2, ph = _components(U, kk)
-
-        du1, du2, dp = _components(delta, kk)
         norms.append(float(max(np.abs(du1).max(), np.abs(du2).max(),
                                np.abs(dp - dp.mean()).max())))
-        if norms[-1] < spec.tol * max(1.0, float(np.abs(U).max())):
+        if norms[-1] < spec.tol * max(1.0, *(float(np.abs(u).max()) for u in parts)):
             stop_reason = "tolerance"
             break
         if len(norms) >= 3 and norms[-1] > 10 * norms[-2] > 100 * norms[-3]:

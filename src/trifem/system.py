@@ -10,10 +10,10 @@ on a refinement ladder, or for a Taylor-Hood Stokes block by CG on its
 pressure Schur complement.  One function, ``_solver``, picks the method
 from the component degrees, the mesh ladder and the free block's
 structure; ``apply_dirichlet_and_solve`` calls it, for every steady
-linear driver, Stokes included.  Heat and Newton build a
-``DirichletSolver`` directly: heat back-solves thousands of steps
+driver, Stokes and each Newton step included.  Heat builds a
+``DirichletSolver`` directly: it back-solves thousands of steps
 against one factor (P1 at refine 5 would cross _MG_MIN_FREE and run a
-V-cycle CG on every step), and the Newton Jacobian is not symmetric.
+V-cycle CG on every step).
 A Krylov solve that misses the LU path's 1e-8 gate on the free block's
 true residual falls back to LU, on that solve and from then on.
 

@@ -569,6 +569,33 @@ class TestTriplesWithoutCopies:
             got, want = getattr(matrix, attr), getattr(expected, attr)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("test, trial", [("P1", "P1"), ("P3", "P3"),
+                                             ("P1", "P2")])
+    def test_triples_are_int32_and_compress_as_int64_triples(self, monkeypatch,
+                                                             test, trial):
+        # int64 triples would be copied down to int32 by coo_matrix
+        import trifem.assembly
+
+        made = []
+        original = trifem.assembly.compress
+
+        def recorded(triples):
+            made.append(triples)
+            return original(triples)
+        monkeypatch.setattr(trifem.assembly, "compress", recorded)
+        matrix = assemble_scalar_2d(refine3_th(), var_form([1, 1], ["v.grad", "v.val"],
+                                                           ["u.grad", "u.val"]),
+                                    test, trial, 5)
+        (triples,) = made
+        assert triples.ii.dtype == triples.jj.dtype == np.int32
+        wide = original(SparseTriples(ii=triples.ii.astype(np.int64),
+                                      jj=triples.jj.astype(np.int64),
+                                      ss=triples.ss, nrows=triples.nrows,
+                                      ncols=triples.ncols))
+        for attr in ("data", "indices", "indptr"):
+            got, want = getattr(matrix, attr), getattr(wide, attr)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("components", [[(0, 0)], [(0, 0), (1, 1)]])
     def test_blocks_from_the_caller_are_copied(self, components):
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))

@@ -139,6 +139,13 @@ class TestRunCommand:
         assert main(["run", "--problem", "heat", "--dt", "-0.1"]) == 2
         assert "dt must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--h", "inf"], "h0"), (["--h", "nan"], "h0"),
+        (["--square", "0,inf,0,1"], "bbox")])
+    def test_a_non_finite_mesh_control_is_a_usage_error(self, flags, field, capsys):
+        assert main(["run", "--problem", "poisson"] + flags) == 2
+        assert f"{field} must be" in capsys.readouterr().err
+
     def test_a_time_step_that_does_not_divide_t_end_is_a_usage_error(self, capsys):
         assert main(["run", "--problem", "heat", "--dt", "0.3"]) == 2
         assert "dt must divide t_end" in capsys.readouterr().err

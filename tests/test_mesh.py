@@ -46,6 +46,15 @@ class TestSquareMesh:
         with pytest.raises(ValueError):
             square_mesh([0, 0, 0, 1], 0.5)
 
+    @pytest.mark.parametrize("bbox, h", [
+        ([0, 1, 0, 1], float("inf")), ([0, 1, 0, 1], float("nan")),
+        ([0, float("inf"), 0, 1], 0.5), ([float("-inf"), 1, 0, 1], 0.5),
+        ([0, 1, float("nan"), 1], 0.5)])
+    def test_non_finite_spacing_or_box(self, bbox, h):
+        # h = inf used to return a mesh with no triangle
+        with pytest.raises(ValueError, match="must be"):
+            square_mesh(bbox, h)
+
     def test_deterministic(self):
         a = square_mesh([0, 1, 0, 1], 0.25)
         b = square_mesh([0, 1, 0, 1], 0.25)

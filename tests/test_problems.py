@@ -12,6 +12,7 @@ import trifem.problems
 from trifem import (FeFunction, assemble_system, coef_matrix_from_dofs,
                     dirichlet_dofs, error_L2, fe_mesh, interpolate_nodal,
                     square_mesh, uniform_refine, var_form)
+from trifem.fespace import Cells
 from trifem.problems import (PROBLEM_IDS, HeatData, NewtonResult,
                              PoissonData, ProblemSpec, default_spec,
                              elasticity_data,
@@ -124,11 +125,17 @@ class TestProblemTable:
     @pytest.mark.parametrize("field, value", [
         ("degree", 4), ("degree", 0), ("degree", 2.5),
         ("refinements", 0), ("refinements", -1), ("refinements", 2.0),
-        ("quad_order", 9), ("quad_order", 0), ("quad_order", 4.0)])
+        ("quad_order", 9), ("quad_order", 0), ("quad_order", 4.0),
+        ("h0", float("inf")), ("h0", float("nan")), ("h0", 0.0), ("h0", -0.5),
+        ("bbox", (0.0, float("inf"), 0.0, 1.0)),
+        ("bbox", (float("nan"), 1.0, 0.0, 1.0)),
+        ("bbox", (0.0, 1.0, 1.0, 0.0)), ("bbox", (0.0, 1.0, 0.0))])
     def test_a_discretization_out_of_range_is_a_named_error(self, field, value):
         # refinements=0 used to return a report with no level and no
         # column; degree 4 and quad_order 9 failed later, in fe_space or
-        # triangle_rule
+        # triangle_rule; h0 = inf gave a mesh with no triangle and ended
+        # in the "no Dirichlet dof was fixed" hint, NaN failed converting
+        # to an integer
         with pytest.raises(ValueError, match=f"^{field} must be"):
             default_spec("poisson", **{field: value})
 
@@ -570,6 +577,28 @@ class TestNewtonDriver:
         want = written_out_ns_residual(th, spec, iterate, spaces)
         got = kk.matrix() @ delta
         assert np.abs(got[free] - want[free]).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("refinements", [1, 2, 3])
+    def test_the_first_iterate_from_rest_is_the_stokes_solve(self, refinements):
+        # DF(0) is the Stokes form and the load is f, so the first step
+        # is solve_stokes itself, Schur CG's exact pressure mean included
+        spec = default_spec("ns-newton", refinements=refinements, max_iter=1)
+        res, th = run_ns_newton(spec)
+        for got, want in zip((res.u1, res.u2, res.p), solve_stokes(th, spec)):
+            assert got.tobytes() == want.tobytes()
+        cells = Cells(th, spec.order)
+        mean = cells.integrate(coef_matrix_from_dofs(res.p, "val", th, "P1", spec.order))
+        assert abs(mean) <= 1e-12 * np.abs(res.p).max()
+
+    @pytest.mark.parametrize("problem", [p for p in PROBLEM_IDS if p != "heat"])
+    def test_only_heat_builds_a_dirichlet_solver(self, problem, monkeypatch):
+        # every steady driver, each Newton step included, solves through
+        # apply_dirichlet_and_solve
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{problem} built a DirichletSolver")
+
+        monkeypatch.setattr(trifem.problems, "DirichletSolver", fail)
+        run_problem(default_spec(problem, refinements=2))
 
     def test_the_forcing_is_evaluated_once_per_run(self):
         calls = []
