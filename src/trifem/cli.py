@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 usage error, 1 runtime error.
 """
 
 import argparse
+import math
 import sys
 
 from .io import format_real, read_freefem_msh, write_freefem_msh, write_results
@@ -81,6 +82,13 @@ def _parse_bbox(text):
         return tuple(float(p) for p in parts)
     except ValueError:
         raise UsageError(f"--square expects numbers, got {text!r}") from None
+
+
+def _grid_spacing(h):
+    """--h, if it is a finite number > 0."""
+    if not (math.isfinite(h) and h > 0):
+        raise UsageError(f"--h must be a finite number > 0, got {h!r}")
+    return h
 
 
 def validate(args):
@@ -157,7 +165,7 @@ def _cmd_run(args):
 
 
 def _cmd_mesh(args):
-    mesh = square_mesh(_parse_bbox(args.square), args.h)
+    mesh = square_mesh(_parse_bbox(args.square), _grid_spacing(args.h))
     for _ in range(args.refine):
         mesh = uniform_refine(mesh)
     topo = build_topology(mesh)
@@ -183,7 +191,7 @@ def _cmd_convert(args):
     else:
         if args.h is None:
             raise UsageError("convert --square also needs --h")
-        mesh = square_mesh(_parse_bbox(args.square), args.h)
+        mesh = square_mesh(_parse_bbox(args.square), _grid_spacing(args.h))
         topo = build_topology(mesh)
         write_freefem_msh(args.out, mesh, boundary=topo.bd_edge)
         print(f"wrote {args.out}")

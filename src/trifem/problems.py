@@ -21,9 +21,9 @@ import scipy.sparse as sp
 from .assembly import (assemble_scalar_1d, assemble_scalar_2d,
                        assemble_system, load_operator, system_from_blocks)
 # evaluate_at_points is unused here; perfbench/spans.py wraps it in this module
-from .fespace import (Cells, coef_matrix_from_dofs, coef_matrix_on_edges,
-                      evaluate_at_points, fe_space, interpolate_nodal,
-                      outward_normals)
+from .fespace import (Cells, _eval_pointfun, coef_matrix_from_dofs,
+                      coef_matrix_on_edges, evaluate_at_points, fe_space,
+                      interpolate_nodal, outward_normals)
 from .io import read_freefem_msh
 from .mesh import fe_mesh, square_mesh, uniform_refine
 from .quadrature import MAX_TRIANGLE_ORDER
@@ -713,12 +713,15 @@ def solve_heat(th, spec, dt, nsteps):
     """March u_t - lap u = f to t = nsteps*dt; returns the final dofs.
 
     Everything but the data values is built once: the matrix M/dt + A
-    and its factorization, the mass matrix M/dt, the load as a prebuilt
-    sparse operator on the values of f at the quadrature points
-    (``load_operator``), and on the Neumann region the same operator
-    with the outward normals folded in, applied to grad u at the edge
-    quadrature points.  A step is three matvecs and one solve with the
-    Dirichlet data lifted at the new time; it assembles nothing.
+    and its factorization, and the step operator, the free rows of
+    [load | M/dt | flux] with -A_fc appended (``DirichletSolver.
+    free_rows``).  The load is a prebuilt sparse operator on the values
+    of f at the quadrature points (``load_operator``), and the flux the
+    same operator on the Neumann region with the outward normals folded
+    in, applied to grad u at the edge quadrature points.  A step is one
+    sparse product, on the values of f, the last solution, grad u and
+    the Dirichlet data at the new time, and one lifted solve; it
+    assembles nothing.
     """
     data, space, order = spec.data, spec.space, spec.order
     region, on = _boundary(th)
@@ -734,19 +737,22 @@ def solve_heat(th, spec, dt, nsteps):
 
     mass = assemble_system(th, var_form(1.0 / dt, "v.val", "u.val"),
                            [space], order).matrix()
-    load = load_operator(th, space, order)
+    ops = [load_operator(th, space, order), mass]
     cells = Cells(th, order)
     if region is not None:
         edges = Cells(th, order, "1d", region)
-        flux = _flux_operator(edges, space)
+        ops.append(_flux_operator(edges, space))
+    step_operator = solver.free_rows(*ops)
 
     uh = interpolate_nodal(initial, th, space)
     for step in range(1, nsteps + 1):
         t = step * dt
-        ff = load @ cells.values(lambda p: data.f(p, t)).ravel() + mass @ uh
+        g = _eval_pointfun(lambda p: data.exact(p, t), fixed_points)
+        parts = [cells.values(lambda p: data.f(p, t)).ravel(), uh]
         if region is not None:
-            ff = ff + flux @ edges.values(lambda p: data.exact_grad(p, t), 2).ravel()
-        uh = solver.solve(ff, data.exact(fixed_points, t))
+            parts.append(edges.values(lambda p: data.exact_grad(p, t), 2).ravel())
+        parts.append(g)
+        uh = solver.solve_lifted(step_operator @ np.concatenate(parts), g)
     return uh
 
 

@@ -13,7 +13,12 @@ structure; ``apply_dirichlet_and_solve`` calls it, for every steady
 driver, Stokes and each Newton step included.  Heat builds a
 ``DirichletSolver`` directly: it back-solves thousands of steps
 against one factor (P1 at refine 5 would cross _MG_MIN_FREE and run a
-V-cycle CG on every step).
+V-cycle CG on every step).  Its step operator is ``free_rows`` of the
+load, mass and flux operators, which appends -A_fc, so one product
+gives a step's lifted free-row right-hand side b_f - A_fc x_c, and
+``solve_lifted`` solves for it; ``solve`` lifts a full right-hand side
+and calls the same method, which alone holds the refinement sweeps, the
+residual gate and the non-finite check.
 A Krylov solve that misses the LU path's 1e-8 gate on the free block's
 true residual falls back to LU, on that solve and from then on.
 
@@ -166,8 +171,9 @@ class DirichletSolver:
     """A x = b with x[fixed] prescribed; A_ff is factorized once.
 
     Two iterative-refinement sweeps per solve recover the digits a single
-    backsolve loses on penalty-stabilized saddle points.  Raises on a
-    numerically singular free block.  ``_solver`` may add a Krylov method."""
+    backsolve loses on penalty-stabilized saddle points.  Raises
+    RuntimeError on a numerically singular free block and ValueError on
+    non-finite data.  ``_solver`` may add a Krylov method."""
 
     def __init__(self, A, fixed):
         self._eliminate(A, fixed)
@@ -232,20 +238,50 @@ class DirichletSolver:
         before the first."""
         return self._residual
 
+    def free_rows(self, *ops):
+        """[op_1[free] | ... | op_k[free] | -A_fc] (CSR): applied to
+        concatenate([v_1, ..., v_k, values]) it gives the lifted free-row
+        right-hand side of sum_i op_i @ v_i for ``solve_lifted``, in one
+        product."""
+        ops = [sp.csr_matrix(op) for op in ops]
+        if any(op.shape[0] != self.n for op in ops):
+            raise ValueError(f"operators have {[op.shape[0] for op in ops]} "
+                             f"rows, expected {self.n}")
+        return sp.hstack([op[self.free] for op in ops] + [-self._A_fc],
+                         format="csr")
+
     def solve(self, rhs, values):
         """Full solution for a right-hand side and the fixed dofs' values."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self.n,):
             raise ValueError(f"rhs has shape {rhs.shape}, expected ({self.n},)")
-        x = np.zeros(self.n)
+        values = self._values(values)
+        return self.solve_lifted(rhs[self.free] - self._A_fc @ values, values)
+
+    def solve_lifted(self, b, values):
+        """Full solution for the fixed dofs' values and the lifted free-row
+        right-hand side b = rhs[free] - A_fc @ values (see ``free_rows``).
+
+        Raises ValueError when the residual is non-finite because the
+        values or b are; RuntimeError when the free block is to blame."""
+        values = self._values(values)
+        b = np.asarray(b, dtype=float)
+        if b.shape != self.free.shape:
+            raise ValueError(f"lifted rhs has shape {b.shape}, "
+                             f"expected {self.free.shape}")
+        x = np.empty(self.n)
         x[self.fixed] = values
         if not len(self.free):
             self._residual = 0.0
             return x
-        b = rhs[self.free] - self._A_fc @ x[self.fixed]
         xf, self._iterations, residual = self._solve_free(b)
         self._residual = residual
         if not np.isfinite(residual):
+            # only now is the data checked: the passing path pays nothing
+            if not np.all(np.isfinite(values)):
+                raise ValueError("fixed dofs' values are not all finite")
+            if not np.all(np.isfinite(b)):
+                raise ValueError("right-hand side is not all finite")
             raise RuntimeError("sparse solve produced non-finite values; "
                                "the matrix is numerically singular")
         if not _passes(residual):
@@ -254,15 +290,24 @@ class DirichletSolver:
         x[self.free] = xf
         return x
 
+    def _values(self, values):
+        """values as a float array, if it is one value per fixed dof."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.fixed.shape:
+            raise ValueError(f"values has shape {values.shape}, "
+                             f"expected {self.fixed.shape}")
+        return values
+
     def _solve_free(self, b):
         """(x_f, iterations, relative residual): by the Krylov method
         while it passes the residual gate, by the factor from its first
-        miss on."""
+        miss on.  A miss on a non-finite b is the data's, not the
+        method's: it is returned, and the method kept."""
         if self._krylov is not None:
             with np.errstate(all="ignore"):
                 xf, iterations = self._krylov(b)
                 residual = np.linalg.norm(b - self._A_ff @ xf) / max(np.linalg.norm(b), 1.0)
-            if _passes(residual):
+            if _passes(residual) or not np.all(np.isfinite(b)):
                 return xf, iterations, residual
             self._factor()                      # LU from here on
         try:

@@ -192,6 +192,16 @@ class TestMeshCommand:
         assert rows[0] == ["x", "y", "label"]
         assert len(rows) == 16   # 15 vertices + header
 
+    @pytest.mark.parametrize("h", ["nan", "inf", "-inf", "0", "-0.5"])
+    @pytest.mark.parametrize("command", [
+        ["mesh", "--info"], ["convert", "--square", "0,1,0,1"]])
+    def test_a_bad_grid_spacing_is_a_usage_error(self, command, h, tmp_path,
+                                                 capsys):
+        out = ["--out", str(tmp_path / "m.msh")] if command[0] == "convert" else []
+        assert main(command + [f"--h={h}"] + out) == 2
+        assert "--h must be a finite number > 0" in capsys.readouterr().err
+        assert not (tmp_path / "m.msh").exists()
+
 
 class TestEmitTable:
     def test_single_level_no_rate_row(self, capsys):

@@ -454,6 +454,92 @@ class TestHeatDriver:
         for name, ref in self.ASSEMBLED_LOAD_ERRORS[degree, refinements].items():
             np.testing.assert_allclose(rep.columns[name], ref, rtol=1e-9, atol=0)
 
+    @staticmethod
+    def _reference_heat(th, spec, dt, nsteps):
+        """The step loop with separate products and the full-length
+        solve: load @ f + M/dt @ uh (+ flux @ grad u), then solve."""
+        from trifem import DirichletSolver, DirichletSpec, load_operator
+        from trifem.problems import _boundary, _flux_operator
+        data, space, order = spec.data, spec.space, spec.order
+        region, on = _boundary(th)
+        kk = assemble_system(th, var_form([1.0 / dt, 1], ["v.val", "v.grad"],
+                                          ["u.val", "u.grad"]), [space], order)
+        initial = lambda p: data.exact(p, 0.0)
+        fixed, _ = dirichlet_dofs(th, kk, DirichletSpec(on, (initial,) * len(on)))
+        fixed_points = th.dof_map(space).dof_point[fixed]
+        solver = DirichletSolver(kk.matrix(), fixed)
+        mass = assemble_system(th, var_form(1.0 / dt, "v.val", "u.val"),
+                               [space], order).matrix()
+        load = load_operator(th, space, order)
+        cells = Cells(th, order)
+        if region is not None:
+            edges = Cells(th, order, "1d", region)
+            flux = _flux_operator(edges, space)
+        uh = interpolate_nodal(initial, th, space)
+        for step in range(1, nsteps + 1):
+            t = step * dt
+            ff = load @ cells.values(lambda p: data.f(p, t)).ravel() + mass @ uh
+            if region is not None:
+                ff = ff + flux @ edges.values(lambda p: data.exact_grad(p, t),
+                                              2).ravel()
+            uh = solver.solve(ff, data.exact(fixed_points, t))
+        return uh
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("selectors", [None, ()])
+    def test_step_operator_matches_the_separate_products(self, degree, selectors):
+        spec = default_spec("heat", degree=degree)
+        if selectors is not None:          # () leaves no Neumann region
+            spec = replace(spec, selectors=selectors)
+        th = refined_th(selectors=spec.selectors, levels=2)
+        got = solve_heat(th, spec, dt=0.01, nsteps=20)
+        ref = self._reference_heat(th, spec, dt=0.01, nsteps=20)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_without_selectors_every_boundary_dof_is_dirichlet(self):
+        rep = run_heat(default_spec("heat", degree=1, refinements=2,
+                                    selectors=()))
+        np.testing.assert_allclose(rep.columns["L2"],
+                                   [0.009872002219033327, 0.002543340656161139],
+                                   rtol=1e-9, atol=0)
+
+    def test_a_wrong_shape_load_is_a_form_error(self):
+        from trifem import FormError
+        data = replace(trifem.problems.heat_data(),
+                       f=lambda p, t: np.ones(len(p) + 1))
+        spec = default_spec("heat", degree=2, data=data)
+        th = refined_th(selectors=spec.selectors, levels=1)
+        with pytest.raises(FormError, match="point function returned shape"):
+            solve_heat(th, spec, dt=0.1, nsteps=2)
+
+    def test_one_back_solve_per_step(self, monkeypatch):
+        solves = []
+        real = spla.splu
+
+        class Counted:
+            def __init__(self, lu):
+                self._lu = lu
+
+            def solve(self, *args):
+                solves.append(1)
+                return self._lu.solve(*args)
+
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: Counted(real(*a, **k)))
+        spec = default_spec("heat", degree=2)
+        th = refined_th(selectors=spec.selectors, levels=1)
+        counts = []
+        for nsteps in (3, 9):
+            solves.clear()
+            solve_heat(th, spec, dt=0.01, nsteps=nsteps)
+            counts.append(len(solves))
+        assert counts == [3, 9]
+
+    def test_non_finite_load_is_blamed_on_the_data(self):
+        data = replace(trifem.problems.heat_data(),
+                       f=lambda p, t: np.full(len(p), np.nan))
+        with pytest.raises(ValueError, match="right-hand side is not all finite"):
+            run_problem(default_spec("heat", degree=1, refinements=1, data=data))
+
     def test_dt_follows_the_leg_length_on_a_rectangle(self, monkeypatch):
         steps = []
 

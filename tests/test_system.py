@@ -1,5 +1,6 @@
 """Dirichlet elimination, sparse solving, error norms, rate fitting."""
 
+import re
 import weakref
 from dataclasses import replace
 
@@ -188,6 +189,53 @@ class TestDirichletSolver:
     def test_wrong_rhs_length_rejected(self):
         with pytest.raises(ValueError, match="rhs"):
             DirichletSolver(sp.identity(3, format="csr"), [0]).solve(np.ones(2), [1.0])
+
+    @pytest.mark.parametrize("values", [np.ones((1, 2)), np.ones(1), 1.0])
+    def test_mis_shaped_values_rejected(self, values):
+        # a (1, n_fixed) row used to broadcast into the fixed dofs
+        solver = DirichletSolver(sp.identity(3, format="csr"), [0, 2])
+        shape = np.shape(values)
+        with pytest.raises(ValueError, match=rf"values has shape "
+                                             rf"{re.escape(str(shape))}, expected \(2,\)"):
+            solver.solve(np.ones(3), values)
+        with pytest.raises(ValueError, match="values has shape"):
+            solver.solve_lifted(np.ones(1), values)
+
+    def test_solve_is_the_lifted_solve_of_its_free_rows(self):
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.25), ["x==0"])
+        kk, ff = poisson_system(th, "P2", 4)
+        fixed, values = dirichlet_dofs(th, kk, DirichletSpec(
+            (1,), (lambda p: np.sin(p[:, 0] + p[:, 1]),)))
+        solver = DirichletSolver(kk.matrix(), fixed)
+        mass = assemble_system(th, var_form(1, "v.val", "u.val"), ["P2"], 4).matrix()
+        uh = np.cos(np.arange(kk.num_dofs))
+        S = solver.free_rows(sp.identity(kk.num_dofs), mass)
+        assert S.format == "csr"
+        assert S.shape == (kk.num_dofs - len(fixed), 2 * kk.num_dofs + len(fixed))
+        got = solver.solve_lifted(S @ np.concatenate([ff, uh, values]), values)
+        ref = solver.solve(ff + mass @ uh, values)
+        assert np.array_equal(got[fixed], values)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        with pytest.raises(ValueError, match="lifted rhs"):
+            solver.solve_lifted(np.ones(kk.num_dofs), values)
+        with pytest.raises(ValueError, match="rows, expected"):
+            solver.free_rows(mass[1:])
+
+    @pytest.mark.parametrize("bad, named", [("rhs", "right-hand side"),
+                                            ("values", "fixed dofs' values")])
+    def test_non_finite_data_is_blamed_on_the_data(self, bad, named):
+        # both used to be reported as a numerically singular matrix
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.25), ["x==0"])
+        kk, ff = poisson_system(th)
+        fixed, values = dirichlet_dofs(th, kk, DirichletSpec((1,), (lambda p: p[:, 0],)))
+        data = {"rhs": ff, "values": values}
+        data[bad] = np.full(len(data[bad]), np.nan)
+        solver = DirichletSolver(kk.matrix(), fixed)
+        with pytest.raises(ValueError, match=f"{named} (is|are) not all finite"):
+            solver.solve(data["rhs"], data["values"])
+        # the factor is untouched: finite data solves as before
+        assert np.array_equal(solver.solve(ff, values),
+                              DirichletSolver(kk.matrix(), fixed).solve(ff, values))
 
 
 @pytest.fixture
@@ -384,6 +432,19 @@ class TestMultigrid:
         assert solver.method == "lu" and solver.residual <= 1e-8
         assert krylov() is None
         assert np.array_equal(x, lu_solution(th, kk, ff, spec))
+
+    def test_non_finite_rhs_keeps_the_krylov_method(self):
+        # a NaN load used to miss the gate and factorize before raising
+        th = ladder_level(5)
+        kk, ff, spec = p1_problem(th, [1, 1], ["v.grad", "v.val"],
+                                  ["u.grad", "u.val"])
+        fixed, values = dirichlet_dofs(th, kk, spec)
+        solver = trifem.system._solver(th, kk, fixed)
+        with pytest.raises(ValueError, match="right-hand side is not all finite"):
+            solver.solve(np.full(len(ff), np.nan), values)
+        assert solver.method == "mg-pcg" and solver._krylov is not None
+        assert np.array_equal(solver.solve(ff, values),
+                              apply_dirichlet_and_solve(th, kk, ff, spec))
 
     def test_each_prolongation_is_built_once_per_mesh(self, monkeypatch,
                                                       mg_solvers):
