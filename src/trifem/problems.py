@@ -30,7 +30,7 @@ from .quadrature import MAX_TRIANGLE_ORDER
 from .system import (DirichletSolver, DirichletSpec, RateReport,
                      apply_dirichlet_and_solve, dirichlet_dofs, error_H1_semi,
                      error_L2)
-from .vform import VarForm, standardize_symbols, var_form
+from .vform import standardize_symbols, var_form
 
 __all__ = ["ProblemSpec", "default_spec", "run_problem", "run_poisson",
            "run_elasticity_displacement", "run_elasticity_tensor",
@@ -661,21 +661,26 @@ def stokes_form(spec):
     return standardize_symbols(["v1", "v2", "q"], ["u1", "u2", "p"], form)
 
 
-def _solve_taylor_hood(th, spec, form, load):
-    """(u1, u2, p) of one Taylor-Hood form whose load is the two 'v.val'
-    coefficients load = (f1, f2), under _taylor_hood's Dirichlet data.
-    apply_dirichlet_and_solve takes CG on the pressure Schur complement
-    where the block has the penalized Stokes structure."""
+def _solve_taylor_hood(th, spec, kk, load):
+    """(u1, u2, p) of the assembled Taylor-Hood system kk whose load is
+    the two 'v.val' coefficients load = (f1, f2), under _taylor_hood's
+    Dirichlet data.  apply_dirichlet_and_solve takes CG on the pressure
+    Schur complement where kk has the penalized Stokes structure."""
     spaces, dirichlet = _taylor_hood(spec.data)
-    kk = assemble_system(th, form, spaces, spec.order)
     ff = assemble_system(th, var_form(list(load), ["v1.val", "v2.val"]),
                          spaces, spec.order)
+    del load    # not kept through the solve, which sets the peak memory
     return _components(apply_dirichlet_and_solve(th, kk, ff, dirichlet), kk)
 
 
 def solve_stokes(th, spec):
-    """(u1, u2, p) of one level."""
-    return _solve_taylor_hood(th, spec, stokes_form(spec), _split(spec.data.f, 2))
+    """(u1, u2, p) of one level; f is evaluated once."""
+    order = spec.order
+    kk = assemble_system(th, stokes_form(spec), _taylor_hood(spec.data)[0], order)
+    # each component contiguous, as Newton's load is: a strided coefficient
+    # raised the peak memory at refine 5 by 2 MiB
+    return _solve_taylor_hood(th, spec, kk, np.ascontiguousarray(np.moveaxis(
+        Cells(th, order).values(spec.data.f, 2), -1, 0)))
 
 
 def run_stokes(spec):
@@ -802,22 +807,21 @@ class NewtonResult:
     stop_reason: str     # "tolerance" or "max_iter"
 
 
-def _ns_jacobian_form(spec, coefs):
-    """DF(U), the form linearized at the iterate U = (u1, u2, p) whose
-    velocity coefficients are coefs: the eight convection entries in
-    the unknown (u1, u2, p), then the Stokes form; both standardize
-    their trial symbols to u1, u2, u3.  This entry order keeps each
-    block's accumulation order, and so its rounding.  At U = 0 every
-    convection coefficient is zero and DF(0) is the Stokes form.
+def _convection_form(coefs):
+    """The convection part of DF(U), the form linearized at the iterate
+    U = (u1, u2, p) whose velocity coefficients are coefs: the eight
+    entries of v.((w.grad)U + (U.grad)w) in the unknown w, standardized
+    to the trial symbols u1, u2, u3 of the Stokes form.  DF(U) is the
+    Stokes form plus this one; at U = 0 every coefficient is zero and
+    DF(0) is the Stokes form.
     """
     u1xc, u1yc, u2xc, u2yc, u1c, u2c = coefs
-    convection = standardize_symbols(["v1", "v2", "q"], ["u1", "u2", "p"], var_form(
+    return standardize_symbols(["v1", "v2", "q"], ["u1", "u2", "p"], var_form(
         [u1xc, u1yc, u2xc, u2yc, u1c, u2c, u1c, u2c],
         ["v1.val", "v1.val", "v2.val", "v2.val",
          "v1.val", "v1.val", "v2.val", "v2.val"],
         ["u1.val", "u2.val", "u1.val", "u2.val",
          "u1.dx", "u1.dy", "u2.dx", "u2.dy"]))
-    return VarForm(entries=convection.entries + stokes_form(spec).entries)
 
 
 def run_ns_newton(spec, th=None, initial=None):
@@ -825,9 +829,13 @@ def run_ns_newton(spec, th=None, initial=None):
 
     Each step solves DF(U) U_new = load((u.grad)u + f), the same as
     DF(U) (U - U_new) = F(U) since DF(U) U doubles the convection and
-    repeats every other term; f is evaluated once per run.  U_new has
-    the Taylor-Hood Dirichlet data, so a step is a Stokes solve with
-    another form and load (_solve_taylor_hood).  The increment norm is
+    repeats every other term; f is evaluated once per run.  DF(U) is the
+    Stokes system, assembled once per run, plus the convection system
+    of U (_convection_form), assembled per step and added; a step whose
+    convection coefficients are all zero, as from rest, solves the
+    Stokes system itself.  U_new has the Taylor-Hood Dirichlet data, so
+    a step is a Stokes solve with another matrix and load
+    (_solve_taylor_hood).  The increment norm is
     max(|du1|, |du2|, |dp - mean(dp)|) of du = U - U_new: the eps penalty
     leaves the constant pressure mode an eigenvalue near eps, so an LU
     solve leaves its amplitude loose, and it is left out.  Converged:
@@ -850,6 +858,8 @@ def run_ns_newton(spec, th=None, initial=None):
     else:
         uh1, uh2, ph = (np.array(v, dtype=float) for v in initial)
 
+    spaces = _taylor_hood(data)[0]
+    stokes = assemble_system(th, stokes_form(spec), spaces, order)
     fvals = Cells(th, order).values(data.f, 2)
 
     norms = []
@@ -859,7 +869,10 @@ def run_ns_newton(spec, th=None, initial=None):
                       for dofs, tag in ((uh1, "dx"), (uh1, "dy"), (uh2, "dx"),
                                         (uh2, "dy"), (uh1, "val"), (uh2, "val")))
         u1xc, u1yc, u2xc, u2yc, u1c, u2c = coefs
-        parts = _solve_taylor_hood(th, spec, _ns_jacobian_form(spec, coefs), (
+        kk = stokes
+        if any(c.any() for c in coefs):
+            kk = stokes + assemble_system(th, _convection_form(coefs), spaces, order)
+        parts = _solve_taylor_hood(th, spec, kk, (
             u1c * u1xc + u2c * u1yc + fvals[..., 0],
             u1c * u2xc + u2c * u2yc + fvals[..., 1]))
         du1, du2, dp = (old - new for old, new in zip((uh1, uh2, ph), parts))

@@ -194,6 +194,10 @@ class DirichletSolver:
         rows = A[self.free]
         self._A_ff = rows[:, self.free]
         self._A_fc = rows[:, self.fixed]
+        # fixed dofs no free row couples to: their values never reach the
+        # residual, so solve_lifted checks them itself
+        self._isolated = np.flatnonzero(
+            np.bincount(self._A_fc.indices, minlength=len(self.fixed)) == 0)
         self._iterations, self._residual = 0, None
 
     def _factor(self):
@@ -263,12 +267,15 @@ class DirichletSolver:
         right-hand side b = rhs[free] - A_fc @ values (see ``free_rows``).
 
         Raises ValueError when the residual is non-finite because the
-        values or b are; RuntimeError when the free block is to blame."""
+        values or b are, or when a fixed dof no free row couples to has a
+        non-finite value; RuntimeError when the free block is to blame."""
         values = self._values(values)
         b = np.asarray(b, dtype=float)
         if b.shape != self.free.shape:
             raise ValueError(f"lifted rhs has shape {b.shape}, "
                              f"expected {self.free.shape}")
+        if len(self._isolated) and not np.all(np.isfinite(values[self._isolated])):
+            raise ValueError("fixed dofs' values are not all finite")
         x = np.empty(self.n)
         x[self.fixed] = values
         if not len(self.free):

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from trifem import (Mesh2d, SparseTriples, assemble_scalar_1d,
+from trifem import (Mesh2d, SparseTriples, VarForm, assemble_scalar_1d,
                     assemble_scalar_2d, assemble_system, coef_matrix_from_dofs,
                     coef_to_matrix, compress, fe_mesh, interpolate_nodal,
                     load_operator, square_mesh, system_from_blocks,
                     tabulate_basis, uniform_refine, var_form)
 from trifem.fespace import Cells, lam_gradients, shape_dlam, shape_values
-from trifem.problems import (_ns_jacobian_form, _taylor_hood, default_spec,
+from trifem.problems import (_convection_form, _taylor_hood, default_spec,
                              stokes_form)
 from trifem.quadrature import triangle_rule
 from oracles import direct_bilinear_2d, direct_boundary_mass
@@ -398,7 +398,8 @@ def _forms(th):
          ["P2"], poisson.order),
         (var_form(1, "v.grad", "u.grad"), ["P1"], 3),
         (stokes_form(stokes), spaces, stokes.order),
-        (_ns_jacobian_form(newton, coefs), spaces, newton.order),
+        (VarForm(entries=_convection_form(coefs).entries + stokes_form(newton).entries),
+         spaces, newton.order),
     ]
 
 

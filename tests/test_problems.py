@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import trifem.problems
-from trifem import (FeFunction, assemble_system, coef_matrix_from_dofs,
+from trifem import (FeFunction, VarForm, assemble_system, coef_matrix_from_dofs,
                     dirichlet_dofs, error_L2, fe_mesh, interpolate_nodal,
                     square_mesh, uniform_refine, var_form)
 from trifem.fespace import Cells
@@ -353,6 +353,21 @@ class TestStokesDriver:
         assert np.abs(u1).max() <= 1e-10
         assert np.abs(u2).max() <= 1e-10
 
+    def test_the_forcing_is_evaluated_once_per_level(self):
+        # each load component used to call the whole vector function
+        calls = []
+        spec = default_spec("stokes", refinements=2)
+        f = spec.data.f
+
+        def counted(p):
+            calls.append(len(p))
+            return f(p)
+
+        spec.data = replace(spec.data, f=counted)
+        report = run_stokes(spec)
+        assert len(report.h) == 2
+        assert len(calls) == 2
+
     def test_first_table_level(self):
         spec = default_spec("stokes", refinements=1)
         rep = run_stokes(spec)
@@ -637,28 +652,42 @@ def written_out_ns_residual(th, spec, iterate, spaces):
     return assemble_system(th, form, spaces, order)
 
 
+def one_form_jacobian(th, spec, coefs, spaces):
+    """Reference: DF(U) assembled as one form of all 15 entries, the
+    convection entries first, then the Stokes form's."""
+    from trifem.problems import _convection_form, stokes_form
+    form = VarForm(entries=_convection_form(coefs).entries + stokes_form(spec).entries)
+    return assemble_system(th, form, spaces, spec.order)
+
+
+def smooth_iterate(th):
+    """A smooth (u1, u2, p) that solves nothing."""
+    return (interpolate_nodal(lambda p: np.sin(3 * p[:, 0]) * p[:, 1], th, "P2"),
+            interpolate_nodal(lambda p: p[:, 0] ** 2 - p[:, 1], th, "P2"),
+            interpolate_nodal(lambda p: np.cos(p[:, 0] + p[:, 1]), th, "P1"))
+
+
+def velocity_coefs(th, spec, u1, u2):
+    return [coef_matrix_from_dofs(dofs, tag, th, "P2", spec.order)
+            for dofs, tag in ((u1, "dx"), (u1, "dy"), (u2, "dx"),
+                              (u2, "dy"), (u1, "val"), (u2, "val"))]
+
+
 class TestNewtonDriver:
     @pytest.mark.parametrize("refinements", [1, 3])
     def test_first_step_solves_the_jacobian_against_the_residual(self, refinements):
         # from a smooth iterate that is no solution, one Newton step
         # solves DF(U) delta = F(U) on the free dofs, with F(U) the
         # residual as Newton computes it, DF(U) U - load((u.grad)u + f)
-        from trifem.problems import _ns_jacobian_form, _taylor_hood
+        from trifem.problems import _taylor_hood
         th = refined_th(levels=refinements)
         spec = default_spec("ns-newton", max_iter=1)
         spaces, dirichlet = _taylor_hood(spec.data)
-        iterate = (
-            interpolate_nodal(lambda p: np.sin(3 * p[:, 0]) * p[:, 1], th, "P2"),
-            interpolate_nodal(lambda p: p[:, 0] ** 2 - p[:, 1], th, "P2"),
-            interpolate_nodal(lambda p: np.cos(p[:, 0] + p[:, 1]), th, "P1"))
+        iterate = smooth_iterate(th)
         res, _ = run_ns_newton(spec, th=th, initial=iterate)
         delta = np.concatenate(iterate) - np.concatenate([res.u1, res.u2, res.p])
 
-        u1, u2 = iterate[:2]
-        coefs = [coef_matrix_from_dofs(dofs, tag, th, "P2", spec.order)
-                 for dofs, tag in ((u1, "dx"), (u1, "dy"), (u2, "dx"),
-                                   (u2, "dy"), (u1, "val"), (u2, "val"))]
-        kk = assemble_system(th, _ns_jacobian_form(spec, coefs), spaces, spec.order)
+        kk = one_form_jacobian(th, spec, velocity_coefs(th, spec, *iterate[:2]), spaces)
         free = np.setdiff1d(np.arange(kk.num_dofs), dirichlet_dofs(th, kk, dirichlet)[0])
         want = written_out_ns_residual(th, spec, iterate, spaces)
         got = kk.matrix() @ delta
@@ -675,6 +704,55 @@ class TestNewtonDriver:
         cells = Cells(th, spec.order)
         mean = cells.integrate(coef_matrix_from_dofs(res.p, "val", th, "P1", spec.order))
         assert abs(mean) <= 1e-12 * np.abs(res.p).max()
+
+    @pytest.mark.parametrize("refinements", [1, 3])
+    def test_the_jacobian_is_stokes_plus_convection(self, refinements, monkeypatch):
+        # the Stokes system assembled once plus the step's convection
+        # system is the one-form Jacobian to rounding; scipy's sum drops
+        # the entries that cancel to exactly zero
+        from trifem.problems import _taylor_hood
+        systems = []
+        solve = trifem.problems.apply_dirichlet_and_solve
+
+        def recorded(th, system, *args):
+            systems.append(system.matrix())
+            return solve(th, system, *args)
+
+        monkeypatch.setattr(trifem.problems, "apply_dirichlet_and_solve", recorded)
+        th = refined_th(levels=refinements)
+        spec = default_spec("ns-newton", max_iter=1)
+        iterate = smooth_iterate(th)
+        run_ns_newton(spec, th=th, initial=iterate)
+        want = one_form_jacobian(th, spec, velocity_coefs(th, spec, *iterate[:2]),
+                                 _taylor_hood(spec.data)[0]).matrix()
+        [got] = systems
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        want = want.copy()
+        want.eliminate_zeros()
+        assert got.has_canonical_format
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+
+    @pytest.mark.parametrize("initial, max_iter", [(False, 1), (False, 15), (True, 2)])
+    def test_the_stokes_form_is_assembled_once_per_run(self, initial, max_iter,
+                                                       monkeypatch):
+        # later steps assemble the eight convection entries only, and a
+        # step from rest assembles no convection entry
+        bilinear = []
+        assemble = trifem.problems.assemble_system
+
+        def recorded(th, form, *args):
+            if not form.is_linear:
+                bilinear.append(len(form.entries))
+            return assemble(th, form, *args)
+
+        monkeypatch.setattr(trifem.problems, "assemble_system", recorded)
+        th = refined_th(levels=1)
+        spec = default_spec("ns-newton", max_iter=max_iter)
+        res, _ = run_ns_newton(spec, th=th,
+                               initial=smooth_iterate(th) if initial else None)
+        steps_with_convection = res.iterations - (not initial)
+        assert bilinear == [7] + [8] * steps_with_convection
 
     @pytest.mark.parametrize("problem", [p for p in PROBLEM_IDS if p != "heat"])
     def test_only_heat_builds_a_dirichlet_solver(self, problem, monkeypatch):
@@ -774,10 +852,9 @@ class TestNewtonDriver:
     def test_convection_entry_positions(self):
         # first four linearized entries pair the velocity-gradient
         # coefficients with val*val products
-        from trifem.problems import _ns_jacobian_form
-        spec = default_spec("ns-newton")
+        from trifem.problems import _convection_form
         mats = [np.full((32, 1), float(k)) for k in range(6)]
-        form = _ns_jacobian_form(spec, mats)
+        form = _convection_form(mats)
         first4 = form.entries[:4]
         assert [str(e.test) for e in first4] == ["v1.val", "v1.val",
                                                  "v2.val", "v2.val"]

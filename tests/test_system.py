@@ -237,6 +237,30 @@ class TestDirichletSolver:
         assert np.array_equal(solver.solve(ff, values),
                               DirichletSolver(kk.matrix(), fixed).solve(ff, values))
 
+    def test_a_non_finite_value_no_free_row_sees_is_blamed_on_the_data(self):
+        # two corner dofs couple to no free dof, so a NaN there never
+        # reached the residual and came back in x with residual 0
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+        kk, ff = poisson_system(th)
+        fixed, values = dirichlet_dofs(th, kk, DirichletSpec((0,), (lambda p: p[:, 0],)))
+        solver = DirichletSolver(kk.matrix(), fixed)
+        rows = kk.matrix()[solver.free]
+        isolated = [k for k, dof in enumerate(fixed) if rows[:, dof].nnz == 0]
+        assert [fixed[k] for k in isolated] == [2, 6]
+        for k in isolated:
+            bad = values.copy()
+            bad[k] = np.nan
+            with pytest.raises(ValueError, match="fixed dofs' values are not all finite"):
+                solver.solve(ff, bad)
+            with pytest.raises(ValueError, match="fixed dofs' values are not all finite"):
+                solver.solve_lifted(ff[solver.free] - rows[:, fixed] @ values, bad)
+        assert np.array_equal(solver.solve(ff, values),
+                              DirichletSolver(kk.matrix(), fixed).solve(ff, values))
+        # with no free dof every fixed dof is isolated
+        with pytest.raises(ValueError, match="fixed dofs' values are not all finite"):
+            DirichletSolver(sp.identity(2, format="csr"), [0, 1]).solve(
+                np.zeros(2), [1.0, np.nan])
+
 
 @pytest.fixture
 def solvers(monkeypatch):
