@@ -309,8 +309,7 @@ def _split_components(coef, cells, ncomp):
                             f"components for {ncomp} test components")
         return list(coef)
     if callable(coef):
-        vals = cells.values(coef, ncomp)
-        return [vals[:, :, c] for c in range(ncomp)]
+        return list(cells.components(coef, ncomp))
     raise FormError("vector shorthand coefficient must be a function or a "
                     "sequence of per-component coefficients")
 

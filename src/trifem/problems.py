@@ -27,6 +27,7 @@ from .fespace import (Cells, _eval_pointfun, coef_matrix_from_dofs,
 from .io import read_freefem_msh
 from .mesh import fe_mesh, square_mesh, uniform_refine
 from .quadrature import MAX_TRIANGLE_ORDER
+from .selector import parse_selector
 from .system import (DirichletSolver, DirichletSpec, RateReport,
                      apply_dirichlet_and_solve, dirichlet_dofs, error_H1_semi,
                      error_L2)
@@ -375,8 +376,8 @@ def default_spec(problem, **overrides):
     together with a field that only a generated mesh reads, for a degree,
     refinement count, quadrature order, bounding box, grid spacing, time
     step, end time, Newton tolerance, iterate cap, viscosity or penalty
-    out of range (see _CONTROLS), and for a time step that does not
-    divide the end time.
+    out of range (see _CONTROLS), for a time step that does not divide
+    the end time, and for a selector that does not parse (SelectorError).
     """
     row = _row(problem)
     spec = ProblemSpec(problem=problem, **row.defaults)
@@ -395,6 +396,10 @@ def default_spec(problem, **overrides):
             raise ValueError(f"{name} must be {valid}, got {getattr(spec, name)!r}")
     if spec.dt is not None:
         _fixed_steps(spec.dt, spec.t_end)
+    if isinstance(spec.selectors, str):      # one selector, as fe_mesh takes it
+        spec.selectors = (spec.selectors,)
+    for selector in spec.selectors:
+        parse_selector(selector)
     if spec.mesh_path is not None:
         ignored = [n for n in _GENERATED_MESH if overrides.get(n) is not None]
         if ignored:
@@ -520,7 +525,7 @@ def solve_elasticity_displacement(th, spec):
 
     ff = np.concatenate([assemble_scalar_2d(th, var_form(fc, "v.val"),
                                             space, None, order)
-                         for fc in _split(data.f, 2)])
+                         for fc in Cells(th, order).components(data.f, 2)])
     uh = apply_dirichlet_and_solve(th, kk, ff,
                                    DirichletSpec((0,), (_split(data.exact, 2),)))
     return _components(uh, kk)
@@ -677,10 +682,8 @@ def solve_stokes(th, spec):
     """(u1, u2, p) of one level; f is evaluated once."""
     order = spec.order
     kk = assemble_system(th, stokes_form(spec), _taylor_hood(spec.data)[0], order)
-    # each component contiguous, as Newton's load is: a strided coefficient
-    # raised the peak memory at refine 5 by 2 MiB
-    return _solve_taylor_hood(th, spec, kk, np.ascontiguousarray(np.moveaxis(
-        Cells(th, order).values(spec.data.f, 2), -1, 0)))
+    return _solve_taylor_hood(th, spec, kk,
+                              Cells(th, order).components(spec.data.f, 2))
 
 
 def run_stokes(spec):
@@ -860,7 +863,7 @@ def run_ns_newton(spec, th=None, initial=None):
 
     spaces = _taylor_hood(data)[0]
     stokes = assemble_system(th, stokes_form(spec), spaces, order)
-    fvals = Cells(th, order).values(data.f, 2)
+    f1, f2 = Cells(th, order).components(data.f, 2)
 
     norms = []
     stop_reason = "max_iter"
@@ -873,8 +876,8 @@ def run_ns_newton(spec, th=None, initial=None):
         if any(c.any() for c in coefs):
             kk = stokes + assemble_system(th, _convection_form(coefs), spaces, order)
         parts = _solve_taylor_hood(th, spec, kk, (
-            u1c * u1xc + u2c * u1yc + fvals[..., 0],
-            u1c * u2xc + u2c * u2yc + fvals[..., 1]))
+            u1c * u1xc + u2c * u1yc + f1,
+            u1c * u2xc + u2c * u2yc + f2))
         du1, du2, dp = (old - new for old, new in zip((uh1, uh2, ph), parts))
         uh1, uh2, ph = parts
 

@@ -14,23 +14,37 @@ synonyms of the plain ones)::
     pow   := atom (('^'|'.^') unary)?
     atom  := number | 'x' | 'y' | 'pi' | func '(' expr ')' | '(' expr ')'
 
-with func in {sin, cos, sqrt, abs, exp}.  ``parse_selector`` compiles an
-expression into a pure predicate over a point (x, y); equality compares
-the evaluated reals exactly (write ``'x>0.99'`` for a tolerant match).
+with func in {sin, cos, sqrt, abs, exp}, every number read as a float
+and the tree nested at most 200 levels deep.  ``parse_selector``
+compiles an expression into a pure predicate over a point (x, y); '|'
+and '&' short-circuit, and equality compares the evaluated reals exactly
+(write ``'x>0.99'`` for a tolerant match).
+
+This is Python's expression grammar with 'or', 'and' and '**' spelled
+'|', '&' and '^', so ``ast.parse`` reads the tokens respelled as Python
+and any node outside the grammar is rejected; no string is executed.
 """
 
+import ast
 import math
+import operator
 import re
+from functools import reduce
 
 __all__ = ["parse_selector", "SelectorError"]
 
-_FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "exp": math.exp,
-}
+_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt, "abs": abs,
+              "exp": math.exp}
+_PYTHON = {"|": "or", "&": "and", "^": "**", ".^": "**", ".*": "*", "./": "/"}
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.Pow: operator.pow, ast.Eq: operator.eq,
+              ast.LtE: operator.le, ast.GtE: operator.ge, ast.Lt: operator.lt,
+              ast.Gt: operator.gt}
+_JOIN = {ast.Or: lambda a, b: lambda x, y: bool(a(x, y)) or bool(b(x, y)),
+         ast.And: lambda a, b: lambda x, y: bool(a(x, y)) and bool(b(x, y))}
+_LEAVES = {"x": lambda x, y: x, "y": lambda x, y: y, "pi": lambda x, y: math.pi}
+_NAMES = {*_LEAVES, *_FUNCTIONS}
+_MAX_DEPTH = 200     # as deep as Python's parser nests parentheses
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
@@ -44,155 +58,72 @@ class SelectorError(ValueError):
     """Raised for malformed selector expressions, with the offending position."""
 
 
-def _tokenize(text):
-    tokens = []
+def _to_python(text):
+    """(source, leaves, origin): text respelled as Python source, the
+    closures of its names (each number is one), and the position in
+    text of each source column, the final newline's being len(text)."""
+    source, leaves, origin = "", dict(_LEAVES), []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise SelectorError(f"selector syntax error at position {pos}: "
                                 f"unexpected character {text[pos]!r}")
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group()), pos))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group(), pos))
-        elif m.lastgroup == "op":
-            op = m.group()
-            # elementwise synonyms
-            tokens.append(("op", op.lstrip("."), pos))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def accept_op(self, *ops):
-        kind, val, _ = self.peek()
-        if kind == "op" and val in ops:
-            self.next()
-            return val
-        return None
-
-    def fail(self, what):
-        kind, val, pos = self.peek()
-        shown = "end of input" if kind == "end" else repr(val)
-        raise SelectorError(f"selector syntax error at position {pos}: "
-                            f"expected {what}, got {shown}")
-
-    # each parse method returns a closure (x, y) -> value
-    def parse(self):
-        node = self.p_or()
-        if self.peek()[0] != "end":
-            self.fail("end of expression")
-        return node
-
-    def p_or(self):
-        node = self.p_and()
-        while self.accept_op("|"):
-            rhs = self.p_and()
-            node = (lambda a, b: lambda x, y: bool(a(x, y)) or bool(b(x, y)))(node, rhs)
-        return node
-
-    def p_and(self):
-        node = self.p_cmp()
-        while self.accept_op("&"):
-            rhs = self.p_cmp()
-            node = (lambda a, b: lambda x, y: bool(a(x, y)) and bool(b(x, y)))(node, rhs)
-        return node
-
-    def p_cmp(self):
-        node = self.p_sum()
-        op = self.accept_op("==", "<=", ">=", "<", ">")
-        if op:
-            rhs = self.p_sum()
-            cmpf = {"==": lambda p, q: p == q,
-                    "<=": lambda p, q: p <= q,
-                    ">=": lambda p, q: p >= q,
-                    "<": lambda p, q: p < q,
-                    ">": lambda p, q: p > q}[op]
-            node = (lambda a, b, f: lambda x, y: f(a(x, y), b(x, y)))(node, rhs, cmpf)
-        return node
-
-    def p_sum(self):
-        node = self.p_prod()
-        while True:
-            op = self.accept_op("+", "-")
-            if not op:
-                return node
-            rhs = self.p_prod()
-            if op == "+":
-                node = (lambda a, b: lambda x, y: a(x, y) + b(x, y))(node, rhs)
-            else:
-                node = (lambda a, b: lambda x, y: a(x, y) - b(x, y))(node, rhs)
-
-    def p_prod(self):
-        node = self.p_unary()
-        while True:
-            op = self.accept_op("*", "/")
-            if not op:
-                return node
-            rhs = self.p_unary()
-            if op == "*":
-                node = (lambda a, b: lambda x, y: a(x, y) * b(x, y))(node, rhs)
-            else:
-                node = (lambda a, b: lambda x, y: a(x, y) / b(x, y))(node, rhs)
-
-    def p_unary(self):
-        if self.accept_op("-"):
-            inner = self.p_unary()
-            return (lambda a: lambda x, y: -a(x, y))(inner)
-        return self.p_pow()
-
-    def p_pow(self):
-        base = self.p_atom()
-        if self.accept_op("^"):
-            exponent = self.p_unary()
-            return (lambda a, b: lambda x, y: a(x, y) ** b(x, y))(base, exponent)
-        return base
-
-    def p_atom(self):
-        kind, val, pos = self.peek()
+        kind, word = m.lastgroup, m.group()
         if kind == "num":
-            self.next()
-            return (lambda c: lambda x, y: c)(val)
-        if kind == "ident":
-            self.next()
-            if val == "x":
-                return lambda x, y: x
-            if val == "y":
-                return lambda x, y: y
-            if val == "pi":
-                return lambda x, y: math.pi
-            if val in _FUNCTIONS:
-                if not self.accept_op("("):
-                    self.fail(f"'(' after function {val!r}")
-                arg = self.p_or()
-                if not self.accept_op(")"):
-                    self.fail("')'")
-                return (lambda f, a: lambda x, y: f(a(x, y)))(_FUNCTIONS[val], arg)
-            raise SelectorError(f"unknown identifier {val!r} at position {pos}")
-        if self.accept_op("("):
-            inner = self.p_or()
-            if not self.accept_op(")"):
-                self.fail("')'")
-            return inner
-        self.fail("a number, 'x', 'y', 'pi', a function call or '('")
+            leaves[f"_{len(leaves)}"] = (lambda c: lambda x, y: c)(float(word))
+            word = f"_{len(leaves) - 1}"
+        elif kind == "ident" and word not in _NAMES:
+            raise SelectorError(f"unknown identifier {word!r} at position {pos}")
+        if kind != "ws":
+            word = _PYTHON.get(word, word)
+            source += word + " "
+            origin += [pos] * len(word) + [m.end()]
+        pos = m.end()
+    return source + "\n", leaves, origin + [len(text)]
+
+
+def _binary(op, a, b):
+    return lambda x, y: op(a(x, y), b(x, y))
 
 
 def parse_selector(expr):
     """Compile a selector string into a predicate ``(x, y) -> bool``."""
-    node = _Parser(expr).parse()
+    source, leaves, origin = _to_python(expr)
+
+    def fail(col, why):
+        raise SelectorError(f"selector syntax error at position {origin[col]}: {why}")
+
+    def build(node, depth):
+        if depth > _MAX_DEPTH:
+            fail(node.col_offset, f"nested more than {_MAX_DEPTH} levels deep")
+        if isinstance(node, ast.BoolOp):        # each join is one closure deeper
+            deeper = depth + len(node.values)
+            return reduce(_JOIN[type(node.op)], (build(v, deeper) for v in node.values))
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+            return _binary(_OPERATORS[type(node.op)], build(node.left, depth + 1),
+                           build(node.right, depth + 1))
+        if (isinstance(node, ast.Compare) and len(node.ops) == 1
+                and type(node.ops[0]) in _OPERATORS):
+            return _binary(_OPERATORS[type(node.ops[0])], build(node.left, depth + 1),
+                           build(node.comparators[0], depth + 1))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            operand = build(node.operand, depth + 1)
+            return lambda x, y: -operand(x, y)
+        if isinstance(node, ast.Name) and node.id in leaves:
+            return leaves[node.id]
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) in _FUNCTIONS
+                and len(node.args) == 1 and not node.keywords):
+            f, arg = _FUNCTIONS[node.func.id], build(node.args[0], depth + 1)
+            return lambda x, y: f(arg(x, y))
+        start, end = (origin[c] for c in (node.col_offset, node.end_col_offset))
+        fail(node.col_offset, f"{expr[start:end]!r} is not in the selector grammar")
+
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError as exc:      # offset 0, on blank text, reads origin[-1]: the end
+        fail(exc.offset - 1, exc.msg)
+    except (RecursionError, MemoryError):   # how Python's parser reports deep nesting
+        fail(0, "nested too deeply")
+    node = build(tree.body, 1)
     return lambda x, y: bool(node(x, y))

@@ -135,6 +135,13 @@ class TestRunCommand:
         assert main(["run", "--problem", "stokes", "--dt", "0.1"]) == 2
         assert "stokes fixes dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("selector", ["x ==", "z==0"])
+    def test_a_selector_that_does_not_parse_is_a_usage_error(self, selector,
+                                                             capsys):
+        # it used to exit 1, after the first level's mesh was built
+        assert main(["run", "--problem", "poisson", "--bdstr", selector]) == 2
+        assert "position" in capsys.readouterr().err
+
     def test_a_negative_time_step_is_a_usage_error(self, capsys):
         assert main(["run", "--problem", "heat", "--dt", "-0.1"]) == 2
         assert "dt must be" in capsys.readouterr().err

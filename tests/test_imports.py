@@ -1,9 +1,11 @@
-"""Every name a trifem module imports is used in that module, and every
-name in its ``__all__`` is defined there.
+"""Every name a trifem module imports is used in that module, every
+name in its ``__all__`` is defined there, and no module calls the
+builtins that run strings as code.
 
 No linter ships with the project, so this parses each module with
-``ast`` and fails on an imported name that the module never reads, or
-an exported name that it never binds.
+``ast`` and fails on an imported name that the module never reads, an
+exported name that it never binds, or a call of bare ``eval``, ``exec``
+or ``compile``.
 """
 
 import ast
@@ -97,3 +99,27 @@ def test_every_exported_name_is_defined(path):
 ])
 def test_the_export_check_sees_what_a_module_binds(source, undefined):
     assert _undefined_exports(source) == undefined
+
+
+def _code_running_calls(source):
+    """Bare calls of the builtins that run a string as code; a method
+    such as re.compile is an attribute and is not one."""
+    return {node.func.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("eval", "exec", "compile")}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_runs_a_string_as_code(path):
+    assert _code_running_calls(path.read_text()) == set()
+
+
+@pytest.mark.parametrize("source, calls", [
+    ("eval('1')\n", {"eval"}),
+    ("exec(s)\ncode = compile(s, 'f', 'eval')\n", {"exec", "compile"}),
+    ("import re\nre.compile('a')\n", set()),
+    ("import ast\nast.parse('1', mode='eval')\n", set()),
+    ("def f(g):\n    return g(evaluate=1)\n", set()),
+])
+def test_the_code_check_sees_bare_calls_only(source, calls):
+    assert _code_running_calls(source) == calls

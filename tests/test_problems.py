@@ -9,9 +9,9 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import trifem.problems
-from trifem import (FeFunction, VarForm, assemble_system, coef_matrix_from_dofs,
-                    dirichlet_dofs, error_L2, fe_mesh, interpolate_nodal,
-                    square_mesh, uniform_refine, var_form)
+from trifem import (FeFunction, SelectorError, VarForm, assemble_system,
+                    coef_matrix_from_dofs, dirichlet_dofs, error_L2, fe_mesh,
+                    interpolate_nodal, square_mesh, uniform_refine, var_form)
 from trifem.fespace import Cells
 from trifem.problems import (PROBLEM_IDS, HeatData, NewtonResult,
                              PoissonData, ProblemSpec, default_spec,
@@ -167,6 +167,14 @@ class TestProblemTable:
         assert steps == [(t_end / nsteps, nsteps)] * 2
         assert steps[0][0] == pytest.approx(dt, rel=1e-12)
 
+    @pytest.mark.parametrize("selector", ["x ==", "z==0", "x==0 | y==0 & "])
+    def test_a_selector_that_does_not_parse_is_a_named_error(self, selector):
+        with pytest.raises(SelectorError, match="position"):
+            default_spec("poisson", selectors=("x==0", selector))
+
+    def test_a_single_selector_string_is_one_selector(self):
+        assert default_spec("poisson", selectors="x==0").selectors == ("x==0",)
+
     def test_fixed_field_may_be_restated(self):
         spec = default_spec("stokes", degree=2, selectors=(), mesh_path=None)
         assert (spec.degree, spec.selectors) == (2, ())
@@ -296,6 +304,21 @@ class TestElasticityDrivers:
         num = np.sqrt(((short - long).multiply(short - long)).sum())
         den = np.sqrt((short.multiply(short)).sum())
         assert num <= 1e-14 * den
+
+    @pytest.mark.parametrize("problem", ["elasticity-disp", "elasticity-tensor"])
+    def test_the_forcing_is_evaluated_once_per_level(self, problem):
+        # elasticity-disp used to evaluate the whole of f once per component
+        calls = []
+        spec = default_spec(problem, refinements=2)
+        f = spec.data.f
+
+        def counted(p):
+            calls.append(len(p))
+            return f(p)
+
+        spec.data = replace(spec.data, f=counted)
+        assert len(run_problem(spec).h) == 2
+        assert len(calls) == 2
 
     def test_tensor_p3_orders(self):
         spec = default_spec("elasticity-tensor", degree=3, refinements=3)
