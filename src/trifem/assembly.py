@@ -29,13 +29,14 @@ A bilinear block's triples exist only inside the scalar kernel call:
 it hands them to ``compress`` and returns the canonical CSR matrix, so
 past the kernel there is one sparse type, scipy's.  Scalar blocks
 combine with scipy's +, scalar * and transpose, as the paper's block
-programs combine Matlab sparse matrices.  Multi-component forms are
-grouped into blocks by (test component, trial component); each block is
-compressed before the next block's kernel runs, and one routine stacks
-the compressed blocks at the cumulative dof offsets into one CSR
-matrix, for assemble_system and system_from_blocks alike.  No triples
-are kept or concatenated: doing so held each triple twice at the peak
-(Taylor-Hood at refine 5 grew from 105 to 134 MiB in the join).
+programs combine Matlab sparse matrices.  One rule groups the entries of
+a multi-component form: by test component, and for a bilinear form by
+trial component too.  A linear form's loads are concatenated; each
+block is compressed before the next block's kernel runs, and one
+routine stacks the compressed blocks at the cumulative dof offsets into
+one CSR matrix, for assemble_system and system_from_blocks alike.  No
+triples are kept or concatenated: doing so held each triple twice at
+the peak (Taylor-Hood at refine 5 grew from 105 to 134 MiB in the join).
 
 A load 'v.val' is linear in its coefficient values, so
 ``load_operator`` builds it once as a sparse operator L with entries
@@ -82,11 +83,9 @@ def compress(triples):
     if len(ii) and (ii.min() < 0 or ii.max() >= triples.nrows
                     or jj.min() < 0 or jj.max() >= triples.ncols):
         raise ValueError("sparse index out of range")
-    mat = sp.coo_matrix((triples.ss, (ii, jj)),
-                        shape=(triples.nrows, triples.ncols)).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
+    # tocsr sums a non-canonical COO's duplicates, which sorts the indices
+    return sp.coo_matrix((triples.ss, (ii, jj)),
+                         shape=(triples.nrows, triples.ncols)).tocsr()
 
 
 @dataclass
@@ -212,7 +211,7 @@ def load_operator(th, space, quad_order, domain="2d", region=None):
     return transposed.T.tocsr()
 
 
-def _scalar_assemble(cells, form, test_space, trial_space):
+def _scalar_assemble(cells, form, test_space, trial_space=None):
     """The load vector or the compressed CSR block of a form of
     elementary entries (see expand_extended); a block's triples are
     dropped once compress returns."""
@@ -280,47 +279,40 @@ def _default_order(quad_order, *spaces):
     return max(fe_space(s).degree for s in spaces if s is not None) + 2
 
 
-def _expand_vector_shorthand(form, cells, spaces):
+def _expand_vector_shorthand(form, cells, ncomp):
     """Rewrite linear entries 'v.val' against a multi-component
     coefficient into per-component entries (f1*v1 + f2*v2 + ...)."""
-    ncomp = len(spaces)
     out = []
     for entry in form:
-        sym = entry.test.terms[0].symbol if len(entry.test) == 1 else None
-        if entry.trial is None and ncomp > 1 and sym == "v":
-            if entry.test.terms[0].tag != "val":
-                raise FormError("vector shorthand requires Test = 'v.val'")
-            coefs = _split_components(entry.coef, cells, ncomp)
-            for c, cc in enumerate(coefs):
-                out.append(FormEntry(cc, TermSum((_vterm(c),)), None))
-        else:
+        test = entry.test.terms[0]
+        if entry.trial is not None or ncomp == 1 or test.symbol != "v":
             out.append(entry)
-    return VarForm(entries=tuple(out))
-
-
-def _vterm(c):
-    return Term(symbol=f"v{c + 1}", tag="val")
-
-
-def _split_components(coef, cells, ncomp):
-    if isinstance(coef, (list, tuple)):
-        if len(coef) != ncomp:
-            raise FormError(f"vector shorthand got {len(coef)} coefficient "
+            continue
+        if test.tag != "val":
+            raise FormError("vector shorthand requires Test = 'v.val'")
+        coefs = entry.coef
+        if callable(coefs):
+            coefs = cells.components(coefs, ncomp)
+        elif not isinstance(coefs, (list, tuple)):
+            raise FormError("vector shorthand coefficient must be a function or a "
+                            "sequence of per-component coefficients")
+        if len(coefs) != ncomp:
+            raise FormError(f"vector shorthand got {len(coefs)} coefficient "
                             f"components for {ncomp} test components")
-        return list(coef)
-    if callable(coef):
-        return list(cells.components(coef, ncomp))
-    raise FormError("vector shorthand coefficient must be a function or a "
-                    "sequence of per-component coefficients")
+        out.extend(FormEntry(cc, TermSum((Term(f"v{c + 1}", "val"),)), None)
+                   for c, cc in enumerate(coefs))
+    return VarForm(entries=tuple(out))
 
 
 def assemble_system(th, form, spaces, quad_order=None, domain="2d", region=None):
     """Assemble a (possibly multi-component) form.
 
-    Entries are grouped into blocks by test/trial component; each block
-    runs the scalar kernel and is compressed before the next one runs,
-    then placed at the cumulative dof offsets.  Bilinear forms return an
-    AssembledSystem, linear forms the concatenated load vector.
+    Entries are grouped by test component, and for a bilinear form by
+    trial component too; each group runs the scalar kernel once.  A
+    linear form returns the per-component loads concatenated, a
+    component without entries reading zero.  A bilinear form returns an
+    AssembledSystem: each block is compressed before the next one runs,
+    then placed at the cumulative dof offsets.
     """
     form = _as_form(form)
     spaces = tuple(fe_space(s) for s in _aslist(spaces))
@@ -328,30 +320,21 @@ def assemble_system(th, form, spaces, quad_order=None, domain="2d", region=None)
     quad_order = _default_order(quad_order, *spaces)
     cells = Cells(th, quad_order, domain, region)
     nndofu = tuple(th.dof_map(s).num_dofs for s in spaces)
-    offsets = np.concatenate([[0], np.cumsum(nndofu)])
-    total = int(offsets[-1])
 
-    form = expand_extended(form)
-    form = _expand_vector_shorthand(form, cells, spaces)
-
-    if form.is_linear:
-        rhs = np.zeros(total)
-        for entry in form:
-            c = _component_index(entry.test.terms[0].symbol, "v", ncomp)
-            sub = VarForm(entries=(entry,))
-            vec = _scalar_assemble(cells, sub, spaces[c], None)
-            rhs[offsets[c]:offsets[c + 1]] += vec
-        return rhs
-
-    blocks = {}
+    form = _expand_vector_shorthand(expand_extended(form), cells, ncomp)
+    groups = {}
     for entry in form:
-        ci = _component_index(entry.test.terms[0].symbol, "v", ncomp)
-        cj = _component_index(entry.trial.terms[0].symbol, "u", ncomp)
-        blocks.setdefault((ci, cj), []).append(entry)
-    compressed = {(ci, cj): _scalar_assemble(cells, VarForm(entries=tuple(entries)),
-                                             spaces[ci], spaces[cj])
-                  for (ci, cj), entries in blocks.items()}
-    return AssembledSystem(_csr=_stacked(compressed, nndofu), nndofu=nndofu,
+        key = (_component_index(entry.test.terms[0].symbol, "v", ncomp),)
+        if entry.trial is not None:
+            key += (_component_index(entry.trial.terms[0].symbol, "u", ncomp),)
+        groups.setdefault(key, []).append(entry)
+    parts = {key: _scalar_assemble(cells, VarForm(entries=tuple(entries)),
+                                   *(spaces[c] for c in key))
+             for key, entries in groups.items()}
+    if form.is_linear:
+        return np.concatenate([parts.get((c,), np.zeros(n))
+                               for c, n in enumerate(nndofu)])
+    return AssembledSystem(_csr=_stacked(parts, nndofu), nndofu=nndofu,
                            spaces=spaces)
 
 

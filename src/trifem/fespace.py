@@ -38,7 +38,7 @@ __all__ = ["FeSpace", "DofMap", "FeFunction", "fe_space", "build_dof_map",
            "tabulate_basis", "interpolate_nodal", "coef_matrix_from_dofs",
            "coef_matrix_on_edges", "integrate_fe", "evaluate_at_points",
            "quad_points_2d", "edge_quad_points", "trace_dof_map",
-           "region_dofs", "eval_pointwise"]
+           "region_dofs"]
 
 
 class FormError(ValueError):
@@ -135,6 +135,11 @@ def build_dof_map(mesh, topo, space):
 # ---------------------------------------------------------------------------
 # reference shape functions in barycentric coordinates
 
+def _p3_vertex(l):
+    """The P3 basis function of a vertex whose barycentric coordinate is l."""
+    return 0.5 * l * (3 * l - 1) * (3 * l - 2)
+
+
 def shape_values(space, lam):
     """Values of the local basis at barycentric points; shape (nl, ng)."""
     space = fe_space(space)
@@ -145,13 +150,10 @@ def shape_values(space, lam):
         return np.stack([l0 * (2 * l0 - 1), l1 * (2 * l1 - 1), l2 * (2 * l2 - 1),
                          4 * l1 * l2, 4 * l2 * l0, 4 * l0 * l1])
 
-    def vert(l):
-        return 0.5 * l * (3 * l - 1) * (3 * l - 2)
-
     def edge(la, lb):
         return 4.5 * la * lb * (3 * la - 1)
 
-    return np.stack([vert(l0), vert(l1), vert(l2),
+    return np.stack([_p3_vertex(l0), _p3_vertex(l1), _p3_vertex(l2),
                      edge(l1, l2), edge(l2, l1),
                      edge(l2, l0), edge(l0, l2),
                      edge(l0, l1), edge(l1, l0),
@@ -204,11 +206,7 @@ def trace_values(space, t):
         return np.stack([s, t])
     if space.degree == 2:
         return np.stack([s * (2 * s - 1), t * (2 * t - 1), 4 * s * t])
-
-    def vert(l):
-        return 0.5 * l * (3 * l - 1) * (3 * l - 2)
-
-    return np.stack([vert(s), vert(t),
+    return np.stack([_p3_vertex(s), _p3_vertex(t),
                      4.5 * s * t * (3 * s - 1), 4.5 * s * t * (3 * t - 1)])
 
 
@@ -411,21 +409,10 @@ def trace_dof_map(th, space, region):
 
 
 def region_dofs(th, space, region):
-    """Global dofs of a space lying on a boundary region.
-
-    Vertex dofs come from the region's endpoint vertices; edge-interior
-    dofs (P2 midpoints, P3 third-points) from its global edge indices,
-    so edges are matched by identity, never by coordinates.
-    """
-    space = fe_space(space)
-    n = len(th.mesh.node)
-    parts = [region.node_idx]
-    if space.degree == 2:
-        parts.append(n + region.edge_idx)
-    elif space.degree == 3:
-        parts.append(n + 2 * region.edge_idx)
-        parts.append(n + 2 * region.edge_idx + 1)
-    return np.sort(np.concatenate(parts)).astype(np.int64)
+    """Global dofs of a space lying on a boundary region, ascending: the
+    trace dofs of its edges, so edges are matched by their global index,
+    never by coordinates."""
+    return np.unique(trace_dof_map(th, space, region))
 
 
 def edge_quad_points(th, region, rule):
@@ -514,14 +501,6 @@ def integrate_fe(dofs, th, space, quad_order):
     return float(Cells(th, quad_order).integrate(cc))
 
 
-def eval_pointwise(dofs, space, lam, elem_idx, dofmap):
-    """Evaluate a finite element function at barycentric points inside
-    given elements (one (point, element) pair per row)."""
-    vals = shape_values(space, lam)             # (nl, npts)
-    local = dofs[dofmap.elem2dof[elem_idx]]     # (npts, nl)
-    return np.einsum("pi,ip->p", local, vals)
-
-
 def evaluate_at_points(dofs, th, space, points, tol=1e-12):
     """Evaluate a finite element function at arbitrary points.
 
@@ -532,7 +511,7 @@ def evaluate_at_points(dofs, th, space, points, tol=1e-12):
     """
     space = fe_space(space)
     dofs = _check_dofs(dofs, th, space)
-    dofmap = th.dof_map(space)
+    elem2dof = th.dof_map(space).elem2dof
     points = np.atleast_2d(np.asarray(points, dtype=float))
     z = th.mesh.node[th.mesh.elem]              # (NT, 3, 2)
     twoa = 2.0 * th.topo.area
@@ -546,6 +525,5 @@ def evaluate_at_points(dofs, th, space, points, tol=1e-12):
         inside = np.nonzero(lam.min(axis=1) >= -tol)[0]
         if len(inside):
             t = inside[0]
-            out[m] = eval_pointwise(dofs, space, lam[t][None, :],
-                                    np.array([t]), dofmap)[0]
+            out[m] = dofs[elem2dof[t]] @ shape_values(space, lam[t:t + 1])[:, 0]
     return out

@@ -62,8 +62,10 @@ def read_freefem_msh(path):
     except ValueError:
         raise MshFormatError(f"{path}:{lineno}: non-integer header {header!r}") from None
 
-    def read_block(count, width, kind, conv):
-        rows = np.empty((count, width))
+    def read_block(count, kind, *types):
+        """count lines of len(types) fields; column j as an array of
+        types[j], each field parsed by it, so '3.9' is no index."""
+        cols = [np.empty(count, dtype=t) for t in types]
         for k in range(count):
             try:
                 lineno, text = next(lines)
@@ -72,35 +74,38 @@ def read_freefem_msh(path):
                     f"{path}: truncated file, expected {count} {kind} lines "
                     f"but found {k}") from None
             fields = text.split()
-            if len(fields) != width:
-                raise MshFormatError(f"{path}:{lineno}: expected {width} fields "
-                                     f"on {kind} line, got {len(fields)}")
+            if len(fields) != len(types):
+                raise MshFormatError(f"{path}:{lineno}: expected {len(types)} "
+                                     f"fields on {kind} line, got {len(fields)}")
             try:
-                rows[k] = [conv(f) for f in fields]
-            except ValueError:
+                for col, t, f in zip(cols, types, fields):
+                    col[k] = t(f)
+            except (ValueError, OverflowError):
                 raise MshFormatError(f"{path}:{lineno}: bad {kind} record "
                                      f"{text!r}") from None
-        return rows
+        return cols
 
-    verts = read_block(nv, 3, "vertex", float)
-    tris = read_block(nt, 4, "triangle", float).astype(np.int64)
-    edges = read_block(ne, 3, "edge", float).astype(np.int64)
+    x, y, vertex_label = read_block(nv, "vertex", float, float, int)
+    *tri, tri_region = read_block(nt, "triangle", int, int, int, int)
+    *bd, edge_label = read_block(ne, "edge", int, int, int)
 
     leftover = next(lines, None)
     if leftover is not None:
         raise MshFormatError(f"{path}:{leftover[0]}: unexpected extra data "
                              f"after the declared records")
 
-    node = verts[:, :2]
-    elem = tris[:, :3] - 1
+    node = np.column_stack([x, y])
+    elem = np.column_stack(tri) - 1
     if elem.size and (elem.min() < 0 or elem.max() >= nv):
         raise MshFormatError(f"{path}: triangle vertex index out of range 1..{nv}")
-    edge = edges[:, :2] - 1
+    edge = np.column_stack(bd) - 1
     if edge.size and (edge.min() < 0 or edge.max() >= nv):
         raise MshFormatError(f"{path}: edge vertex index out of range 1..{nv}")
 
-    # reorient clockwise triangles; their areas change sign exactly
-    area = signed_area(node, elem)
+    # reorient clockwise triangles; their areas change sign exactly.  A
+    # non-finite node, whose areas may be NaN, is Mesh2d's to reject
+    with np.errstate(invalid="ignore"):
+        area = signed_area(node, elem)
     flip = area < 0
     elem[flip] = elem[flip][:, [0, 2, 1]]
     area[flip] = -area[flip]
@@ -109,10 +114,8 @@ def read_freefem_msh(path):
         mesh = Mesh2d(node=node, elem=elem, _area=area)
     except ValueError as exc:
         raise MshFormatError(f"{path}: {exc}") from exc
-    labels = MshLabels(vertex_label=verts[:, 2].astype(np.int64),
-                       tri_region=tris[:, 3],
-                       edge=edge,
-                       edge_label=edges[:, 2])
+    labels = MshLabels(vertex_label=vertex_label, tri_region=tri_region,
+                       edge=edge, edge_label=edge_label)
     return mesh, labels
 
 

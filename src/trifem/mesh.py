@@ -63,6 +63,10 @@ class Mesh2d:
             raise ValueError("elem must have shape (NT, 3)")
         if elem.size and (elem.min() < 0 or elem.max() >= len(node)):
             raise ValueError("elem contains vertex indices out of range")
+        bad = np.nonzero(~np.isfinite(node).all(axis=1))[0]
+        if len(bad):
+            raise ValueError(f"node {bad[0]} has a non-finite coordinate "
+                             f"{tuple(node[bad[0]].tolist())}")
         object.__setattr__(self, "node", node)
         object.__setattr__(self, "elem", elem)
         area = signed_area(node, elem) if _area is None else _area

@@ -854,14 +854,11 @@ def run_ns_newton(spec, th=None, initial=None):
                 mesh = uniform_refine(mesh)
         th = fe_mesh(mesh)
 
-    if initial is None:
-        uh1 = interpolate_nodal(lambda p: np.zeros(len(p)), th, "P2")
-        uh2 = interpolate_nodal(lambda p: np.zeros(len(p)), th, "P2")
-        ph = interpolate_nodal(lambda p: np.zeros(len(p)), th, "P1")
-    else:
-        uh1, uh2, ph = (np.array(v, dtype=float) for v in initial)
-
     spaces = _taylor_hood(data)[0]
+    if initial is None:
+        initial = (np.zeros(th.dof_map(s).num_dofs) for s in spaces)
+    uh1, uh2, ph = (np.array(v, dtype=float) for v in initial)
+
     stokes = assemble_system(th, stokes_form(spec), spaces, order)
     f1, f2 = Cells(th, order).components(data.f, 2)
 

@@ -12,9 +12,13 @@ refined to machine precision from the orbit moment equations.
 
 Segment rules are Gauss-Legendre points mapped to [0, 1], with weights
 summing to 1 under the analogous convention.
+
+Each rule is built once per order and shared by every later request,
+so its arrays are read-only.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -66,6 +70,7 @@ def _orbit6(a, b):
 def _build(points, weights):
     lam = np.array(points, dtype=float)
     w = np.array(weights, dtype=float)
+    lam.flags.writeable = w.flags.writeable = False
     return QuadRule2d(lam=lam, weight=w)
 
 
@@ -84,6 +89,17 @@ def _rule_deg4():
     b2, w2 = 0.091576213509770743, 0.10995174365532187
     pts = _orbit3(b1) + _orbit3(b2)
     return _build(pts, [w1] * 3 + [w2] * 3)
+
+
+def _rule_deg5():
+    s15 = np.sqrt(15.0)
+    third = 1.0 / 3.0
+    b1 = (6.0 - s15) / 21.0
+    w1 = (155.0 - s15) / 1200.0
+    b2 = (6.0 + s15) / 21.0
+    w2 = (155.0 + s15) / 1200.0
+    pts = [(third, third, third)] + _orbit3(b1) + _orbit3(b2)
+    return _build(pts, [9.0 / 40.0] + [w1] * 3 + [w2] * 3)
 
 
 def _rule_deg6():
@@ -110,28 +126,11 @@ _TRIANGLE_RULES = {
     2: _rule_deg2,
     3: _rule_deg4,   # positive-weight substitute, exact to degree 4
     4: _rule_deg4,
-    5: None,         # filled below (closed form)
+    5: _rule_deg5,
     6: _rule_deg6,
     7: _rule_deg8,   # positive-weight substitute, exact to degree 8
     8: _rule_deg8,
 }
-
-
-def _rule_deg5():
-    s15 = np.sqrt(15.0)
-    third = 1.0 / 3.0
-    b1 = (6.0 - s15) / 21.0
-    w1 = (155.0 - s15) / 1200.0
-    b2 = (6.0 + s15) / 21.0
-    w2 = (155.0 + s15) / 1200.0
-    pts = [(third, third, third)] + _orbit3(b1) + _orbit3(b2)
-    return _build(pts, [9.0 / 40.0] + [w1] * 3 + [w2] * 3)
-
-
-_TRIANGLE_RULES[5] = _rule_deg5
-
-_cache_2d = {}
-_cache_1d = {}
 
 
 def triangle_rule(order):
@@ -139,10 +138,7 @@ def triangle_rule(order):
     if not isinstance(order, (int, np.integer)) or not 1 <= order <= MAX_TRIANGLE_ORDER:
         raise ValueError(f"unsupported triangle quadrature order: {order!r} "
                          f"(supported: 1..{MAX_TRIANGLE_ORDER})")
-    order = int(order)
-    if order not in _cache_2d:
-        _cache_2d[order] = _TRIANGLE_RULES[order]()
-    return _cache_2d[order]
+    return _triangle_rule(int(order))
 
 
 def segment_rule(order):
@@ -150,9 +146,18 @@ def segment_rule(order):
     if not isinstance(order, (int, np.integer)) or not 1 <= order <= MAX_SEGMENT_ORDER:
         raise ValueError(f"unsupported segment quadrature order: {order!r} "
                          f"(supported: 1..{MAX_SEGMENT_ORDER})")
-    order = int(order)
-    if order not in _cache_1d:
-        n = (order + 2) // 2  # n-point Gauss integrates degree 2n-1
-        x, w = np.polynomial.legendre.leggauss(n)
-        _cache_1d[order] = QuadRule1d(point=(x + 1.0) / 2.0, weight=w / 2.0)
-    return _cache_1d[order]
+    return _segment_rule(int(order))
+
+
+@cache
+def _triangle_rule(order):
+    return _TRIANGLE_RULES[order]()
+
+
+@cache
+def _segment_rule(order):
+    n = (order + 2) // 2  # n-point Gauss integrates degree 2n-1
+    x, w = np.polynomial.legendre.leggauss(n)
+    point, weight = (x + 1.0) / 2.0, w / 2.0
+    point.flags.writeable = weight.flags.writeable = False
+    return QuadRule1d(point=point, weight=weight)

@@ -120,7 +120,7 @@ class DirichletSpec:
     values: tuple
 
     def __post_init__(self):
-        regions = tuple(int(r) for r in np.atleast_1d(self.regions))
+        regions = tuple(_indices(self.regions, "boundary regions").tolist())
         values = self.values if isinstance(self.values, (list, tuple)) else (self.values,)
         norm = []
         for v in values:
@@ -132,6 +132,15 @@ class DirichletSpec:
             raise ValueError(f"{len(norm)} value sets for {len(regions)} regions")
         object.__setattr__(self, "regions", regions)
         object.__setattr__(self, "values", tuple(norm))
+
+
+def _indices(values, name):
+    """values as a 1-d int64 array if they are integers, or empty (numpy
+    reads [] as float64); a fractional index is an error, not truncated."""
+    values = np.atleast_1d(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got {values}")
+    return values.astype(np.int64)
 
 
 def dirichlet_dofs(th, system, spec):
@@ -185,7 +194,7 @@ class DirichletSolver:
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"matrix is not square: {A.shape}")
         self.n = A.shape[0]
-        self.fixed = np.asarray(fixed, dtype=np.int64)
+        self.fixed = _indices(fixed, "fixed dofs")
         is_fixed = np.zeros(self.n, dtype=bool)
         is_fixed[self.fixed[(self.fixed >= 0) & (self.fixed < self.n)]] = True
         if np.count_nonzero(is_fixed) != len(self.fixed):

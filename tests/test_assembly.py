@@ -261,6 +261,39 @@ class TestSystemAssembly:
                          ["v1.val", "v2.val"]), ["P1", "P1"], 3)
         assert np.allclose(short, explicit, atol=1e-15, rtol=0)
 
+    @pytest.mark.parametrize("space", ["P1", "P2", "P3"])
+    def test_linear_entries_on_one_component_sum_in_one_load(self, space):
+        # both entries run in one kernel call and one bincount: the sum of
+        # the one-entry loads to rounding, and the direct quadrature
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.25))
+        f = lambda p: 1 + p[:, 0] * p[:, 1]
+        g = lambda p: np.sin(p[:, 1])
+        both = assemble_system(th, var_form([f, g], ["v.val", "v.dx"]), [space], 6)
+        parts = (assemble_system(th, var_form(f, "v.val"), [space], 6)
+                 + assemble_system(th, var_form(g, "v.dx"), [space], 6))
+        assert np.abs(both - parts).max() <= 1e-14 * np.abs(parts).max()
+
+        dv = np.random.default_rng(11).standard_normal(len(both))
+        want = (direct_bilinear_2d(th, space, dv, dv, lambda v, gv, u, gu: v,
+                                   coef=lambda x, y: 1 + x * y, order=6)
+                + direct_bilinear_2d(th, space, dv, dv, lambda v, gv, u, gu: gv[0],
+                                     coef=lambda x, y: np.sin(y), order=6))
+        assert dv @ both == pytest.approx(want, rel=1e-11)
+
+    def test_linear_components_concatenate_in_component_order(self):
+        # entries given out of component order; a component without
+        # entries reads zero
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+        f = lambda p: 1 + p[:, 0]
+        spaces = ["P2", "P1", "P3"]
+        got = assemble_system(th, var_form([f, 2.0, f], ["v3.dy", "v1.val", "v3.val"]),
+                              spaces, 5)
+        n1, n2 = (th.dof_map(s).num_dofs for s in spaces[:2])
+        one = assemble_system(th, var_form(2.0, "v.val"), ["P2"], 5)
+        three = assemble_system(th, var_form([f, f], ["v.dy", "v.val"]), ["P3"], 5)
+        assert np.array_equal(got, np.concatenate([one, np.zeros(n2), three]))
+        assert n1 == len(one)
+
     def test_vector_shorthand_wrong_components(self):
         from trifem.vform import FormError
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))

@@ -129,6 +129,60 @@ class TestReadMsh:
         with pytest.raises(MshFormatError, match="out of range"):
             read_freefem_msh(path)
 
+    @pytest.mark.parametrize("record", ["1 2 3.9 0", "1 2 3 0.5", "1.0 2 3 0",
+                                        "1 2 3 1e1", "1 2 3 99999999999999999999"])
+    def test_fractional_triangle_field_names_the_line(self, tmp_path, record):
+        # every field was read as a float and truncated: '1 2 3.9 0'
+        # loaded as the triangle (0, 1, 2)
+        path = tmp_path / "frac.msh"
+        path.write_text("3 1 0\n"
+                        "0.0 0.0 1\n"
+                        "1.0 0.0 1\n"
+                        "0.0 1.0 1\n"
+                        f"{record}\n")
+        with pytest.raises(MshFormatError,
+                           match=rf"frac.msh:5: bad triangle record '{record}'"):
+            read_freefem_msh(path)
+
+    def test_indices_and_labels_are_read_as_integers(self, tmp_path):
+        path = tmp_path / "big.msh"
+        path.write_text("3 1 1\n"
+                        "0.0 0.0 9007199254740993\n"
+                        "1.0 0.0 -2\n"
+                        "0.0 1.0 1\n"
+                        "1 2 3 9007199254740995\n"
+                        "1 2 7\n")
+        mesh, labels = read_freefem_msh(path)
+        # 2**53 + 1 and + 3 have no float64; a float read rounded them
+        assert labels.vertex_label.tolist() == [2**53 + 1, -2, 1]
+        assert labels.tri_region.tolist() == [2**53 + 3]
+        for array in (mesh.elem, labels.vertex_label, labels.tri_region,
+                      labels.edge, labels.edge_label):
+            assert array.dtype == np.int64
+
+    @pytest.mark.parametrize("lines,lineno", [
+        (["0.0 0.0 1.5", "1.0 0.0 1", "0.0 1.0 1", "1 2 3 0", "1 2 1"], 2),
+        (["0.0 0.0 1", "1.0 0.0 1", "0.0 1.0 1", "1 2 3 0", "1 2.5 1"], 6),
+        (["0.0 0.0 1", "1.0 0.0 1", "0.0 1.0 1", "1 2 3 0", "1 2 0.1"], 6)])
+    def test_fractional_label_or_edge_index_names_the_line(self, tmp_path, lines,
+                                                           lineno):
+        path = tmp_path / "frac.msh"
+        path.write_text("3 1 1\n" + "\n".join(lines) + "\n")
+        with pytest.raises(MshFormatError, match=rf"frac.msh:{lineno}: bad"):
+            read_freefem_msh(path)
+
+    @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_rejected(self, tmp_path, coord):
+        path = tmp_path / "nan.msh"
+        path.write_text("3 1 0\n"
+                        "0.0 0.0 1\n"
+                        "1.0 0.0 1\n"
+                        f"{coord} 1.0 1\n"
+                        "1 2 3 0\n")
+        with pytest.raises(MshFormatError,
+                           match="nan.msh: node 2 has a non-finite coordinate"):
+            read_freefem_msh(path)
+
     def test_degenerate_triangle_reported_with_path(self, tmp_path):
         path = tmp_path / "degen.msh"
         path.write_text("3 1 0\n"

@@ -159,6 +159,15 @@ class TestTopology:
         with pytest.raises(ValueError, match="triangle 0"):
             Mesh2d(node=node, elem=np.array([[0, 2, 1]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_node_is_named(self, bad):
+        # a NaN area passed the area <= 0 test; an unused node has no area
+        node = [[0, 0], [1, 0], [bad, 1]]
+        with pytest.raises(ValueError, match="node 2 has a non-finite coordinate"):
+            Mesh2d(node=node, elem=[[0, 1, 2]])
+        with pytest.raises(ValueError, match="node 3 has a non-finite coordinate"):
+            Mesh2d(node=[[0, 0], [1, 0], [0, 1], [bad, 0]], elem=[[0, 1, 2]])
+
     @pytest.mark.parametrize("bbox,h0,refines", [([0, 2, 0, 1], 0.5, 3),
                                                  ([0, 1, 0, 1], 0.25, 2),
                                                  ([-1, 3, 0, 1], 1.0, 0)])

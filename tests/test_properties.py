@@ -12,8 +12,8 @@ from oracles import row_unique_topology
 from trifem import (FeFunction, Mesh2d, assemble_scalar_2d, assemble_system,
                     build_topology, coef_matrix_from_dofs, coef_to_matrix,
                     evaluate_at_points, fe_mesh, fe_space, interpolate_nodal,
-                    load_operator, square_mesh, tabulate_basis, uniform_refine,
-                    var_form)
+                    load_operator, region_dofs, square_mesh, tabulate_basis,
+                    uniform_refine, var_form)
 from trifem.fespace import quad_points_2d
 from trifem.mesh import prolongation, signed_area
 from trifem.quadrature import triangle_rule
@@ -202,6 +202,38 @@ def test_refined_square_topology_matches_row_unique_reference(refines):
     for _ in range(refines):
         mesh = uniform_refine(mesh)
     assert_topology_is_row_unique(mesh)
+
+
+SELECTORS = ["x==0", "y==0", "x==1", "y==1", "x==2", "x<0.5", "y>=0.5",
+             "x+y<1", "x>y", "x.^2 + y.^2 < 1", "abs(x-1)<=0.25 | y==0"]
+
+
+@PROPERTY
+@given(th=perturbed_mesh(), data=st.data())
+def test_region_dofs_are_the_dofs_on_the_region_edges(th, data):
+    # the P2/P3 edge-dof numbering is read from the trace map: checked
+    # here against dof coordinates, which region_dofs never reads
+    selectors = data.draw(st.lists(st.sampled_from(SELECTORS), max_size=4,
+                                   unique=True))
+    th = fe_mesh(th.mesh, selectors)
+    for space in ("P1", "P2", "P3"):
+        points = th.dof_map(space).dof_point
+        seen = []
+        for region in th.partition:
+            a = th.mesh.node[region.edges[:, 0]]          # (NBE, 2)
+            d = th.mesh.node[region.edges[:, 1]] - a
+            rel = points[:, None, :] - a                    # (ndof, NBE, 2)
+            cross = d[:, 0] * rel[..., 1] - d[:, 1] * rel[..., 0]
+            along = np.einsum("ned,ed->ne", rel, d) / np.einsum("ed,ed->e", d, d)
+            on = (np.abs(cross) <= 1e-12) & (along >= -1e-12) & (along <= 1 + 1e-12)
+            got = region_dofs(th, space, region)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.flatnonzero(on.any(axis=1)))
+            seen.append(got)
+        # regions share end vertices only, never an edge-interior dof
+        interior = np.concatenate(seen)
+        interior = interior[interior >= th.mesh.num_nodes]
+        assert len(np.unique(interior)) == len(interior)
 
 
 @st.composite

@@ -81,6 +81,23 @@ class TestTriangleRules:
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
+class TestSharedRules:
+    @pytest.mark.parametrize("rule_of,orders,fields", [
+        (triangle_rule, range(1, MAX_TRIANGLE_ORDER + 1), ("lam", "weight")),
+        (segment_rule, range(1, MAX_SEGMENT_ORDER + 1), ("point", "weight"))])
+    def test_a_cached_rule_cannot_be_changed(self, rule_of, orders, fields):
+        # triangle_rule(3).weight[0] = 0 changed every later integral
+        for order in orders:
+            rule = rule_of(order)
+            assert rule_of(np.int64(order)) is rule
+            for name in fields:
+                array = getattr(rule, name)
+                before = array.copy()
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+                assert np.array_equal(getattr(rule_of(order), name), before)
+
+
 class TestSegmentRules:
     @pytest.mark.parametrize("order", range(1, MAX_SEGMENT_ORDER + 1))
     def test_polynomial_exactness(self, order):

@@ -186,6 +186,36 @@ class TestDirichletSolver:
             with pytest.raises(ValueError, match="distinct"):
                 DirichletSolver(A, fixed)
 
+    @pytest.mark.parametrize("fixed", [[1.7], [1.0], np.array([0.0, 2.0]),
+                                       [np.nan], [True]])
+    def test_non_integer_fixed_dofs_rejected(self, fixed):
+        # [1.7] used to fix dof 1
+        with pytest.raises(ValueError, match="fixed dofs must be integers"):
+            DirichletSolver(sp.identity(3, format="csr"), fixed)
+
+    @pytest.mark.parametrize("fixed", [[], (), np.array([], dtype=np.int32),
+                                       np.array([2], dtype=np.uint8)])
+    def test_empty_or_integer_fixed_dofs_accepted(self, fixed):
+        # numpy reads [] as float64: solve_sparse passes it
+        solver = DirichletSolver(sp.identity(3, format="csr"), fixed)
+        assert solver.fixed.dtype == np.int64
+        assert len(solver.free) == 3 - len(fixed)
+
+    @pytest.mark.parametrize("regions", [(0.7,), 1.0, (0, 1.5)])
+    def test_non_integer_regions_rejected(self, regions):
+        # (0.7,) used to select region 0
+        g = lambda p: np.zeros(len(p))
+        with pytest.raises(ValueError, match="boundary regions must be integers"):
+            DirichletSpec(regions, (g,) * len(np.atleast_1d(regions)))
+
+    def test_integer_regions_read_as_python_ints(self):
+        g = lambda p: np.zeros(len(p))
+        spec = DirichletSpec(np.array([1, 0], dtype=np.int32), (g, g))
+        assert spec.regions == (1, 0)
+        assert all(type(r) is int for r in spec.regions)
+        assert DirichletSpec(2, g).regions == (2,)
+        assert DirichletSpec((), ()).regions == ()
+
     def test_wrong_rhs_length_rejected(self):
         with pytest.raises(ValueError, match="rhs"):
             DirichletSolver(sp.identity(3, format="csr"), [0]).solve(np.ones(2), [1.0])
