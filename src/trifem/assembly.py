@@ -369,25 +369,8 @@ def system_from_blocks(th, spaces, blocks):
 
 
 def _stacked(blocks, nndofu):
-    """The compressed blocks, popped from the dict, written at their
-    dof offsets in one pass; each row takes its blocks in increasing
-    column order, so the result is canonical."""
-    offsets = np.concatenate([[0], np.cumsum(nndofu)])
-    total = int(offsets[-1])
-    indptr = np.zeros(total + 1, dtype=np.int64)
-    for (ci, _), blk in blocks.items():
-        indptr[offsets[ci] + 1:offsets[ci + 1] + 1] += np.diff(blk.indptr)
-    np.cumsum(indptr, out=indptr)
-    nnz = int(indptr[-1])
-    indices = np.empty(nnz, dtype=np.int32 if max(nnz, total) < 2**31 else np.int64)
-    data = np.empty(nnz)
-    free = indptr[:-1].copy()           # each row's next unwritten slot
-    for ci, cj in sorted(blocks):
-        blk = blocks.pop((ci, cj))
-        rows = slice(offsets[ci], offsets[ci + 1])
-        counts = np.diff(blk.indptr)
-        dest = np.repeat(free[rows] - blk.indptr[:-1], counts) + np.arange(blk.nnz)
-        indices[dest] = blk.indices + offsets[cj]
-        data[dest] = blk.data
-        free[rows] += counts
-    return sp.csr_matrix((data, indices, indptr), shape=(total, total))
+    """The CSR blocks at their dof offsets, popped as their row is stacked."""
+    return sp.vstack([sp.hstack([blocks.pop((i, j)) if (i, j) in blocks
+                                 else sp.csr_matrix((ni, nj))
+                                 for j, nj in enumerate(nndofu)], format="csr")
+                      for i, ni in enumerate(nndofu)], format="csr")

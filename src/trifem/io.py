@@ -61,6 +61,8 @@ def read_freefem_msh(path):
         nv, nt, ne = (int(p) for p in parts)
     except ValueError:
         raise MshFormatError(f"{path}:{lineno}: non-integer header {header!r}") from None
+    if min(nv, nt, ne) < 0:
+        raise MshFormatError(f"{path}:{lineno}: negative count in header {header!r}")
 
     def read_block(count, kind, *types):
         """count lines of len(types) fields; column j as an array of

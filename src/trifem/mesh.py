@@ -56,7 +56,7 @@ class Mesh2d:
 
     def __post_init__(self, _area):
         node = np.ascontiguousarray(np.asarray(self.node, dtype=float))
-        elem = np.ascontiguousarray(np.asarray(self.elem, dtype=np.int64))
+        elem = np.ascontiguousarray(_indices(self.elem, "elem"))
         if node.ndim != 2 or node.shape[1] != 2:
             raise ValueError("node must have shape (N, 2)")
         if elem.ndim != 2 or elem.shape[1] != 3:
@@ -84,6 +84,17 @@ class Mesh2d:
     @property
     def num_elems(self):
         return len(self.elem)
+
+
+def _indices(values, name):
+    """values as an int64 array of at least one dimension, with no copy
+    if they are one already.  Any other integer dtype is cast, and an
+    empty array may have any dtype (numpy reads [] as float64); other
+    values are an error, not truncated."""
+    values = np.atleast_1d(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got {values}")
+    return values.astype(np.int64, copy=False)
 
 
 def signed_area(node, elem):
@@ -297,7 +308,7 @@ def classify_boundary_by_labels(topo, labeled_edges, edge_labels):
     their labels; one region per distinct label, in ascending label
     order.  Boundary edges without a label fall into a trailing region.
     """
-    labeled_edges = np.asarray(labeled_edges, dtype=np.int64)
+    labeled_edges = _indices(labeled_edges, "labeled edges")
     edge_labels = np.asarray(edge_labels)
     lookup = {(int(a), int(b)): lab
               for (a, b), lab in zip(np.sort(labeled_edges, axis=1), edge_labels)}

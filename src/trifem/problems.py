@@ -13,6 +13,7 @@ boundary selectors the first region carries the Robin or Neumann data
 and every other region is Dirichlet (``_boundary``).
 """
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -413,35 +414,38 @@ def default_spec(problem, **overrides):
 # ---------------------------------------------------------------------------
 # shared pieces: ladder, errors, boundary rule, components
 
-def _run_ladder(spec, solve_level, selectors=()):
-    """solve_level(th, h) on each refinement of square_mesh(bbox, h0),
-    with the boundary regions of the selectors (drivers with Robin or
-    Neumann data pass spec.selectors); the report's columns are the keys
-    of the dicts it returns."""
+def _levels(spec, selectors=()):
+    """(th, h) on each refinement of square_mesh(bbox, h0), with the
+    boundary regions of the selectors; h is the leg length at that level."""
     mesh = square_mesh(spec.bbox, spec.h0)
     topo = None                 # mesh's topology, once fe_mesh has built it
-    hs, nts, errs = [], [], {}
     for k in range(1, spec.refinements + 1):
         mesh = uniform_refine(mesh, topo)
         th = fe_mesh(mesh, selectors)
         topo = th.topo
-        h = spec.h0 / 2**k             # leg length at level k
+        yield th, spec.h0 / 2**k
+
+
+def _run_ladder(spec, solve_level, selectors=()):
+    """solve_level(th, h) on each of _levels(spec, selectors); the
+    report's columns are the keys of the dicts it returns."""
+    hs, nts, errs = [], [], {}
+    for th, h in _levels(spec, selectors):
         for name, err in solve_level(th, h).items():
             errs.setdefault(name, []).append(err)
         hs.append(h)
-        nts.append(mesh.num_elems)
-    report = RateReport(problem=spec.problem, h=np.array(hs),
-                        num_elems=np.array(nts), columns=errs)
-    return report.fit() if len(hs) >= 2 else report
+        nts.append(th.mesh.num_elems)
+    return RateReport(problem=spec.problem, h=np.array(hs),
+                      num_elems=np.array(nts), columns=errs).fit()
 
 
-def _vector_errors(th, space, order, uh_parts, exacts, grads):
-    """L2 and H1-seminorm errors, each the l2 sum over the components."""
-    l2 = np.sqrt(sum(error_L2(th, space, order, ex, uh) ** 2
-                     for uh, ex in zip(uh_parts, exacts)))
-    h1 = np.sqrt(sum(error_H1_semi(th, space, order, g, uh) ** 2
-                     for uh, g in zip(uh_parts, grads)))
-    return {"L2": l2, "H1": h1}
+def _vector_errors(th, space, order, uh_parts, exacts, grads, prefix=""):
+    """prefix + "L2"/"H1": errors summed in l2 over components; sqrt(e**2) == e."""
+    l2 = math.sqrt(sum(error_L2(th, space, order, ex, uh) ** 2
+                       for uh, ex in zip(uh_parts, exacts)))
+    h1 = math.sqrt(sum(error_H1_semi(th, space, order, g, uh) ** 2
+                       for uh, g in zip(uh_parts, grads)))
+    return {prefix + "L2": l2, prefix + "H1": h1}
 
 
 def _boundary(th):
@@ -496,9 +500,8 @@ def run_poisson(spec):
     data, space, order = spec.data, spec.space, spec.order
 
     def level(th, h):
-        uh = solve_poisson(th, spec)
-        return {"L2": error_L2(th, space, order, data.exact, uh),
-                "H1": error_H1_semi(th, space, order, data.exact_grad, uh)}
+        return _vector_errors(th, space, order, (solve_poisson(th, spec),),
+                              (data.exact,), (data.exact_grad,))
 
     return _run_ladder(spec, level, spec.selectors)
 
@@ -639,10 +642,10 @@ def run_biharmonic(spec, mode="vector"):
 
     def level(th, h):
         w, u = solve_biharmonic(th, spec, mode=mode)
-        return {"u_L2": error_L2(th, space, order, data.exact, u),
-                "u_H1": error_H1_semi(th, space, order, data.exact_grad, u),
-                "w_L2": error_L2(th, space, order, data.w_exact, w),
-                "w_H1": error_H1_semi(th, space, order, data.w_grad, w)}
+        return {**_vector_errors(th, space, order, (u,), (data.exact,),
+                                 (data.exact_grad,), "u_"),
+                **_vector_errors(th, space, order, (w,), (data.w_exact,),
+                                 (data.w_grad,), "w_")}
 
     return _run_ladder(spec, level)
 
@@ -691,9 +694,8 @@ def run_stokes(spec):
 
     def level(th, h):
         u1, u2, p = solve_stokes(th, spec)
-        uerr = _vector_errors(th, "P2", order, (u1, u2), _split(data.exact_u, 2),
-                              (data.grad1, data.grad2))
-        return {"u_L2": uerr["L2"], "u_H1": uerr["H1"],
+        return {**_vector_errors(th, "P2", order, (u1, u2), _split(data.exact_u, 2),
+                                 (data.grad1, data.grad2), "u_"),
                 "p_L2": error_L2(th, "P1", order, data.exact_p, p)}
 
     return _run_ladder(spec, level)
@@ -786,12 +788,10 @@ def run_heat(spec):
             nsteps = max(1, int(round(spec.t_end / h**(k + 1))))
         else:
             nsteps = _fixed_steps(spec.dt, spec.t_end)
-        dt = spec.t_end / nsteps
-        uh = solve_heat(th, spec, dt, nsteps)
         t = spec.t_end
-        return {"L2": error_L2(th, space, order, lambda p: data.exact(p, t), uh),
-                "H1": error_H1_semi(th, space, order,
-                                    lambda p: data.exact_grad(p, t), uh)}
+        uh = solve_heat(th, spec, t / nsteps, nsteps)
+        return _vector_errors(th, space, order, (uh,), (lambda p: data.exact(p, t),),
+                              (lambda p: data.exact_grad(p, t),))
 
     return _run_ladder(spec, level, spec.selectors)
 
@@ -848,11 +848,10 @@ def run_ns_newton(spec, th=None, initial=None):
     if th is None:
         if spec.mesh_path:
             mesh, _ = read_freefem_msh(spec.mesh_path)
+            th = fe_mesh(mesh)
         else:
-            mesh = square_mesh(spec.bbox, spec.h0)
-            for _ in range(spec.refinements):
-                mesh = uniform_refine(mesh)
-        th = fe_mesh(mesh)
+            for th, _ in _levels(spec):     # the finest level
+                pass
 
     spaces = _taylor_hood(data)[0]
     if initial is None:

@@ -83,7 +83,7 @@ import scipy.sparse.linalg as spla
 from .assembly import AssembledSystem, compress
 from .fespace import (Cells, _check_shape, _eval_pointfun, coef_matrix_from_dofs,
                       fe_space, quad_points_2d, region_dofs)
-from .mesh import prolongation
+from .mesh import _indices, prolongation
 
 __all__ = ["DirichletSpec", "DirichletSolver", "RateReport",
            "apply_dirichlet_and_solve", "dirichlet_dofs", "solve_sparse",
@@ -132,15 +132,6 @@ class DirichletSpec:
             raise ValueError(f"{len(norm)} value sets for {len(regions)} regions")
         object.__setattr__(self, "regions", regions)
         object.__setattr__(self, "values", tuple(norm))
-
-
-def _indices(values, name):
-    """values as a 1-d int64 array if they are integers, or empty (numpy
-    reads [] as float64); a fractional index is an error, not truncated."""
-    values = np.atleast_1d(values)
-    if values.size and values.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be integers, got {values}")
-    return values.astype(np.int64)
 
 
 def dirichlet_dofs(th, system, spec):
@@ -193,8 +184,10 @@ class DirichletSolver:
         A = sp.csr_matrix(A)
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"matrix is not square: {A.shape}")
+        if not np.isfinite(A.data).all():
+            raise ValueError("matrix is not all finite")
         self.n = A.shape[0]
-        self.fixed = _indices(fixed, "fixed dofs")
+        self.fixed = _indices(fixed, "fixed dofs").copy()
         is_fixed = np.zeros(self.n, dtype=bool)
         is_fixed[self.fixed[(self.fixed >= 0) & (self.fixed < self.n)]] = True
         if np.count_nonzero(is_fixed) != len(self.fixed):

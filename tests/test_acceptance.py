@@ -16,6 +16,7 @@ from trifem.problems import (default_spec, elasticity_tensor_system,
                              ns_polynomial_data, run_biharmonic, run_heat,
                              run_ns_newton, run_poisson, run_stokes,
                              solve_biharmonic)
+from trifem.io import format_real
 from trifem.quadrature import MAX_TRIANGLE_ORDER
 from oracles import direct_bilinear_2d, direct_boundary_mass
 
@@ -92,6 +93,16 @@ def test_criterion_4_stokes_table_reproduction():
         worst = max(worst, float(np.max(np.abs(got - ref) / np.asarray(ref))))
     check(4, "all 15 published mixed-method error entries match within 5%",
           worst <= 0.05, f"worst rel dev {worst:.2e}")
+
+
+def test_stokes_table_entries_round_to_their_printed_digits():
+    # criterion 4's 5 % would pass a regression of 1e-3; every entry is
+    # within 3.7e-6 relative, inside half a unit of its sixth digit
+    rep = run_stokes(default_spec("stokes", refinements=5))
+    printed = {name: [format_real(v) for v in rep.columns[name]]
+               for name in STOKES_TABLE}
+    assert printed == {name: [format_real(v) for v in ref]
+                       for name, ref in STOKES_TABLE.items()}
 
 
 def test_criterion_5_biharmonic_suboptimality():

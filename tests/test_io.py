@@ -119,6 +119,15 @@ class TestReadMsh:
         with pytest.raises(MshFormatError, match="header"):
             read_freefem_msh(path)
 
+    @pytest.mark.parametrize("header", ["-1 0 0", "3 -1 0", "0 0 -2"])
+    def test_negative_header_count_names_the_line(self, tmp_path, header):
+        # "-1 0 0" reached np.empty and raised numpy's bare "negative
+        # dimensions are not allowed"
+        path = tmp_path / "neg.msh"
+        path.write_text(header + "\n")
+        with pytest.raises(MshFormatError, match=r"neg\.msh:1: negative count"):
+            read_freefem_msh(path)
+
     def test_index_out_of_range_with_line(self, tmp_path):
         path = tmp_path / "oob.msh"
         path.write_text("3 1 0\n"

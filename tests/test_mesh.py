@@ -168,6 +168,21 @@ class TestTopology:
         with pytest.raises(ValueError, match="node 3 has a non-finite coordinate"):
             Mesh2d(node=[[0, 0], [1, 0], [0, 1], [bad, 0]], elem=[[0, 1, 2]])
 
+    @pytest.mark.parametrize("elem", [[[0, 1, 2.7]], [[0.0, 1.0, 2.0]],
+                                      np.array([[0, 1, 2]], dtype=np.float32),
+                                      [[True, True, False]]])
+    def test_non_integer_elem_is_named(self, elem):
+        # [[0, 1, 2.7]] used to build a mesh with elem [[0, 1, 2]]
+        with pytest.raises(ValueError, match="elem must be integers"):
+            Mesh2d(node=[[0, 0], [1, 0], [0, 1]], elem=elem)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+    def test_integer_elem_is_read_as_int64_without_a_copy(self, dtype):
+        elem = np.array([[0, 1, 2]], dtype=dtype)
+        mesh = Mesh2d(node=[[0, 0], [1, 0], [0, 1]], elem=elem)
+        assert mesh.elem.dtype == np.int64 and mesh.elem.tolist() == [[0, 1, 2]]
+        assert (mesh.elem is elem) == (dtype == np.int64)
+
     @pytest.mark.parametrize("bbox,h0,refines", [([0, 2, 0, 1], 0.5, 3),
                                                  ([0, 1, 0, 1], 0.25, 2),
                                                  ([-1, 3, 0, 1], 1.0, 0)])
@@ -267,6 +282,15 @@ class TestClassifyBoundary:
             assert region.edge_idx.shape == (0,)
             assert region.node_idx.shape == (0,)
             assert region.edges.dtype == region.edge_idx.dtype == np.int64
+
+    def test_fractional_labeled_edge_is_named(self):
+        # the pair (0.9, 1.9) used to label edge (0, 1)
+        from trifem import classify_boundary_by_labels
+        topo = build_topology(square_mesh([0, 1, 0, 1], 0.5))
+        labeled = topo.bd_edge.astype(float)
+        labeled[0] += 0.9
+        with pytest.raises(ValueError, match="labeled edges must be integers"):
+            classify_boundary_by_labels(topo, labeled, np.ones(8, dtype=int))
 
 
 class TestFeMesh:

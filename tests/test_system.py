@@ -201,6 +201,27 @@ class TestDirichletSolver:
         assert solver.fixed.dtype == np.int64
         assert len(solver.free) == 3 - len(fixed)
 
+    def test_solver_keeps_its_own_fixed_dofs(self):
+        fixed = np.array([0, 2])
+        solver = DirichletSolver(sp.identity(3, format="csr"), fixed)
+        fixed[0] = 1
+        assert solver.fixed.tolist() == [0, 2]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_is_named(self, bad):
+        # a NaN in the free block read "sparse solve failed: Factor is
+        # exactly singular"
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.25), ["x==0"])
+        kk, ff = poisson_system(th)
+        spec = DirichletSpec((1,), (lambda p: p[:, 0],))
+        fixed, _ = dirichlet_dofs(th, kk, spec)
+        free = np.setdiff1d(np.arange(kk.num_dofs), fixed)
+        kk.matrix()[free[3], free[3]] = bad
+        with pytest.raises(ValueError, match="matrix is not all finite"):
+            DirichletSolver(kk.matrix(), fixed)
+        with pytest.raises(ValueError, match="matrix is not all finite"):
+            apply_dirichlet_and_solve(th, kk, ff, spec)
+
     @pytest.mark.parametrize("regions", [(0.7,), 1.0, (0, 1.5)])
     def test_non_integer_regions_rejected(self, regions):
         # (0.7,) used to select region 0
