@@ -12,7 +12,7 @@ local arrays scatter through the dof maps into a load vector (bincount)
 or into (ii, jj, ss) index triples.  The cells of an integral (every
 triangle, or the edges of one boundary region) are one
 ``fespace.Cells``: it gives the kernel its quadrature weights, measure
-(areas or edge lengths), dof columns and point values, so boundary (1d)
+(areas or edge lengths), dof columns and point values, so boundary
 assembly runs the same kernel with the trace basis.  Each side's basis
 tables are the one (nl, NC, ng) array ``tabulate_basis`` returns (for
 'dx'/'dy' the FeMesh's cached array), where an axis the tables do not
@@ -146,12 +146,11 @@ def _local_kernel(cells, entries, spaces):
     output = "->e" + "ij"[:len(spaces)]
     local = None
     for entry in entries:
-        cc = coef_to_matrix(entry.coef, cells.th, cells.order,
-                            domain=cells.domain, region=cells.region)
+        cc = coef_to_matrix(entry.coef, cells.th, cells.order, cells.region)
         operands, inputs = [cells.rule.weight, cc], ["p", "ep"]
         for letter, space, side in zip("ij", spaces, (entry.test, entry.trial)):
             table = tabulate_basis(side.terms[0].tag, cells.th, space, cells.order,
-                                   cells.domain, cells.region)
+                                   cells.region)
             table, axes = _squeezed(table, letter + "ep")
             operands.append(table)
             inputs.append(axes)
@@ -185,20 +184,20 @@ def _einsum(subscripts, *operands):
     return np.einsum(subscripts, *operands, optimize=path)
 
 
-def load_operator(th, space, quad_order, domain="2d", region=None):
+def load_operator(th, space, quad_order, region=None):
     """The load 'v.val' as a sparse operator on coefficient values.
 
     Returns the CSR matrix L of shape (ndof, NE * ng) with entries
     |K_e| * w_p * phi_i(x_p), scattered through the dof columns; NE
-    counts the elements (2d) or the region's edges (1d), ng the
+    counts the elements (no region) or the region's edges, ng the
     quadrature points per element.  For any (NE, ng) coefficient matrix
     c, L @ c.ravel() equals
     assemble_system(th, var_form(c, "v.val"), [space], quad_order,
-    domain, region) up to rounding.  An empty region gives NE = 0.
+    region) up to rounding.  An empty region gives NE = 0.
     """
     space = fe_space(space)
-    cells = Cells(th, quad_order, domain, region)
-    tables = tabulate_basis("val", th, space, quad_order, domain, region)
+    cells = Cells(th, quad_order, region)
+    tables = tabulate_basis("val", th, space, quad_order, region)
     dofs = cells.dofs(space)                                # (NE, nl)
     nl, ne, ng = tables.shape
     # row e * ng + p of L^T holds the nl entries of element e at point p
@@ -260,9 +259,11 @@ def assemble_scalar_1d(th, region, form, test_space, trial_space=None,
     Returns what assemble_scalar_2d does; an empty region yields an
     all-zero contribution.
     """
+    if region is None:
+        raise ValueError("assemble_scalar_1d needs a boundary region")
     form = expand_extended(_as_form(form))
     quad_order = _default_order(quad_order, test_space, trial_space)
-    return _scalar_assemble(Cells(th, quad_order, "1d", region), form,
+    return _scalar_assemble(Cells(th, quad_order, region), form,
                             test_space, trial_space)
 
 
@@ -304,8 +305,9 @@ def _expand_vector_shorthand(form, cells, ncomp):
     return VarForm(entries=tuple(out))
 
 
-def assemble_system(th, form, spaces, quad_order=None, domain="2d", region=None):
-    """Assemble a (possibly multi-component) form.
+def assemble_system(th, form, spaces, quad_order=None, region=None):
+    """Assemble a (possibly multi-component) form over every triangle,
+    or over the boundary edges of a region when one is given.
 
     Entries are grouped by test component, and for a bilinear form by
     trial component too; each group runs the scalar kernel once.  A
@@ -318,7 +320,7 @@ def assemble_system(th, form, spaces, quad_order=None, domain="2d", region=None)
     spaces = tuple(fe_space(s) for s in _aslist(spaces))
     ncomp = len(spaces)
     quad_order = _default_order(quad_order, *spaces)
-    cells = Cells(th, quad_order, domain, region)
+    cells = Cells(th, quad_order, region)
     nndofu = tuple(th.dof_map(s).num_dofs for s in spaces)
 
     form = _expand_vector_shorthand(expand_extended(form), cells, ncomp)

@@ -5,9 +5,10 @@ derivatives at quadrature points (both over elements and restricted to
 boundary edges), nodal interpolation, coefficient matrices, integrals
 of finite element functions, and point evaluation.
 
-``Cells`` is the domain of one integral, as FreeFEM's int2d(Th) or
-int1d(Th, label): it checks the (domain, region) pair once and is the
-only code that tells triangles from region edges.  It also holds the
+``Cells`` is the domain of one integral, read from its region as
+FreeFEM reads int2d(Th) and int1d(Th, label): no region means every
+triangle, a region means its boundary edges.  It is the only code that
+tells the two apart.  It also holds the
 one evaluator of a finite element function at quadrature points
 (``Cells.fe_values``), which coefficient matrices, FeFunction
 coefficients and error norms share.
@@ -235,33 +236,25 @@ def quad_points_2d(mesh, rule):
 
 @dataclass(frozen=True, eq=False)
 class Cells:
-    """The cells of one integral: every triangle (domain '2d') or the
-    boundary edges of one region (domain '1d').  ``rule`` is their
-    quadrature rule and ``measure`` their areas or edge lengths; an
-    array over the cells is (NC, ng), one column per quadrature point.
+    """The cells of one integral: every triangle when there is no
+    region (FreeFEM's int2d(Th)), the boundary edges of the region when
+    there is one (int1d(Th, label)).  ``rule`` is their quadrature rule
+    and ``measure`` their areas or edge lengths; an array over the
+    cells is (NC, ng), one column per quadrature point.
     """
 
     th: object
     order: int
-    domain: str = "2d"
     region: object = None
     rule: object = field(init=False, repr=False)
     measure: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.domain == "2d":
-            if self.region is not None:
-                raise ValueError("domain '2d' covers every triangle and "
-                                 "takes no boundary region")
+        if self.region is None:
             rule, measure = triangle_rule(self.order), self.th.topo.area
-        elif self.domain == "1d":
-            if self.region is None:
-                raise ValueError("domain '1d' needs a boundary region")
+        else:
             rule = segment_rule(self.order)
             measure = self.th.topo.edge_length[self.region.edge_idx]
-        else:
-            raise ValueError(f"unknown domain {self.domain!r} "
-                             "(expected '2d' or '1d')")
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "measure", measure)
 
@@ -321,8 +314,7 @@ class Cells:
         derivatives) is summed once per cell, then repeated."""
         space = fe_space(space)
         dofs = _check_dofs(dofs, self.th, space)
-        tables = tabulate_basis(tag, self.th, space, self.order,
-                                self.domain, self.region)
+        tables = tabulate_basis(tag, self.th, space, self.order, self.region)
         local = dofs[self.dofs(space)]          # (NC, nl)
         per_cell = tables.strides[2] == 0
         if per_cell:
@@ -340,18 +332,18 @@ class Cells:
 # ---------------------------------------------------------------------------
 # tabulation
 
-def tabulate_basis(tag, th, space, quad_order, domain="2d", region=None):
+def tabulate_basis(tag, th, space, quad_order, region=None):
     """Tabulate values of a derivative of every local basis function.
 
     One read-only (nl, NC, ng) array, row i local dof i's table over the
-    cells: every triangle, or on '1d' (tag 'val' of the trace basis only)
-    the region's edges.  'grad' gives the pair (dx, dy).  ``tag`` may be
+    cells: every triangle, or with a region (tag 'val' of the trace
+    basis only) the region's edges.  'grad' gives the pair (dx, dy).  ``tag`` may be
     a bare tag, a Term or a 'sym.tag' string.  Constant axes have stride
     zero; 'dx'/'dy' return the FeMesh's cached array itself, no copy.
     """
     tag = _tag(tag)
     space = fe_space(space)
-    cells = Cells(th, quad_order, domain, region)
+    cells = Cells(th, quad_order, region)
     if tag == "val":
         basis = cells.basis(space)
         return np.broadcast_to(basis[:, None, :], (len(basis),) + cells.shape)
@@ -492,7 +484,9 @@ def coef_matrix_on_edges(f, th, region, quad_order):
     2-component f is contracted with the outward unit normal, yielding
     f1*n1 + f2*n2 (flux data such as a*du/dn or the rows of sigma*n).
     """
-    return Cells(th, quad_order, "1d", region).values(f)
+    if region is None:
+        raise ValueError("coef_matrix_on_edges needs a boundary region")
+    return Cells(th, quad_order, region).values(f)
 
 
 def integrate_fe(dofs, th, space, quad_order):

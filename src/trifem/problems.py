@@ -483,14 +483,14 @@ def solve_poisson(th, spec):
 
     if region is not None:
         kk = kk + assemble_system(th, var_form(data.g_R, "v.val", "u.val"),
-                                  [space], order, domain="1d", region=region)
+                                  [space], order, region=region)
         # Neumann data g_N = g_R*u + a*du/dn from the exact solution
         cmat1 = coef_matrix_on_edges(lambda p: data.g_R(p) * data.exact(p),
                                      th, region, order)
         cmat2 = coef_matrix_on_edges(lambda p: data.a(p)[:, None] * data.exact_grad(p),
                                      th, region, order)
         ff = ff + assemble_system(th, var_form(cmat1 + cmat2, "v.val"),
-                                  [space], order, domain="1d", region=region)
+                                  [space], order, region=region)
 
     return apply_dirichlet_and_solve(th, kk, ff,
                                      DirichletSpec(on, (data.exact,) * len(on)))
@@ -581,8 +581,7 @@ def solve_elasticity_tensor(th, spec):
         cmat2 = coef_matrix_on_edges(lambda p: data.sigma(p)[:, [2, 1]],
                                      th, region, order)
         ff = ff + assemble_system(th, var_form([cmat1, cmat2], "v.val"),
-                                  [space, space], order, domain="1d",
-                                  region=region)
+                                  [space, space], order, region=region)
 
     uh = apply_dirichlet_and_solve(th, kk, ff, DirichletSpec(
         on, (_split(data.exact, 2),) * len(on)))
@@ -626,8 +625,7 @@ def solve_biharmonic(th, spec, mode="vector"):
                              [space, space], order)
         neumann = coef_matrix_on_edges(data.exact_grad, th, region, order)
         ff = ff + assemble_system(th, var_form(neumann, "v1.val"),
-                                  [space, space], order, domain="1d",
-                                  region=region)
+                                  [space, space], order, region=region)
     else:
         raise ValueError(f"unknown biharmonic mode {mode!r}")
 
@@ -711,7 +709,7 @@ def _flux_operator(edges, space):
     region's load operator."""
     normals = np.repeat(outward_normals(edges.th, edges.region),
                         edges.rule.npoints, axis=0)
-    load = load_operator(edges.th, space, edges.order, "1d", edges.region)
+    load = load_operator(edges.th, space, edges.order, edges.region)
     # column c of the load becomes columns 2c and 2c + 1, scaled by n(c)
     return sp.csr_matrix(
         ((load.data[:, None] * normals[load.indices]).ravel(),
@@ -750,7 +748,7 @@ def solve_heat(th, spec, dt, nsteps):
     ops = [load_operator(th, space, order), mass]
     cells = Cells(th, order)
     if region is not None:
-        edges = Cells(th, order, "1d", region)
+        edges = Cells(th, order, region)
         ops.append(_flux_operator(edges, space))
     step_operator = solver.free_rows(*ops)
 

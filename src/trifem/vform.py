@@ -146,16 +146,16 @@ def standardize_symbols(vstr, ustr, form):
     return VarForm(entries=entries)
 
 
-def coef_to_matrix(coef, th, quad_order, domain="2d", region=None):
+def coef_to_matrix(coef, th, quad_order, region=None):
     """Normalize any coefficient form to a coefficient matrix.
 
     Functions and constants are evaluated at the quadrature points of
     every element (or region edge); a FeFunction is evaluated from its
     dof vector; a ready matrix is passed through after a shape check.
-    On the 1d domain a 2-component function is contracted with the
+    On a region's edges a 2-component function is contracted with the
     outward normal, as for flux data.
     """
-    cells = Cells(th, quad_order, domain, region)
+    cells = Cells(th, quad_order, region)
     if isinstance(coef, FeFunction):
         return cells.fe_values(coef.dofs, coef.space)
     if callable(coef):

@@ -7,9 +7,10 @@ import scipy.sparse as sp
 
 from trifem import (Mesh2d, SparseTriples, VarForm, assemble_scalar_1d,
                     assemble_scalar_2d, assemble_system, coef_matrix_from_dofs,
-                    coef_to_matrix, compress, fe_mesh, interpolate_nodal,
-                    load_operator, square_mesh, system_from_blocks,
-                    tabulate_basis, uniform_refine, var_form)
+                    coef_matrix_on_edges, coef_to_matrix, compress, fe_mesh,
+                    interpolate_nodal, load_operator, square_mesh,
+                    system_from_blocks, tabulate_basis, uniform_refine,
+                    var_form)
 from trifem.fespace import Cells, lam_gradients, shape_dlam, shape_values
 from trifem.problems import (_convection_form, _taylor_hood, default_spec,
                              stokes_form)
@@ -328,7 +329,7 @@ class TestSystemAssembly:
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5), ["x==0"])
         kk2 = assemble_system(th, var_form(1, "v.grad", "u.grad"), ["P1"], 3)
         kk1 = assemble_system(th, var_form(1, "v.val", "u.val"), ["P1"], 3,
-                              domain="1d", region=th.partition[0])
+                              region=th.partition[0])
         kk = kk2 + kk1
         A2 = assemble_scalar_2d(th, var_form(1, "v.grad", "u.grad"),
                                 "P1", "P1", 3)
@@ -340,33 +341,21 @@ class TestSystemAssembly:
 
 
 
-# every public caller of a (domain, region) pair; assemble_scalar_1d
-# takes only the region
-BAD_DOMAIN_CALLERS = {
-    "assemble_system": lambda th, domain, region: assemble_system(
-        th, var_form(1, "v.val", "u.val"), ["P1"], 3, domain=domain, region=region),
-    "load_operator": lambda th, domain, region: load_operator(
-        th, "P1", 3, domain, region),
-    "tabulate_basis": lambda th, domain, region: tabulate_basis(
-        "val", th, "P1", 3, domain=domain, region=region),
-    "coef_to_matrix": lambda th, domain, region: coef_to_matrix(
-        1.0, th, 3, domain, region),
-    "assemble_scalar_1d": lambda th, domain, region: assemble_scalar_1d(
-        th, region, var_form(1, "v.val"), "P1"),
+# the two callers whose names promise edges: without a region they
+# would integrate over every triangle
+EDGE_CALLERS = {
+    "assemble_scalar_1d": lambda th: assemble_scalar_1d(
+        th, None, var_form(1, "v.val"), "P1"),
+    "coef_matrix_on_edges": lambda th: coef_matrix_on_edges(
+        lambda p: p[:, 0], th, None, 3),
 }
 
 
-@pytest.mark.parametrize("caller, domain, with_region", [
-    *((name, domain, with_region)
-      for name in BAD_DOMAIN_CALLERS if name != "assemble_scalar_1d"
-      for domain, with_region in (("1d", False), ("3d", False), ("2d", True))),
-    ("assemble_scalar_1d", "1d", False),
-])
-def test_a_bad_domain_or_region_is_a_value_error(caller, domain, with_region):
+@pytest.mark.parametrize("caller", EDGE_CALLERS)
+def test_an_edge_integral_without_a_region_is_a_value_error(caller):
     th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5), ["x==0"])
-    region = th.partition[0] if with_region else None
-    with pytest.raises(ValueError, match="domain"):
-        BAD_DOMAIN_CALLERS[caller](th, domain, region)
+    with pytest.raises(ValueError, match="needs a boundary region"):
+        EDGE_CALLERS[caller](th)
 
 
 def refine3_th():
@@ -470,14 +459,13 @@ def test_planned_contraction_paths_assemble_the_same_bits(monkeypatch):
             assert getattr(a, attr).tobytes() == getattr(c, attr).tobytes()
 
 
-def _dense_reference(th, coef, tags, spaces, order, domain="2d", region=None):
+def _dense_reference(th, coef, tags, spaces, order, region=None):
     """The assembled matrix (two tags) or load (one tag), dense, from one
     plain einsum over contiguous (nl, NC, ng) tables, scattered with
     np.add.at: no axis is squeezed."""
-    cells = Cells(th, order, domain, region)
-    cc = np.ascontiguousarray(coef_to_matrix(coef, th, order, domain, region))
-    tables = [np.ascontiguousarray(tabulate_basis(tag, th, space, order,
-                                                  domain, region))
+    cells = Cells(th, order, region)
+    cc = np.ascontiguousarray(coef_to_matrix(coef, th, order, region))
+    tables = [np.ascontiguousarray(tabulate_basis(tag, th, space, order, region))
               for tag, space in zip(tags, spaces)]
     subscripts = ("p,ep,iep->ei", "p,ep,iep,jep->eij")[len(tags) - 1]
     local = np.einsum(subscripts, cells.rule.weight, cc, *tables) \
@@ -491,9 +479,9 @@ def _dense_reference(th, coef, tags, spaces, order, domain="2d", region=None):
     return out
 
 
-def _coefficients(th, order, domain="2d", region=None):
+def _coefficients(th, order, region=None):
     """A constant, a point function and a ready coefficient matrix."""
-    shape = Cells(th, order, domain, region).shape
+    shape = Cells(th, order, region).shape
     return {"constant": 2.5,
             "callable": lambda p: 1 + np.sin(3 * p[:, 0]) * p[:, 1],
             "matrix": np.random.default_rng(5).standard_normal(shape)}
@@ -527,15 +515,15 @@ class TestSqueezedContraction:
                 _assert_close(got, _dense_reference(th, coef, [a, b],
                                                     [space, space], order))
         region = th.partition[0]
-        coef = _coefficients(th, order, "1d", region)[kind]
+        coef = _coefficients(th, order, region)[kind]
         got = assemble_system(th, var_form(coef, "v.val", "u.val"), [space],
-                              order, "1d", region).matrix().toarray()
+                              order, region).matrix().toarray()
         _assert_close(got, _dense_reference(th, coef, ["val", "val"],
-                                            [space, space], order, "1d", region))
+                                            [space, space], order, region))
         load = assemble_system(th, var_form(coef, "v.val"), [space], order,
-                               "1d", region)
+                               region)
         _assert_close(load, _dense_reference(th, coef, ["val"], [space], order,
-                                             "1d", region))
+                                             region))
 
     def test_mixed_spaces_match_the_dense_contraction(self):
         th = refine3_th()
@@ -576,9 +564,9 @@ class TestSqueezedContraction:
                 _assert_close(got, _dense_reference(th, coef, [a, b],
                                                     [space, space], 3))
         got = assemble_system(th, var_form(coef, "v.val", "u.val"), [space], 3,
-                              "1d", region).matrix().toarray()
+                              region).matrix().toarray()
         _assert_close(got, _dense_reference(th, coef, ["val", "val"],
-                                            [space, space], 3, "1d", region))
+                                            [space, space], 3, region))
 
 
 class TestTriplesWithoutCopies:
@@ -679,7 +667,7 @@ class TestTriplesWithoutCopies:
         form = var_form([1, 1], ["v.grad", "v.val"], ["u.grad", "u.val"])
         edge = var_form(2, "v.val", "u.val")
         kk = assemble_system(th, form, ["P2"], 4)
-        got = sum([kk, assemble_system(th, edge, ["P2"], 4, "1d", region)]).matrix()
+        got = sum([kk, assemble_system(th, edge, ["P2"], 4, region)]).matrix()
         parts = [assemble_scalar_2d(th, form, "P2", quad_order=4).tocoo(),
                  assemble_scalar_1d(th, region, edge, "P2", quad_order=4).tocoo()]
         want = compress(SparseTriples(

@@ -331,7 +331,7 @@ class TestTraceConsistency:
         rng = np.random.default_rng(11)
         dofs = rng.standard_normal(th.dof_map(space).num_dofs)
         order = 4
-        tabs = tabulate_basis("val", th, space, order, domain="1d", region=region)
+        tabs = tabulate_basis("val", th, space, order, region=region)
         tdm = trace_dof_map(th, space, region)
         trace_vals = sum(dofs[tdm[:, i], None] * np.asarray(tabs[i])
                          for i in range(len(tabs)))
@@ -342,7 +342,7 @@ class TestTraceConsistency:
     def test_trace_rejects_derivatives(self):
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5), ["x==1"])
         with pytest.raises(ValueError):
-            tabulate_basis("dx", th, "P1", 3, domain="1d", region=th.partition[0])
+            tabulate_basis("dx", th, "P1", 3, region=th.partition[0])
 
     @pytest.mark.parametrize("space", SPACES)
     def test_trace_partition_of_unity(self, space):
@@ -394,7 +394,7 @@ class TestPointFunctionShape:
             DirichletSpec((1,), (f,))),
          "boundary function for component 1 on region 1"),
         (lambda th, f: coef_to_matrix(f, th, 3), "point function"),
-        (lambda th, f: Cells(th, 3, "1d", th.partition[0]).values(f),
+        (lambda th, f: Cells(th, 3, th.partition[0]).values(f),
          "point function"),
     ])
     def test_a_wrong_shape_raises_a_named_form_error(self, call, name):
@@ -428,7 +428,7 @@ class TestLevelCache:
     def test_cached_arrays_are_read_only(self, space):
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5), ["x==0"])
         pts = Cells(th, 3).points()
-        edge_pts = Cells(th, 3, "1d", th.partition[0]).points()
+        edge_pts = Cells(th, 3, th.partition[0]).points()
         tables = [t for tag in ("val", "dx", "dy")
                   for t in tabulate_basis(tag, th, space, 3)]
         for arr in [pts, edge_pts] + tables:
@@ -462,7 +462,7 @@ class TestLevelCache:
                 tabulate_basis("dx", th, space, 3)
                 th.dof_map(space)
             Cells(th, 3).points()
-            Cells(th, 3, "1d", th.partition[0]).points()
+            Cells(th, 3, th.partition[0]).points()
         a, b = (th._cache for th in ths)
         assert a is not b and a.keys() == b.keys()
         for key in a:

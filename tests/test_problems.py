@@ -437,7 +437,7 @@ class TestHeatDriver:
         region = th.partition[0]
         flux = coef_matrix_on_edges(du, th, region, spec.order)
         ff = ff + assemble_system(th, var_form(flux, "v.val"), [spec.space],
-                                  spec.order, domain="1d", region=region)
+                                  spec.order, region=region)
         u_ell = apply_dirichlet_and_solve(th, kk, ff, DirichletSpec((1,), (u,)))
         assert np.abs(u_heat - u_ell).max() <= 1e-6
 
@@ -511,7 +511,7 @@ class TestHeatDriver:
         load = load_operator(th, space, order)
         cells = Cells(th, order)
         if region is not None:
-            edges = Cells(th, order, "1d", region)
+            edges = Cells(th, order, region)
             flux = _flux_operator(edges, space)
         uh = interpolate_nodal(initial, th, space)
         for step in range(1, nsteps + 1):

@@ -117,11 +117,10 @@ def test_interpolation_exact_for_p_k(th, degree, data):
 @given(th=MESHES, space=SPACES, c=st.floats(-10.0, 10.0))
 def test_constant_load_is_mass_times_ones(th, space, c):
     # the linear and the bilinear side of the assembly kernel agree
-    for domain, region in (("2d", None), ("1d", th.partition[0])):
-        b = assemble_system(th, var_form(c, "v.val"), [space],
-                            domain=domain, region=region)
+    for region in (None, th.partition[0]):
+        b = assemble_system(th, var_form(c, "v.val"), [space], region=region)
         M = assemble_system(th, var_form(1, "v.val", "u.val"), [space],
-                            domain=domain, region=region).matrix()
+                            region=region).matrix()
         expected = c * (M @ np.ones(M.shape[1]))
         assert np.abs(b - expected).max() <= 1e-13 * (1 + np.abs(expected).max())
 
@@ -145,21 +144,21 @@ def test_local_matrices_invariant_under_rigid_motion(th, space, angle, shift):
        seed=st.integers(0, 2**32 - 1))
 def test_load_operator_applies_the_assembled_load(th, space, order, seed):
     # L @ c.ravel() is the load of a random coefficient matrix, a point
-    # function and an FeFunction, on the 2d domain, the whole boundary
+    # function and an FeFunction, on every triangle, the whole boundary
     # and an empty region
     rng = np.random.default_rng(seed)
     dofs = rng.standard_normal(th.dof_map(space).num_dofs)
     empty = fe_mesh(th.mesh, ("x==99",)).partition[0]
-    for domain, region in (("2d", None), ("1d", th.partition[0]), ("1d", empty)):
-        L = load_operator(th, space, order, domain, region)
-        shape = coef_to_matrix(0.0, th, order, domain, region).shape
+    for region in (None, th.partition[0], empty):
+        L = load_operator(th, space, order, region)
+        shape = coef_to_matrix(0.0, th, order, region).shape
         assert L.shape == (len(dofs), shape[0] * shape[1])
         for coef in (rng.standard_normal(shape),
                      lambda p: np.exp(p[:, 0]) * np.cos(3 * p[:, 1]),
                      FeFunction(dofs=dofs, space=fe_space(space))):
             expected = assemble_system(th, var_form(coef, "v.val"), [space],
-                                       order, domain=domain, region=region)
-            got = L @ coef_to_matrix(coef, th, order, domain, region).ravel()
+                                       order, region=region)
+            got = L @ coef_to_matrix(coef, th, order, region).ravel()
             assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
             if region is empty:
                 assert not got.any()
@@ -178,7 +177,7 @@ def test_divergence_theorem(th, data):
                            for (i, j), c in c2.items() if j))
     inside = assemble_system(th, var_form(div, "v.val"), ["P1"])
     flux = assemble_system(th, var_form(field, "v.val"), ["P1"],
-                           domain="1d", region=th.partition[0])
+                           region=th.partition[0])
     assert abs(inside.sum() - flux.sum()) <= 1e-12 * np.abs(flux).sum()
 
 

@@ -162,9 +162,9 @@ class TestCoefToMatrix:
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5), ["x==1"])
         coef = FeFunction(dofs=np.ones(th.dof_map("P2").num_dofs + extra),
                           space=_p2(th))
-        for domain, region in (("2d", None), ("1d", th.partition[0])):
+        for region in (None, th.partition[0]):
             with pytest.raises(FormError, match="dof vector"):
-                coef_to_matrix(coef, th, 4, domain, region)
+                coef_to_matrix(coef, th, 4, region)
 
     def test_matrix_passthrough_and_shape_check(self):
         from trifem import triangle_rule
