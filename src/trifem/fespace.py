@@ -136,11 +136,6 @@ def build_dof_map(mesh, topo, space):
 # ---------------------------------------------------------------------------
 # reference shape functions in barycentric coordinates
 
-def _p3_vertex(l):
-    """The P3 basis function of a vertex whose barycentric coordinate is l."""
-    return 0.5 * l * (3 * l - 1) * (3 * l - 2)
-
-
 def shape_values(space, lam):
     """Values of the local basis at barycentric points; shape (nl, ng)."""
     space = fe_space(space)
@@ -151,10 +146,13 @@ def shape_values(space, lam):
         return np.stack([l0 * (2 * l0 - 1), l1 * (2 * l1 - 1), l2 * (2 * l2 - 1),
                          4 * l1 * l2, 4 * l2 * l0, 4 * l0 * l1])
 
+    def vertex(l):
+        return 0.5 * l * (3 * l - 1) * (3 * l - 2)
+
     def edge(la, lb):
         return 4.5 * la * lb * (3 * la - 1)
 
-    return np.stack([_p3_vertex(l0), _p3_vertex(l1), _p3_vertex(l2),
+    return np.stack([vertex(l0), vertex(l1), vertex(l2),
                      edge(l1, l2), edge(l2, l1),
                      edge(l2, l0), edge(l0, l2),
                      edge(l0, l1), edge(l1, l0),
@@ -195,20 +193,9 @@ def shape_dlam(space, lam):
     return out
 
 
-def trace_values(space, t):
-    """Values on an edge of the local trace basis; shape (k+1, ng).
-
-    The parameter t runs from the smaller-index endpoint to the larger.
-    Order: the two endpoint functions, then the edge-interior ones.
-    """
-    space = fe_space(space)
-    s = 1.0 - t
-    if space.degree == 1:
-        return np.stack([s, t])
-    if space.degree == 2:
-        return np.stack([s * (2 * s - 1), t * (2 * t - 1), 4 * s * t])
-    return np.stack([_p3_vertex(s), _p3_vertex(t),
-                     4.5 * s * t * (3 * s - 1), 4.5 * s * t * (3 * t - 1)])
+# the rows of shape_values that live on the side lam2 = 0, from vertex
+# 0 to vertex 1: its two endpoint functions, then the edge-interior ones
+_SIDE_ROWS = {1: [0, 1], 2: [0, 1, 5], 3: [0, 1, 7, 8]}
 
 
 def lam_gradients(mesh, topo):
@@ -281,10 +268,13 @@ class Cells:
 
     def basis(self, space):
         """Local basis values at the rule's points, (nl, ng): the shape
-        functions on triangles, the trace basis on edges."""
+        functions on triangles; on edges those of a triangle's side at
+        barycentric (1 - t, t, 0), t from the smaller endpoint."""
         if self.region is None:
             return shape_values(space, self.rule.lam)
-        return trace_values(space, self.rule.point)
+        t = self.rule.point
+        lam = np.column_stack([1.0 - t, t, np.zeros_like(t)])
+        return shape_values(space, lam)[_SIDE_ROWS[fe_space(space).degree]]
 
     def values(self, f, ncomp=1):
         """A point function at the quadrature points: (NC, ng), or
