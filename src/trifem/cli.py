@@ -188,14 +188,11 @@ def _cmd_convert(args):
                       [mesh.node[:, 0], mesh.node[:, 1],
                        labels.vertex_label.astype(int)])
         print(f"wrote {len(mesh.node)} vertices to {args.out}")
-    else:
-        if args.h is None:
-            raise UsageError("convert --square also needs --h")
-        mesh = square_mesh(_parse_bbox(args.square), _grid_spacing(args.h))
-        topo = build_topology(mesh)
-        write_freefem_msh(args.out, mesh, boundary=topo.bd_edge)
-        print(f"wrote {args.out}")
-    return 0
+        return 0
+    if args.h is None:
+        raise UsageError("convert --square also needs --h")
+    args.refine, args.info = 0, False       # the mesh command, writing only
+    return _cmd_mesh(args)
 
 
 def main(argv=None):

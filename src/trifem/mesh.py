@@ -200,13 +200,15 @@ def uniform_refine(mesh, topo=None):
     """Split every triangle into 4 via edge midpoints (red refinement).
 
     topo is the mesh's topology when the caller has built it already
-    (an FeMesh's ``topo``); without it the topology is built here.
+    (an FeMesh's ``topo``); without it the topology is built here.  A
+    topology holds its mesh's own area array, so one built for another
+    mesh is a ValueError.
     """
     if topo is None:
         topo = build_topology(mesh)
-    elif topo.elem2edge.shape != mesh.elem.shape:
-        raise ValueError(f"topology of {len(topo.elem2edge)} triangles given "
-                         f"for a mesh of {len(mesh.elem)}")
+    elif topo.area is not mesh.area:
+        raise ValueError(f"topology of {len(topo.elem2edge)} triangles was built "
+                         f"for another mesh, given for a mesh of {len(mesh.elem)}")
     node, elem = mesh.node, mesh.elem
     n = len(node)
     mid = 0.5 * (node[topo.edge[:, 0]] + node[topo.edge[:, 1]])
@@ -253,7 +255,15 @@ def _midpoint_prolongation(mesh):
 
 
 def build_topology(mesh):
-    """Derive edges, elem2edge, boundary edges, areas and edge lengths."""
+    """Derive edges, elem2edge, boundary edges, areas and edge lengths.
+
+    Raises ValueError where the triangles do not form a conforming mesh
+    at an edge: an edge in more than two triangles, or an interior edge
+    that both of its triangles traverse the same way (they overlap).
+    Not caught: triangles that overlap without sharing an edge (one
+    nested in another, say), and hanging nodes, a vertex inside another
+    triangle's edge.
+    """
     node, elem = mesh.node, mesh.elem
 
     # local edge i is opposite local vertex i
@@ -264,6 +274,18 @@ def build_topology(mesh):
     key, inverse, counts = np.unique(sorted_edges[:, 0] * n + sorted_edges[:, 1],
                                      return_inverse=True, return_counts=True)
     edge = np.column_stack([key // n, key % n])
+    crowded = np.nonzero(counts > 2)[0]
+    if len(crowded):
+        k = crowded[0]
+        raise ValueError(f"edge {tuple(edge[k].tolist())} lies in {counts[k]} "
+                         "triangles; a conforming mesh has at most two")
+    # ccw neighbours traverse their shared edge opposite ways: once forward
+    forward = np.bincount(inverse, weights=all_edges[:, 0] < all_edges[:, 1],
+                          minlength=len(key))
+    same_way = np.nonzero((counts == 2) & (forward != 1))[0]
+    if len(same_way):
+        raise ValueError(f"both triangles of edge {tuple(edge[same_way[0]].tolist())} "
+                         "traverse it the same way, so they overlap")
     nt = len(elem)
     elem2edge = inverse.reshape(3, nt).T.copy()
 

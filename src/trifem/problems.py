@@ -361,6 +361,13 @@ _CONTROLS = {
 }
 
 
+def _check_control(spec, name):
+    """A ValueError unless spec's field name is valid by _CONTROLS."""
+    valid, ok = _CONTROLS[name]
+    if not ok(getattr(spec, name)):
+        raise ValueError(f"{name} must be {valid}, got {getattr(spec, name)!r}")
+
+
 def _row(problem):
     if problem not in _PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}; expected one of "
@@ -392,9 +399,8 @@ def default_spec(problem, **overrides):
             raise ValueError(f"{problem} fixes {name} = {getattr(spec, name)!r}: "
                              f"{why}")
         setattr(spec, name, value)
-    for name, (valid, ok) in _CONTROLS.items():
-        if not ok(getattr(spec, name)):
-            raise ValueError(f"{name} must be {valid}, got {getattr(spec, name)!r}")
+    for name in _CONTROLS:
+        _check_control(spec, name)
     if spec.dt is not None:
         _fixed_steps(spec.dt, spec.t_end)
     if isinstance(spec.selectors, str):      # one selector, as fe_mesh takes it
@@ -416,7 +422,10 @@ def default_spec(problem, **overrides):
 
 def _levels(spec, selectors=()):
     """(th, h) on each refinement of square_mesh(bbox, h0), with the
-    boundary regions of the selectors; h is the leg length at that level."""
+    boundary regions of the selectors; h is the leg length at that level.
+    A spec built without default_spec is checked here too: with no
+    level, a ladder would report nothing and Newton would have no mesh."""
+    _check_control(spec, "refinements")
     mesh = square_mesh(spec.bbox, spec.h0)
     topo = None                 # mesh's topology, once fe_mesh has built it
     for k in range(1, spec.refinements + 1):

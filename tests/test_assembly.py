@@ -295,6 +295,26 @@ class TestSystemAssembly:
         assert np.array_equal(got, np.concatenate([one, np.zeros(n2), three]))
         assert n1 == len(one)
 
+    @pytest.mark.parametrize("test, trial, message", [
+        ("v.val", "u1.val", "bare symbol 'v' is ambiguous in a 2-component system"),
+        ("w.val", "u1.val", "symbol 'w' is not standardized"),
+        ("v1.val", "u3.val", "component of 'u3' exceeds the 2 available spaces")])
+    def test_a_symbol_without_its_component_is_named(self, test, trial, message):
+        from trifem.vform import FormError
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+        with pytest.raises(FormError, match=message):
+            assemble_system(th, var_form(1, test, trial), ["P1", "P1"], 3)
+
+    @pytest.mark.parametrize("coef, test, message", [
+        (lambda p: p, "v.dx", "vector shorthand requires Test = 'v.val'"),
+        (2.0, "v.val", "must be a function or a sequence"),
+        ([1.0, 2.0, 3.0], "v.val", "got 3 coefficient components for 2 test")])
+    def test_a_bad_vector_shorthand_is_named(self, coef, test, message):
+        from trifem.vform import FormError
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+        with pytest.raises(FormError, match=message):
+            assemble_system(th, var_form(coef, test), ["P1", "P1"], 3)
+
     def test_vector_shorthand_wrong_components(self):
         from trifem.vform import FormError
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))

@@ -199,6 +199,30 @@ class TestMeshCommand:
         assert rows[0] == ["x", "y", "label"]
         assert len(rows) == 16   # 15 vertices + header
 
+    def test_convert_square_writes_what_mesh_writes(self, tmp_path, capsys):
+        # one mesh writer: both commands write the same bytes
+        made, converted = tmp_path / "made.msh", tmp_path / "converted.msh"
+        square = ["--square", "0,2,0,1", "--h", "0.5"]
+        assert main(["mesh", *square, "--out", str(made)]) == 0
+        assert main(["convert", *square, "--out", str(converted)]) == 0
+        assert made.read_bytes() == converted.read_bytes()
+        assert capsys.readouterr().out == f"wrote {made}\nwrote {converted}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mesh", "--square", "0,1,0", "--h", "0.5"],
+         "--square expects x0,x1,y0,y1, got '0,1,0'"),
+        (["mesh", "--square", "0,1,0,y", "--h", "0.5"],
+         "--square expects numbers, got '0,1,0,y'"),
+        (["convert"], "convert needs exactly one of --mesh or --square"),
+        (["convert", "--mesh", "m.msh", "--square", "0,1,0,1"],
+         "convert needs exactly one of --mesh or --square"),
+        (["convert", "--square", "0,1,0,1"], "convert --square also needs --h")])
+    def test_a_usage_error_names_the_flag(self, argv, message, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "out")] if argv[0] == "convert" else []
+        assert main(argv + out) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("h", ["nan", "inf", "-inf", "0", "-0.5"])
     @pytest.mark.parametrize("command", [
         ["mesh", "--info"], ["convert", "--square", "0,1,0,1"]])

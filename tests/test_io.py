@@ -119,6 +119,19 @@ class TestReadMsh:
         with pytest.raises(MshFormatError, match="header"):
             read_freefem_msh(path)
 
+    @pytest.mark.parametrize("text, match", [
+        ("", r"bad\.msh: empty file"),
+        ("\n  \n", r"bad\.msh: empty file"),
+        ("3 1 x\n", r"bad\.msh:1: non-integer header '3 1 x'"),
+        ("3 0 0\n0.0 0.0\n", r"bad\.msh:2: expected 3 fields on vertex line, got 2"),
+        ("3 1 1\n0 0 1\n1 0 1\n0 1 1\n1 2 3 0\n1 4 1\n",
+         r"bad\.msh: edge vertex index out of range 1\.\.3")])
+    def test_a_malformed_file_is_named(self, tmp_path, text, match):
+        path = tmp_path / "bad.msh"
+        path.write_text(text)
+        with pytest.raises(MshFormatError, match=match):
+            read_freefem_msh(path)
+
     @pytest.mark.parametrize("header", ["-1 0 0", "3 -1 0", "0 0 -2"])
     def test_negative_header_count_names_the_line(self, tmp_path, header):
         # "-1 0 0" reached np.empty and raised numpy's bare "negative
@@ -248,6 +261,16 @@ class TestReadSolution:
         path = tmp_path / "sol.txt"
         path.write_text(f"{len(vals)}\n" + " ".join(repr(float(v)) for v in vals) + "\n")
         assert np.array_equal(read_freefem_solution(path), vals)
+
+    @pytest.mark.parametrize("text, match", [
+        ("", r"sol\.txt: empty solution file"),
+        ("three 1 2 3\n", r"sol\.txt: first token 'three' is not the value count"),
+        ("2\n1 x\n", r"sol\.txt: non-numeric value")])
+    def test_a_malformed_solution_is_named(self, tmp_path, text, match):
+        path = tmp_path / "sol.txt"
+        path.write_text(text)
+        with pytest.raises(MshFormatError, match=match):
+            read_freefem_solution(path)
 
     def test_length_mismatch(self, tmp_path):
         path = tmp_path / "sol.txt"

@@ -105,6 +105,14 @@ class TestUniformRefine:
         with pytest.raises(ValueError, match="topology of 32 triangles"):
             uniform_refine(m, build_topology(uniform_refine(m)))
 
+    def test_a_topology_of_another_mesh_with_as_many_triangles_is_rejected(self):
+        # both meshes have 8 triangles; the other topology used to fail
+        # later, as a triangle of non-positive signed area
+        m = square_mesh([0, 1, 0, 1], 0.5)
+        other = build_topology(square_mesh([0, 2, 0, 0.5], 0.5))
+        with pytest.raises(ValueError, match="built for another mesh"):
+            uniform_refine(m, other)
+
     def test_the_ladder_builds_each_level_topology_once(self, monkeypatch):
         import trifem.mesh
         from trifem.problems import default_spec, run_problem
@@ -158,6 +166,25 @@ class TestTopology:
         node = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="triangle 0"):
             Mesh2d(node=node, elem=np.array([[0, 2, 1]]))
+
+    def test_triangles_on_the_same_side_of_an_edge_are_named(self):
+        # the unit square's two triangles plus a third over edge (0, 1)
+        # used to build, with a total area of 1.5
+        node = square_mesh([0, 1, 0, 1], 1.0).node
+        with pytest.raises(ValueError, match=r"both triangles of edge \(0, 1\) "
+                                             "traverse it the same way"):
+            build_topology(Mesh2d(node=node, elem=[[0, 1, 2], [1, 3, 2], [0, 1, 3]]))
+        with pytest.raises(ValueError, match=r"edge \(0, 3\) lies in 3 triangles"):
+            build_topology(Mesh2d(node=node, elem=[[0, 1, 3], [0, 3, 2], [0, 1, 3]]))
+
+    @pytest.mark.parametrize("node, elem, match", [
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]], "node must have shape"),
+        ([[0, 0], [1, 0], [0, 1]], [0, 1, 2], "elem must have shape"),
+        ([[0, 0], [1, 0], [0, 1]], [[0, 1, 3]], "out of range"),
+        ([[0, 0], [1, 0], [0, 1]], [[-1, 1, 2]], "out of range")])
+    def test_a_bad_shape_or_vertex_index_is_named(self, node, elem, match):
+        with pytest.raises(ValueError, match=match):
+            Mesh2d(node=node, elem=elem)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_node_is_named(self, bad):

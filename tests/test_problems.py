@@ -646,6 +646,16 @@ class TestLadder:
         report = run_poisson(default_spec("poisson", refinements=2))
         assert list(report.h) == [0.25, 0.125]
 
+    @pytest.mark.parametrize("problem", ["poisson", "ns-newton"])
+    def test_a_spec_built_without_a_level_is_a_named_error(self, problem):
+        # a ProblemSpec built directly skips default_spec: the ladder
+        # returned a report with no level, Newton an AttributeError on
+        # a mesh of None
+        spec = replace(default_spec(problem), refinements=0)
+        with pytest.raises(ValueError,
+                           match=r"^refinements must be an integer >= 1, got 0$"):
+            run_problem(spec)
+
 
 def written_out_ns_residual(th, spec, iterate, spaces):
     """Reference: the residual F(U) of the penalized steady system at
@@ -786,6 +796,20 @@ class TestNewtonDriver:
 
         monkeypatch.setattr(trifem.problems, "DirichletSolver", fail)
         run_problem(default_spec(problem, refinements=2))
+
+    def test_growing_increments_are_named_as_divergence(self, monkeypatch):
+        # each faked step lands 1000 times further out than the last
+        steps = []
+
+        def growing(th, spec, kk, load):
+            steps.append(1)
+            scale = 1000.0 ** len(steps)
+            return tuple(np.full(th.dof_map(s).num_dofs, scale)
+                         for s in ("P2", "P2", "P1"))
+
+        monkeypatch.setattr(trifem.problems, "_solve_taylor_hood", growing)
+        with pytest.raises(RuntimeError, match="diverging after 3 steps"):
+            run_ns_newton(default_spec("ns-newton"))
 
     def test_the_forcing_is_evaluated_once_per_run(self):
         calls = []

@@ -190,6 +190,28 @@ def assert_topology_is_row_unique(mesh):
 
 
 @PROPERTY
+@given(th=perturbed_mesh(), data=st.data())
+def test_a_nonconforming_edge_is_rejected_by_name(th, data):
+    # a duplicated triangle puts its interior edges in three triangles;
+    # a triangle moved across an interior edge, onto its neighbour's
+    # side, traverses the edge the same way as that neighbour.  Both
+    # used to build, the valid mesh itself still does.
+    node, elem, topo = th.mesh.node, th.mesh.elem, build_topology(th.mesh)
+    k = data.draw(st.integers(0, len(elem) - 1))
+    with pytest.raises(ValueError, match=r"lies in 3 triangles"):
+        build_topology(Mesh2d(node=node, elem=np.vstack([elem, elem[k:k + 1]])))
+    interior = np.setdiff1d(np.arange(topo.num_edges), topo.bd_edge_idx)
+    j = data.draw(st.sampled_from(interior.tolist()))
+    (t, u), (i, _) = np.nonzero(topo.elem2edge == j)
+    a, b = elem[t, (i + 1) % 3], elem[t, (i + 2) % 3]      # t runs a -> b
+    moved = elem.copy()
+    moved[u] = (a, b, len(node))               # u ran b -> a, now a -> b
+    centroid = node[elem[t]].mean(axis=0, keepdims=True)
+    with pytest.raises(ValueError, match=r"traverse it the same way"):
+        build_topology(Mesh2d(node=np.vstack([node, centroid]), elem=moved))
+
+
+@PROPERTY
 @given(th=MESHES)
 def test_topology_matches_row_unique_reference(th):
     assert_topology_is_row_unique(th.mesh)

@@ -110,6 +110,32 @@ class TestApplyDirichlet:
         with pytest.raises(TypeError, match="rhs"):
             apply_dirichlet_and_solve(th, kk, spec=spec)
 
+    def test_a_bare_matrix_is_a_type_error(self):
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+        kk, ff = poisson_system(th)
+        spec = DirichletSpec((0,), (lambda p: np.zeros(len(p)),))
+        with pytest.raises(TypeError, match="needs an AssembledSystem"):
+            apply_dirichlet_and_solve(th, kk.matrix(), ff, spec)
+
+    def test_a_rhs_of_another_length_is_named(self):
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+        kk, ff = poisson_system(th)
+        spec = DirichletSpec((0,), (lambda p: np.zeros(len(p)),))
+        with pytest.raises(ValueError, match="component layout disagree"):
+            apply_dirichlet_and_solve(th, kk, ff[:-1], spec)
+
+    def test_value_sets_and_regions_pair_up(self):
+        g = lambda p: np.zeros(len(p))
+        with pytest.raises(ValueError, match="2 value sets for 1 regions"):
+            DirichletSpec((0,), (g, g))
+
+    def test_one_boundary_function_per_component(self):
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+        kk, _ = poisson_system(th)
+        g = lambda p: np.zeros(len(p))
+        with pytest.raises(ValueError, match="2 boundary functions for 1 components"):
+            dirichlet_dofs(th, kk, DirichletSpec((0,), ((g, g),)))
+
     def test_region_out_of_range(self):
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
         kk, ff = poisson_system(th)

@@ -91,6 +91,13 @@ class TestExpand:
         with pytest.raises(FormError, match="at least one entry"):
             var_form([], [])
 
+    @pytest.mark.parametrize("args, message", [
+        (([1, 2], ["v.val"]), "2 coefficients for 1 test terms"),
+        (([1, 2], ["v.val", "v.dx"], ["u.val"]), "1 trial terms for 2 test terms")])
+    def test_counts_that_do_not_pair_up_are_named(self, args, message):
+        with pytest.raises(FormError, match=message):
+            var_form(*args)
+
     def test_linear_sum_distributes(self):
         out = expand_extended(var_form([1], ["v1.val + v2.val"]))
         assert entry_strings(out) == [("v1.val", None), ("v2.val", None)]
