@@ -8,9 +8,9 @@ of finite element functions, and point evaluation.
 ``Cells`` is the domain of one integral, read from its region as
 FreeFEM reads int2d(Th) and int1d(Th, label): no region means every
 triangle, a region means its boundary edges.  It is the only code that
-tells the two apart.  It also holds the
-one evaluator of a finite element function at quadrature points
-(``Cells.fe_values``), which coefficient matrices, FeFunction
+tells the two apart, and an edge's basis is its triangle's.  It also
+holds the one evaluator of a finite element function at quadrature
+points (``Cells.fe_values``), which coefficient matrices, FeFunction
 coefficients and error norms share.
 
 What a mesh level needs is tabulated once per FeMesh, in its private
@@ -327,8 +327,8 @@ def tabulate_basis(tag, th, space, quad_order, region=None):
 
     One read-only (nl, NC, ng) array, row i local dof i's table over the
     cells: every triangle, or with a region (tag 'val' of the trace
-    basis only) the region's edges.  'grad' gives the pair (dx, dy).  ``tag`` may be
-    a bare tag, a Term or a 'sym.tag' string.  Constant axes have stride
+    basis only) the region's edges.  'grad' gives the pair (dx, dy).
+    ``tag`` may be a bare tag, a Term or a 'sym.tag' string.  Constant axes have stride
     zero; 'dx'/'dy' return the FeMesh's cached array itself, no copy.
     """
     tag = _tag(tag)

@@ -15,6 +15,7 @@ from trifem.fespace import Cells, lam_gradients, shape_dlam, shape_values
 from trifem.problems import (_convection_form, _taylor_hood, default_spec,
                              stokes_form)
 from trifem.quadrature import triangle_rule
+from trifem.vform import FormError
 from oracles import direct_bilinear_2d, direct_boundary_mass
 
 # frozen local-matrix oracles (verified by exact symbolic integration of
@@ -300,7 +301,6 @@ class TestSystemAssembly:
         ("w.val", "u1.val", "symbol 'w' is not standardized"),
         ("v1.val", "u3.val", "component of 'u3' exceeds the 2 available spaces")])
     def test_a_symbol_without_its_component_is_named(self, test, trial, message):
-        from trifem.vform import FormError
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
         with pytest.raises(FormError, match=message):
             assemble_system(th, var_form(1, test, trial), ["P1", "P1"], 3)
@@ -310,13 +310,11 @@ class TestSystemAssembly:
         (2.0, "v.val", "must be a function or a sequence"),
         ([1.0, 2.0, 3.0], "v.val", "got 3 coefficient components for 2 test")])
     def test_a_bad_vector_shorthand_is_named(self, coef, test, message):
-        from trifem.vform import FormError
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
         with pytest.raises(FormError, match=message):
             assemble_system(th, var_form(coef, test), ["P1", "P1"], 3)
 
     def test_vector_shorthand_wrong_components(self):
-        from trifem.vform import FormError
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
         with pytest.raises(FormError):
             assemble_system(th, var_form(lambda p: p, "v.val"),
