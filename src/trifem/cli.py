@@ -13,7 +13,7 @@ import math
 import sys
 
 from .io import format_real, read_freefem_msh, write_freefem_msh, write_results
-from .mesh import build_topology, square_mesh, uniform_refine
+from .mesh import square_mesh, uniform_refine
 from .problems import PROBLEM_IDS, default_spec, run_problem
 from .system import RateReport
 
@@ -166,9 +166,11 @@ def _cmd_run(args):
 
 def _cmd_mesh(args):
     mesh = square_mesh(_parse_bbox(args.square), _grid_spacing(args.h))
+    if args.refine < 0:
+        raise UsageError(f"--refine must be >= 0, got {args.refine}")
     for _ in range(args.refine):
         mesh = uniform_refine(mesh)
-    topo = build_topology(mesh)
+    topo = mesh.topology
     if args.info or not args.out:
         print(f"N={mesh.num_nodes} NT={mesh.num_elems} NE={topo.num_edges} "
               f"boundary={len(topo.bd_edge)}")

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mesh import _cached
 from .quadrature import segment_rule, triangle_rule
 from .terms import parse_term_sum
 
@@ -93,8 +94,9 @@ class FeFunction:
     space: FeSpace
 
 
-def build_dof_map(mesh, topo, space):
-    """Global dof numbering for a space on a triangulated mesh."""
+def build_dof_map(mesh, space):
+    """Global dof numbering for a space on a triangulated mesh; P2 and
+    P3 number the edges of the mesh's own topology."""
     space = fe_space(space)
     node, elem = mesh.node, mesh.elem
     n, nt = len(node), len(elem)
@@ -102,6 +104,7 @@ def build_dof_map(mesh, topo, space):
     if space.degree == 1:
         return DofMap(elem2dof=elem.copy(), num_dofs=n, dof_point=node.copy())
 
+    topo = mesh.topology
     edge = topo.edge
     ne = len(edge)
     if space.degree == 2:
@@ -198,7 +201,7 @@ def shape_dlam(space, lam):
 _SIDE_ROWS = {1: [0, 1], 2: [0, 1, 5], 3: [0, 1, 7, 8]}
 
 
-def lam_gradients(mesh, topo):
+def lam_gradients(mesh):
     """Cartesian gradients of the barycentric coordinates; (NT, 3, 2).
 
     The opposite edge, rotated by -90 degrees, over twice the area.  Each
@@ -210,7 +213,7 @@ def lam_gradients(mesh, topo):
         a, b = z[:, (i + 1) % 3], z[:, (i + 2) % 3]
         rot[:, i, 0] = a[:, 1] - b[:, 1]
         rot[:, i, 1] = b[:, 0] - a[:, 0]
-    return rot / (2.0 * topo.area)[:, None, None]
+    return rot / (2.0 * mesh.area)[:, None, None]
 
 
 def quad_points_2d(mesh, rule):
@@ -254,10 +257,10 @@ class Cells:
         per FeMesh, order and set of edges."""
         th, rule = self.th, self.rule
         if self.region is None:
-            return th._cached(("points", self.order),
-                              lambda: quad_points_2d(th.mesh, rule))
-        return th._cached(("edge_points", self.order, self.region.edge_idx.tobytes()),
-                          lambda: edge_quad_points(th, self.region, rule))
+            return _cached(th, ("points", self.order),
+                           lambda: quad_points_2d(th.mesh, rule))
+        return _cached(th, ("edge_points", self.order, self.region.edge_idx.tobytes()),
+                       lambda: edge_quad_points(th, self.region, rule))
 
     def dofs(self, space):
         """Global dofs of a space on every cell: (NC, nl) element dofs,
@@ -344,8 +347,8 @@ def tabulate_basis(tag, th, space, quad_order, region=None):
                 tabulate_basis("dy", th, space, quad_order))
     if tag not in ("dx", "dy"):
         raise ValueError(f"unknown derivative tag {tag!r}")
-    return th._cached(("tables", space.name, tag, quad_order),
-                      lambda: _derivative_tables(th, space, tag, cells.rule))
+    return _cached(th, ("tables", space.name, tag, quad_order),
+                   lambda: _derivative_tables(th, space, tag, cells.rule))
 
 
 def _tag(term):
@@ -367,8 +370,7 @@ def _derivative_tables(th, space, tag, rule):
     local basis at the rule's points, from the cached barycentric
     gradients.  P1's derivatives are the gradients themselves at every
     point: its tables are a view of them, broadcast over the points."""
-    glam = th._cached(("lam_gradients",),
-                      lambda: lam_gradients(th.mesh, th.topo))
+    glam = _cached(th, ("lam_gradients",), lambda: lam_gradients(th.mesh))
     glam = glam[:, :, 0 if tag == "dx" else 1]             # (NT, 3)
     if space.degree == 1:
         tables = glam.T[:, :, None]

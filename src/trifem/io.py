@@ -114,6 +114,7 @@ def read_freefem_msh(path):
 
     try:
         mesh = Mesh2d(node=node, elem=elem, _area=area)
+        mesh.topology       # built here, so a nonconforming edge names the file
     except ValueError as exc:
         raise MshFormatError(f"{path}: {exc}") from exc
     labels = MshLabels(vertex_label=vertex_label, tri_region=tri_region,

@@ -6,7 +6,9 @@ vertex-index triples.  ``build_topology`` derives the deduplicated edge
 list (each row sorted ascending), the element-to-edge map with the
 convention that local edge i is opposite local vertex i, the boundary
 edges (edges used by exactly one triangle, stored counterclockwise so
-the domain lies on their left), triangle areas and edge lengths.
+the domain lies on their left), triangle areas and edge lengths.  A
+mesh keeps its own (``Mesh2d.topology``, built on first use), as
+FreeFEM's ``Th`` keeps its edges, so every function takes the mesh alone.
 
 ``classify_boundary`` splits the boundary edges into regions using
 selector strings evaluated at edge midpoints; the first matching
@@ -17,7 +19,7 @@ ladder of refinements is a multigrid hierarchy: ``prolongation`` reads
 the P1 interpolation between two levels off that link.
 """
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, is_dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,10 +42,9 @@ class Mesh2d:
     the private ``_area``.
 
     A mesh made by ``uniform_refine`` remembers the mesh it refined
-    (``parent``) and that mesh's edge array (``parent_edge``): its node
-    n + e is the midpoint of parent edge e, which is all the P1
-    prolongation needs.  Both are None on any other mesh.  The
-    prolongation itself is built on first use and kept beside them.
+    (``parent``, else None): its node n + e is the midpoint of parent
+    edge e.  ``topology`` and the P1 ``prolongation`` are built on first
+    use and kept in a private cache.
     """
 
     node: np.ndarray
@@ -51,8 +52,7 @@ class Mesh2d:
     _area: InitVar[np.ndarray] = None
     area: np.ndarray = field(init=False, repr=False)
     parent: "Mesh2d" = field(default=None, init=False, repr=False)
-    parent_edge: np.ndarray = field(default=None, init=False, repr=False)
-    _prolongation: object = field(default=None, init=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self, _area):
         node = np.ascontiguousarray(np.asarray(self.node, dtype=float))
@@ -84,6 +84,24 @@ class Mesh2d:
     @property
     def num_elems(self):
         return len(self.elem)
+
+    @property
+    def topology(self):
+        """The mesh's MeshTopology, made by build_topology on first use."""
+        return _cached(self, "topology", lambda: build_topology(self))
+
+
+def _cached(owner, key, build):
+    """owner._cache[key], made by build() on first use; its arrays are read-only."""
+    try:
+        return owner._cache[key]
+    except KeyError:
+        value = build()
+        for a in vars(value).values() if is_dataclass(value) else (value,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        owner._cache[key] = value
+        return value
 
 
 def _indices(values, name):
@@ -196,19 +214,9 @@ def square_mesh(bbox, h):
     return Mesh2d(node=node, elem=elem)
 
 
-def uniform_refine(mesh, topo=None):
-    """Split every triangle into 4 via edge midpoints (red refinement).
-
-    topo is the mesh's topology when the caller has built it already
-    (an FeMesh's ``topo``); without it the topology is built here.  A
-    topology holds its mesh's own area array, so one built for another
-    mesh is a ValueError.
-    """
-    if topo is None:
-        topo = build_topology(mesh)
-    elif topo.area is not mesh.area:
-        raise ValueError(f"topology of {len(topo.elem2edge)} triangles was built "
-                         f"for another mesh, given for a mesh of {len(mesh.elem)}")
+def uniform_refine(mesh):
+    """Split every triangle into 4 via edge midpoints (red refinement)."""
+    topo = mesh.topology
     node, elem = mesh.node, mesh.elem
     n = len(node)
     mid = 0.5 * (node[topo.edge[:, 0]] + node[topo.edge[:, 1]])
@@ -228,7 +236,6 @@ def uniform_refine(mesh, topo=None):
         new_elem[k::4] = child
     fine = Mesh2d(node=new_node, elem=new_elem)
     object.__setattr__(fine, "parent", mesh)
-    object.__setattr__(fine, "parent_edge", topo.edge)
     return fine
 
 
@@ -239,14 +246,12 @@ def prolongation(mesh):
     and kept on it."""
     if mesh.parent is None:
         return None
-    if mesh._prolongation is None:
-        object.__setattr__(mesh, "_prolongation", _midpoint_prolongation(mesh))
-    return mesh._prolongation
+    return _cached(mesh, "prolongation", lambda: _midpoint_prolongation(mesh))
 
 
 def _midpoint_prolongation(mesh):
     """The CSR matrix ``prolongation`` keeps, built from the parent link."""
-    n_c, edge = mesh.parent.num_nodes, mesh.parent_edge
+    n_c, edge = mesh.parent.num_nodes, mesh.parent.topology.edge
     ne = len(edge)
     rows = np.concatenate([np.arange(n_c), np.repeat(n_c + np.arange(ne), 2)])
     cols = np.concatenate([np.arange(n_c), edge.ravel()])
@@ -256,6 +261,7 @@ def _midpoint_prolongation(mesh):
 
 def build_topology(mesh):
     """Derive edges, elem2edge, boundary edges, areas and edge lengths.
+    Each call builds them anew; ``mesh.topology`` is the kept copy.
 
     Raises ValueError where the triangles do not form a conforming mesh
     at an edge: an edge in more than two triangles, or an interior edge
@@ -303,13 +309,14 @@ def build_topology(mesh):
                         area=mesh.area, edge_length=edge_length)
 
 
-def classify_boundary(mesh, topo, selectors=()):
-    """Partition the boundary edges by selector strings.
+def classify_boundary(mesh, selectors=()):
+    """Partition the mesh's boundary edges by selector strings.
 
     Every boundary edge goes to the first selector whose predicate holds
     at the edge midpoint; leftovers form the final region.  With no
     selectors the single region is the entire boundary.
     """
+    topo = mesh.topology
     selectors = tuple(selectors)
     predicates = [parse_selector(s) for s in selectors]
     mids = 0.5 * (mesh.node[topo.bd_edge[:, 0]] + mesh.node[topo.bd_edge[:, 1]])
@@ -356,7 +363,7 @@ def _partition(topo, region, nregions, selectors):
 @dataclass
 class FeMesh:
     """Mesh bundle handed around by assembly routines and drivers: the
-    mesh itself, its topology, and the boundary partition.
+    mesh itself and the boundary partition (``topo`` reads the mesh's).
 
     What the spaces derive from the mesh is built once per FeMesh and
     kept in one private cache: the dof maps, and (see fespace) the
@@ -365,33 +372,23 @@ class FeMesh:
     """
 
     mesh: Mesh2d
-    topo: MeshTopology
     partition: BoundaryPartition
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def topo(self):
+        return self.mesh.topology
 
     def dof_map(self, space):
         """Cached DofMap for a finite element space."""
         from .fespace import build_dof_map, fe_space
         space = fe_space(space)
-        return self._cached(("dof_map", space.name),
-                            lambda: build_dof_map(self.mesh, self.topo, space))
-
-    def _cached(self, key, build):
-        """The value cached under key, made by build() on first use."""
-        try:
-            return self._cache[key]
-        except KeyError:
-            value = build()
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            self._cache[key] = value
-            return value
+        return _cached(self, ("dof_map", space.name),
+                       lambda: build_dof_map(self.mesh, space))
 
 
 def fe_mesh(mesh, selectors=()):
-    """Build the FeMesh bundle: topology plus boundary partition."""
+    """Build the FeMesh bundle: the mesh and its boundary partition."""
     if isinstance(selectors, str):
         selectors = (selectors,)
-    topo = build_topology(mesh)
-    partition = classify_boundary(mesh, topo, selectors)
-    return FeMesh(mesh=mesh, topo=topo, partition=partition)
+    return FeMesh(mesh=mesh, partition=classify_boundary(mesh, selectors))

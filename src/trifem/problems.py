@@ -427,12 +427,9 @@ def _levels(spec, selectors=()):
     level, a ladder would report nothing and Newton would have no mesh."""
     _check_control(spec, "refinements")
     mesh = square_mesh(spec.bbox, spec.h0)
-    topo = None                 # mesh's topology, once fe_mesh has built it
     for k in range(1, spec.refinements + 1):
-        mesh = uniform_refine(mesh, topo)
-        th = fe_mesh(mesh, selectors)
-        topo = th.topo
-        yield th, spec.h0 / 2**k
+        mesh = uniform_refine(mesh)
+        yield fe_mesh(mesh, selectors), spec.h0 / 2**k
 
 
 def _run_ladder(spec, solve_level, selectors=()):

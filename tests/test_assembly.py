@@ -101,6 +101,11 @@ class TestCompress:
         with pytest.raises(ValueError, match="out of range"):
             compress(t)
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="ii, jj, ss must have equal lengths"):
+            SparseTriples(ii=np.array([0, 1]), jj=np.array([0]),
+                          ss=np.array([1.0, 2.0]), nrows=2, ncols=2)
+
     def test_sum_starts_from_zero(self):
         a = compress(SparseTriples(ii=np.array([0]), jj=np.array([0]),
                                    ss=np.array([1.0]), nrows=1, ncols=1))
@@ -369,6 +374,13 @@ EDGE_CALLERS = {
 }
 
 
+@pytest.mark.parametrize("assemble", [assemble_scalar_2d, assemble_system])
+def test_a_form_that_is_no_var_form_is_a_type_error(assemble):
+    th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+    with pytest.raises(TypeError, match="expected a VarForm, got str"):
+        assemble(th, "v.grad", ["P1"] if assemble is assemble_system else "P1")
+
+
 @pytest.mark.parametrize("caller", EDGE_CALLERS)
 def test_an_edge_integral_without_a_region_is_a_value_error(caller):
     th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5), ["x==0"])
@@ -403,7 +415,7 @@ class TestCompactTables:
         th = refine3_th()
         tables = tabulate_basis(tag, th, space, 3)
         rule = triangle_rule(3)
-        glam = lam_gradients(th.mesh, th.topo)[:, :, "xy".index(tag[1])]
+        glam = lam_gradients(th.mesh)[:, :, "xy".index(tag[1])]
         dense = np.stack([np.einsum("pk,tk->tp", d, glam)
                           for d in shape_dlam(space, rule.lam)])
         assert tables.shape == dense.shape

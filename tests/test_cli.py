@@ -104,6 +104,31 @@ class TestRunCommand:
         assert "increment" in out
         assert "stopped on max_iter" in out
 
+    def test_ns_newton_writes_its_increments_as_csv(self, tmp_path, capsys):
+        out = tmp_path / "newton.csv"
+        assert main(["run", "--problem", "ns-newton", "--refine", "1",
+                     "--max-iter", "3", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        with open(out) as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["iterate", "increment"]
+        assert [k for k, _ in rows[1:]] == ["1", "2", "3"]
+        for k, norm in rows[1:]:
+            assert f"iterate {k}: |increment| = {norm}" in printed
+
+    @pytest.mark.parametrize("command", [["run", "--problem", "ns-newton"],
+                                         ["convert", "--out", "verts.csv"]])
+    def test_a_nonconforming_msh_is_named_with_its_path(self, command, tmp_path,
+                                                        capsys, monkeypatch):
+        from test_io import OVERLAPPING_MSH
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dup.msh").write_text(OVERLAPPING_MSH)
+        assert main(command + ["--mesh", "dup.msh"]) == 1
+        assert capsys.readouterr().err == (
+            "error: dup.msh: both triangles of edge (0, 1) traverse it the "
+            "same way, so they overlap\n")
+        assert not (tmp_path / "verts.csv").exists()
+
     def test_ns_newton_accepts_msh_mesh(self, tmp_path, capsys):
         msh = tmp_path / "square.msh"
         assert main(["mesh", "--square", "0,1,0,1", "--h", "0.125",
@@ -216,7 +241,9 @@ class TestMeshCommand:
         (["convert"], "convert needs exactly one of --mesh or --square"),
         (["convert", "--mesh", "m.msh", "--square", "0,1,0,1"],
          "convert needs exactly one of --mesh or --square"),
-        (["convert", "--square", "0,1,0,1"], "convert --square also needs --h")])
+        (["convert", "--square", "0,1,0,1"], "convert --square also needs --h"),
+        (["mesh", "--h", "0.5", "--refine", "-3", "--info"],
+         "--refine must be >= 0, got -3")])
     def test_a_usage_error_names_the_flag(self, argv, message, tmp_path, capsys):
         out = ["--out", str(tmp_path / "out")] if argv[0] == "convert" else []
         assert main(argv + out) == 2

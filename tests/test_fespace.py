@@ -46,9 +46,28 @@ class TestDofMap:
     @pytest.mark.parametrize("space,expected", [("P1", 9), ("P2", 25), ("P3", 49)])
     def test_counts_on_h_half_square(self, space, expected):
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
-        dm = build_dof_map(th.mesh, th.topo, fe_space(space))
+        dm = build_dof_map(th.mesh, fe_space(space))
         assert dm.num_dofs == expected
         assert dm.dof_point.shape == (expected, 2)
+
+    @pytest.mark.parametrize("diagonal", ["ll-ur", "lr-ul"])
+    def test_each_p2_edge_dof_sits_on_its_edge(self, diagonal):
+        mesh = square_mesh([0, 1, 0, 1], 0.5)
+        if diagonal == "lr-ul":         # split every cell the other way
+            ll, lr, ur = mesh.elem[0::2].T
+            ul = mesh.elem[1::2, 2]
+            mesh = Mesh2d(node=mesh.node,
+                          elem=np.vstack([np.column_stack([ll, lr, ul]),
+                                          np.column_stack([lr, ur, ul])]))
+        dm = build_dof_map(mesh, "P2")
+        z = mesh.node[mesh.elem]
+        # local edge i is opposite vertex i
+        mid = 0.5 * (z[:, [1, 2, 0]] + z[:, [2, 0, 1]])
+        assert np.array_equal(dm.dof_point[dm.elem2dof[:, 3:]], mid)
+
+    def test_an_unknown_space_is_named(self):
+        with pytest.raises(ValueError, match="unknown finite element space 'P4'"):
+            fe_space("P4")
 
     @pytest.mark.parametrize("space", SPACES)
     def test_shared_dofs_consistent(self, space):
@@ -210,7 +229,7 @@ class TestCoefMatrixFromDofs:
                                     (fe_space(space).ndof_local,
                                      th.mesh.num_elems, rule.npoints))
         else:
-            glam = lam_gradients(th.mesh, th.topo)[:, :, "xy".index(tag[1])]
+            glam = lam_gradients(th.mesh)[:, :, "xy".index(tag[1])]
             dense = [np.einsum("pk,tk->tp", d, glam)
                      for d in shape_dlam(space, rule.lam)]
         dofs = np.random.default_rng(3).standard_normal(th.dof_map(space).num_dofs)
@@ -412,9 +431,9 @@ class TestLevelCache:
         for name, log in calls.items():
             original = getattr(trifem.fespace, name)
 
-            def counted(mesh, arg, original=original, log=log):
+            def counted(mesh, *args, original=original, log=log):
                 log.append(mesh)
-                return original(mesh, arg)
+                return original(mesh, *args)
             monkeypatch.setattr(trifem.fespace, name, counted)
         spec = default_spec("poisson", degree=2, refinements=1)
         th = fe_mesh(uniform_refine(square_mesh(spec.bbox, spec.h0)), spec.selectors)
@@ -436,6 +455,10 @@ class TestLevelCache:
                 arr[0, 0] = 1.0
         cached = [v for v in th._cache.values() if isinstance(v, np.ndarray)]
         assert len(cached) >= 5 and not any(v.flags.writeable for v in cached)
+        # a kept record, shared by every caller, holds read-only arrays
+        records = [th.dof_map(space), th.mesh.topology]
+        assert not any(v.flags.writeable for r in records for v in vars(r).values()
+                       if isinstance(v, np.ndarray))
 
     def test_repeated_calls_share_one_copy(self):
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))

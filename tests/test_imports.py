@@ -1,11 +1,13 @@
 """Every name a trifem module imports is used in that module, every
-name in its ``__all__`` is defined there, and no module calls the
-builtins that run strings as code.
+name in its ``__all__`` is defined there, no module calls the builtins
+that run strings as code, and no function takes a topology beside its
+mesh.
 
 No linter ships with the project, so this parses each module with
 ``ast`` and fails on an imported name that the module never reads, an
-exported name that it never binds, or a call of bare ``eval``, ``exec``
-or ``compile``.
+exported name that it never binds, a call of bare ``eval``, ``exec`` or
+``compile``, or a function with both a ``mesh`` and a ``topo``
+parameter.
 """
 
 import ast
@@ -123,3 +125,35 @@ def test_no_module_runs_a_string_as_code(path):
 ])
 def test_the_code_check_sees_bare_calls_only(source, calls):
     assert _code_running_calls(source) == calls
+
+
+def _topology_beside_mesh(source):
+    """Functions that take both a ``mesh`` and a ``topo`` parameter: a
+    mesh keeps its own topology (``Mesh2d.topology``), so a second one
+    could only disagree with it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+            if {"mesh", "topo"} <= names:
+                found.add(getattr(node, "name", "<lambda>"))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_function_takes_a_topology_beside_its_mesh(path):
+    assert _topology_beside_mesh(path.read_text()) == set()
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(mesh, topo, space): pass\n", {"f"}),
+    ("def f(mesh, *, topo=None): pass\n", {"f"}),
+    ("class C:\n    def m(self, topo, mesh): pass\n", {"m"}),
+    ("g = lambda mesh, topo: topo\n", {"<lambda>"}),
+    ("def f(topo, labels): pass\n", set()),
+    ("def f(mesh):\n    def g(topo): pass\n", set()),
+    ("def f(mesh, topology): pass\n", set()),
+])
+def test_the_topology_check_sees_each_signature(source, found):
+    assert _topology_beside_mesh(source) == found

@@ -1,6 +1,7 @@
 """FreeFEM mesh/solution ingestion and CSV result tables."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,31 @@ from trifem.io import MshFormatError, format_real
 from trifem.mesh import signed_area
 
 
+# two copies of one triangle: they overlap along every edge
+OVERLAPPING_MSH = "4 2 0\n0 0 1\n1 0 1\n0 1 1\n1 1 1\n1 2 3 0\n1 2 3 0\n"
+
+
 class TestReadMsh:
+    def test_a_nonconforming_file_is_named_with_its_path(self, tmp_path):
+        path = tmp_path / "dup.msh"
+        path.write_text(OVERLAPPING_MSH)
+        with pytest.raises(MshFormatError,
+                           match=f"^{re.escape(str(path))}: both triangles of edge "
+                                 r"\(0, 1\) traverse it the same way"):
+            read_freefem_msh(path)
+
+    def test_the_reader_keeps_the_topology_it_checked(self, tmp_path, monkeypatch):
+        path = tmp_path / "square.msh"
+        mesh = square_mesh([0, 1, 0, 1], 0.5)
+        write_freefem_msh(path, mesh, boundary=mesh.topology.bd_edge)
+        built = []
+        original = trifem.mesh.build_topology
+        monkeypatch.setattr(trifem.mesh, "build_topology",
+                            lambda m: built.append(m) or original(m))
+        back, _ = read_freefem_msh(path)
+        assert built == [back]
+        assert fe_mesh(back).topo is back.topology and built == [back]
+
     def test_hand_written_single_triangle(self, tmp_path):
         path = tmp_path / "tri.msh"
         path.write_text("3 1 3\n"
@@ -310,6 +335,11 @@ class TestWriteResults:
         with pytest.raises(ValueError):
             write_results(tmp_path / "x.csv", ["a", "b"], [[1], [1, 2]])
 
+    def test_a_header_per_column(self, tmp_path):
+        with pytest.raises(ValueError, match="1 headers for 2 columns"):
+            write_results(tmp_path / "x.csv", ["a"], [[1], [2]])
+        assert not (tmp_path / "x.csv").exists()
+
 
 def test_read_mesh_usable_for_assembly(tmp_path):
     mesh = square_mesh([0, 1, 0, 1], 0.5)
@@ -332,14 +362,14 @@ def test_label_based_boundary_partition(tmp_path):
     write_freefem_msh(path, mesh, boundary=topo.bd_edge, boundary_label=labels)
     back, raw = read_freefem_msh(path)
 
-    t2 = build_topology(back)
+    t2 = back.topology
     part = classify_boundary_by_labels(t2, raw.edge, raw.edge_label)
     assert [len(r.edge_idx) for r in part] == [6, 2, 0]  # label 1, label 2, rest
     left = back.node[part[1].node_idx]
     assert np.all(left[:, 0] == 0.0)
 
     # a label partition drops into the usual solve pipeline
-    th = FeMesh(mesh=back, topo=t2, partition=part)
+    th = FeMesh(mesh=back, partition=part)
     from trifem import DirichletSpec, apply_dirichlet_and_solve, assemble_system, var_form
     kk = assemble_system(th, var_form(1, "v.grad", "u.grad"), ["P1"], 3)
     uh = apply_dirichlet_and_solve(

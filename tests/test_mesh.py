@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import trifem
 from trifem import (FeFunction, Mesh2d, SparseTriples, build_dof_map,
                     build_topology, classify_boundary, fe_mesh, square_mesh,
                     uniform_refine)
@@ -90,27 +91,6 @@ class TestUniformRefine:
         m = uniform_refine(uniform_refine(unit_triangle()))
         assert np.all(build_topology(m).area > 0)
 
-    @pytest.mark.parametrize("bbox,h0,refines", [([0, 1, 0, 1], 0.5, 3),
-                                                 ([0, 2, 0, 1], 0.25, 1)])
-    def test_a_given_topology_refines_to_the_same_bits(self, bbox, h0, refines):
-        m = square_mesh(bbox, h0)
-        for _ in range(refines):
-            m = uniform_refine(m)
-        built, given = uniform_refine(m), uniform_refine(m, build_topology(m))
-        assert built.node.tobytes() == given.node.tobytes()
-        assert np.array_equal(built.elem, given.elem)
-
-    def test_a_topology_of_another_mesh_is_rejected(self):
-        m = square_mesh([0, 1, 0, 1], 0.5)
-        with pytest.raises(ValueError, match="topology of 32 triangles"):
-            uniform_refine(m, build_topology(uniform_refine(m)))
-        # another mesh of 8 triangles too: its topology used to fail
-        # later, as a triangle of non-positive signed area
-        other = build_topology(square_mesh([0, 2, 0, 0.5], 0.5))
-        with pytest.raises(ValueError, match="topology of 8 triangles was built "
-                                             "for another mesh"):
-            uniform_refine(m, other)
-
     def test_the_ladder_builds_each_level_topology_once(self, monkeypatch):
         import trifem.mesh
         from trifem.problems import default_spec, run_problem
@@ -123,6 +103,49 @@ class TestUniformRefine:
         monkeypatch.setattr(trifem.mesh, "build_topology", counted)
         run_problem(default_spec("poisson", degree=1, refinements=3))
         assert built == [8, 32, 128, 512]   # the base mesh, then each level
+        del built[:]
+        # every reader of a level's topology after the first reuses it
+        from trifem.problems import _levels
+        for th, _ in _levels(default_spec("poisson", refinements=3)):
+            th.dof_map("P3")
+            assert th.topo is th.mesh.topology
+            trifem.mesh.prolongation(th.mesh)
+            uniform_refine(th.mesh.parent)
+        assert built == [8, 32, 128, 512]
+
+
+class TestKeptTopology:
+    """A mesh keeps its topology; no function takes one beside its mesh."""
+
+    def test_the_mesh_keeps_what_build_topology_builds(self):
+        m = square_mesh([0, 1, 0, 1], 0.5)
+        topo = m.topology
+        assert m.topology is topo and topo.area is m.area
+        fresh = build_topology(m)       # public and uncached: a new build
+        assert fresh is not topo
+        for name in ("edge", "elem2edge", "bd_edge", "bd_edge_idx", "edge_length"):
+            assert np.array_equal(getattr(fresh, name), getattr(topo, name))
+
+    def test_the_bundle_reads_its_mesh_topology(self):
+        m = square_mesh([0, 1, 0, 1], 0.5)
+        th = fe_mesh(m, "x==0")
+        assert th.topo is m.topology and fe_mesh(m).topo is m.topology
+        with pytest.raises(AttributeError):
+            th.topo = build_topology(m)
+
+    @pytest.mark.parametrize("call", [
+        lambda m, t: uniform_refine(m, t),
+        lambda m, t: build_dof_map(m, t, "P2"),
+        lambda m, t: trifem.fespace.lam_gradients(m, t),
+        lambda m, t: classify_boundary(m, t, ["x==0"]),
+        lambda m, t: classify_boundary(m, t),
+        lambda m, t: trifem.FeMesh(mesh=m, topo=t, partition=classify_boundary(m)),
+    ], ids=["uniform_refine", "build_dof_map", "lam_gradients",
+            "classify_boundary", "classify_boundary-no-selectors", "FeMesh"])
+    def test_a_topology_beside_its_mesh_is_a_type_error(self, call):
+        m = square_mesh([0, 1, 0, 1], 0.5)
+        with pytest.raises(TypeError):
+            call(m, build_topology(square_mesh([0, 2, 0, 0.5], 0.5)))
 
 
 class TestTopology:
@@ -251,46 +274,41 @@ class TestTopology:
 class TestClassifyBoundary:
     def test_single_selector(self):
         m = square_mesh([0, 1, 0, 1], 0.5)
-        topo = build_topology(m)
-        part = classify_boundary(m, topo, ["x==1"])
+        part = classify_boundary(m, ["x==1"])
         assert len(part) == 2
         assert len(part[0].edge_idx) == 2
         assert len(part[1].edge_idx) == 6
 
     def test_two_selectors(self):
         m = square_mesh([0, 1, 0, 1], 0.5)
-        topo = build_topology(m)
-        part = classify_boundary(m, topo, ["x==1", "y==0"])
+        part = classify_boundary(m, ["x==1", "y==0"])
         assert [len(r.edge_idx) for r in part] == [2, 2, 4]
 
     def test_no_selectors(self):
         m = square_mesh([0, 1, 0, 1], 0.5)
-        topo = build_topology(m)
-        part = classify_boundary(m, topo)
+        part = classify_boundary(m)
         assert len(part) == 1
         assert len(part[0].edge_idx) == 8
 
     def test_partition_is_exact(self):
         m = square_mesh([0, 1, 0, 1], 0.25)
         topo = build_topology(m)
-        part = classify_boundary(m, topo, ["x==1", "y>0.99"])
+        part = classify_boundary(m, ["x==1", "y>0.99"])
         combined = np.concatenate([r.edge_idx for r in part])
         assert len(combined) == len(set(combined))
         assert set(combined) == set(topo.bd_edge_idx)
 
     def test_first_match_wins(self):
         m = square_mesh([0, 1, 0, 1], 0.5)
-        topo = build_topology(m)
         # both selectors match the whole boundary; everything goes to the first
-        part = classify_boundary(m, topo, ["x<2", "y<2"])
+        part = classify_boundary(m, ["x<2", "y<2"])
         assert len(part[0].edge_idx) == 8
         assert len(part[1].edge_idx) == 0
         assert len(part[2].edge_idx) == 0
 
     def test_node_idx_collects_endpoints(self):
         m = square_mesh([0, 1, 0, 1], 0.5)
-        topo = build_topology(m)
-        part = classify_boundary(m, topo, ["x==1"])
+        part = classify_boundary(m, ["x==1"])
         xs = m.node[part[0].node_idx, 0]
         assert np.all(xs == 1.0)
         assert len(part[0].node_idx) == 3
@@ -299,7 +317,7 @@ class TestClassifyBoundary:
         from trifem import classify_boundary_by_labels
         m = square_mesh([0, 1, 0, 1], 0.5)
         topo = build_topology(m)
-        by_selector = classify_boundary(m, topo, ["x<2"])[1]
+        by_selector = classify_boundary(m, ["x<2"])[1]
         by_label = classify_boundary_by_labels(topo, topo.bd_edge,
                                                np.ones(8, dtype=int))[1]
         for region in (by_selector, by_label):
@@ -336,12 +354,9 @@ def _unit_square():
 ARRAY_RECORDS = {
     "Mesh2d": _unit_square,
     "MeshTopology": lambda: build_topology(_unit_square()),
-    "BoundaryPartition": lambda: classify_boundary(
-        _unit_square(), build_topology(_unit_square()), ["x==0"]),
-    "BoundaryRegion": lambda: classify_boundary(
-        _unit_square(), build_topology(_unit_square()))[0],
-    "DofMap": lambda: build_dof_map(_unit_square(), build_topology(_unit_square()),
-                                    "P2"),
+    "BoundaryPartition": lambda: classify_boundary(_unit_square(), ["x==0"]),
+    "BoundaryRegion": lambda: classify_boundary(_unit_square())[0],
+    "DofMap": lambda: build_dof_map(_unit_square(), "P2"),
     "FeFunction": lambda: FeFunction(np.arange(9.0), "P1"),
     "SparseTriples": lambda: SparseTriples(np.array([0, 1]), np.array([1, 0]),
                                            np.array([2.0, 3.0]), 2, 2),

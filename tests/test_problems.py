@@ -59,6 +59,11 @@ class TestProblemTable:
         with pytest.raises(ValueError, match="refine"):
             default_spec("poisson", refine=3)
 
+    def test_an_unknown_problem_is_named(self):
+        with pytest.raises(ValueError, match="unknown problem 'poison'; expected one of "
+                                             "poisson, "):
+            run_problem(ProblemSpec(problem="poison"))
+
     @pytest.mark.parametrize("problem", ["elasticity-disp", "biharmonic-block",
                                          "biharmonic-vector", "stokes",
                                          "ns-newton"])
@@ -351,6 +356,11 @@ class TestBiharmonicDriver:
         assert rep.slopes["w_L2"] == pytest.approx(2.5, abs=0.3)
         assert rep.slopes["w_H1"] == pytest.approx(1.5, abs=0.3)
         assert rep.slopes["u_H1"] == pytest.approx(3.0, abs=0.3)
+
+    def test_an_unknown_mode_is_named(self):
+        spec = default_spec("biharmonic-vector")
+        with pytest.raises(ValueError, match="unknown biharmonic mode 'mixed'"):
+            solve_biharmonic(refined_th(levels=1), spec, mode="mixed")
 
     def test_dirichlet_applies_to_u_only(self):
         spec = default_spec("biharmonic-vector", degree=1)

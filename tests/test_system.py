@@ -566,7 +566,7 @@ class TestMultigrid:
         assert built == [] and len(mg_solvers) == 2
         assert np.array_equal(first, again)
         # a finer level reuses the ladder below it
-        fine = fe_mesh(uniform_refine(th.mesh, th.topo), ("x==0",))
+        fine = fe_mesh(uniform_refine(th.mesh), ("x==0",))
         kk, ff, spec = p1_problem(fine, 1, "v.grad", "u.grad")
         apply_dirichlet_and_solve(fine, kk, ff, spec)
         assert built == [fine.mesh] and mg_solvers[-1].method == "mg-pcg"
