@@ -6,8 +6,15 @@ accumulates, over the elementary entries of a form,
     K[e, i, j] += |K_e| * sum_p w_p * cc[e, p] * vi[e, p] * uj[e, p]
 
 for a bilinear form, and the same contraction without the trial table,
-F[e, i], for a linear one; one einsum covers all elements at once, on
-a contraction path planned once per subscripts and operand shapes.  The
+F[e, i], for a linear one.  The per-point work runs one block of at
+most ``fespace.BLOCK_CELLS`` consecutive cells at a time: per block each
+distinct coefficient is evaluated once (the dx and dy entries of a
+grad.grad pair share it) and one einsum per entry contracts the
+block's cells, writing its local arrays into the one (NC, ...) result.
+A mesh of one block runs one einsum per entry over all its cells.  The
+tables are tabulated once per call, and every block contracts on the
+path planned for the shapes of all the cells (once per subscripts and
+shapes), so the result is the one-block result bit for bit.  The
 local arrays scatter through the dof maps into a load vector (bincount)
 or into (ii, jj, ss) index triples.  The cells of an integral (every
 triangle, or the edges of one boundary region) are one
@@ -142,21 +149,51 @@ def _component_index(symbol, prefix, ncomp):
 def _local_kernel(cells, entries, spaces):
     """Local arrays (NC, nlv) or (NC, nlv, nlu) for elementary entries on
     the cells; spaces is [test] for a linear form, [test, trial] for a
-    bilinear one."""
+    bilinear one.  The per-point work runs one block of cells at a time
+    (see Cells.blocks), each block's local arrays written into the one
+    result; each entry's tables are tabulated and its contraction
+    planned once, from the shapes of all the cells."""
     output = "->e" + "ij"[:len(spaces)]
-    local = None
+    plans = []
     for entry in entries:
-        cc = coef_to_matrix(entry.coef, cells.th, cells.order, cells.region)
-        operands, inputs = [cells.rule.weight, cc], ["p", "ep"]
+        tables, inputs = [], ["p", "ep"]
         for letter, space, side in zip("ij", spaces, (entry.test, entry.trial)):
             table = tabulate_basis(side.terms[0].tag, cells.th, space, cells.order,
                                    cells.region)
             table, axes = _squeezed(table, letter + "ep")
-            operands.append(table)
+            tables.append((table, axes.find("e")))
             inputs.append(axes)
-        blk = _einsum(",".join(inputs) + output, *operands)
-        local = blk if local is None else np.add(local, blk, out=local)
-    local *= cells.measure.reshape((-1,) + (1,) * len(spaces))
+        subscripts = ",".join(inputs) + output
+        shapes = [cells.rule.weight.shape, cells.shape] + [t.shape for t, _ in tables]
+        plans.append((subscripts, _path(subscripts, shapes), tables))
+    local = None
+    for blk in cells.blocks():
+        part = _block_kernel(blk, entries, plans)
+        if blk is cells:                # one block: its array is the result
+            return part
+        if local is None:
+            local = np.empty((len(cells.measure),) + part.shape[1:])
+        blk.part(local)[...] = part
+    return local
+
+
+def _block_kernel(blk, entries, plans):
+    """The local arrays of one block of cells; each distinct coefficient
+    (the dx and dy entries of a grad.grad pair share theirs) is
+    evaluated once."""
+    coefs = {}
+    local = None
+    for entry, (subscripts, path, tables) in zip(entries, plans):
+        cc = coefs.get(id(entry.coef))
+        if cc is None:
+            cc = coefs[id(entry.coef)] = coef_to_matrix(
+                entry.coef, blk.th, blk.order, blk.region, blk.block)
+        # a table without a cell axis (find gives -1) serves every block
+        val = np.einsum(subscripts, blk.rule.weight, cc,
+                        *(table if axis < 0 else blk.part(table, axis)
+                          for table, axis in tables), optimize=path)
+        local = val if local is None else np.add(local, val, out=local)
+    local *= blk.measure.reshape((-1,) + (1,) * (local.ndim - 1))
     return local
 
 
@@ -174,14 +211,16 @@ def _squeezed(table, axes):
 _PATHS = {}
 
 
-def _einsum(subscripts, *operands):
-    """np.einsum on the path optimize=True plans, planned once per
-    subscripts and operand shapes."""
-    key = (subscripts,) + tuple(op.shape for op in operands)
+def _path(subscripts, shapes):
+    """The path np.einsum's optimize=True plans for operands of these
+    shapes, planned once per subscripts and shapes.  Every block of a
+    call contracts on the path of all its cells, as one call did."""
+    key = (subscripts,) + tuple(shapes)
     path = _PATHS.get(key)
     if path is None:
-        path = _PATHS[key] = np.einsum_path(subscripts, *operands, optimize=True)[0]
-    return np.einsum(subscripts, *operands, optimize=path)
+        dummies = [np.broadcast_to(0.0, shape) for shape in shapes]
+        path = _PATHS[key] = np.einsum_path(subscripts, *dummies, optimize=True)[0]
+    return path
 
 
 def load_operator(th, space, quad_order, region=None):

@@ -314,10 +314,11 @@ def classify_boundary(mesh, selectors=()):
 
     Every boundary edge goes to the first selector whose predicate holds
     at the edge midpoint; leftovers form the final region.  With no
-    selectors the single region is the entire boundary.
+    selectors the single region is the entire boundary.  A bare string
+    is one selector.
     """
     topo = mesh.topology
-    selectors = tuple(selectors)
+    selectors = (selectors,) if isinstance(selectors, str) else tuple(selectors)
     predicates = [parse_selector(s) for s in selectors]
     mids = 0.5 * (mesh.node[topo.bd_edge[:, 0]] + mesh.node[topo.bd_edge[:, 1]])
 
@@ -388,7 +389,6 @@ class FeMesh:
 
 
 def fe_mesh(mesh, selectors=()):
-    """Build the FeMesh bundle: the mesh and its boundary partition."""
-    if isinstance(selectors, str):
-        selectors = (selectors,)
+    """Build the FeMesh bundle: the mesh and its boundary partition; a
+    bare string is one selector."""
     return FeMesh(mesh=mesh, partition=classify_boundary(mesh, selectors))

@@ -68,8 +68,10 @@ largest entry.  CG runs to a relative residual of 1e-14 on S: 12 to 26
 iterations from refine 1 to 5.
 
 Error norms integrate (u - u_h)^2 and |grad u - grad u_h|^2 by
-quadrature; convergence rates are least-squares slopes of log(err)
-against log(h).
+quadrature, one block of cells at a time (``Cells.integrate_fe``): each
+block's sum over its points goes into one per-cell vector, which the
+cell measures weight in one product.  Convergence rates are
+least-squares slopes of log(err) against log(h).
 """
 
 import warnings
@@ -79,7 +81,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-# compress and quad_points_2d are unused here; perfbench/spans.py wraps them
+# compress, coef_matrix_from_dofs and quad_points_2d are unused here;
+# perfbench/spans.py wraps them
 from .assembly import AssembledSystem, compress
 from .fespace import (Cells, _check_shape, _eval_pointfun, coef_matrix_from_dofs,
                       fe_space, quad_points_2d, region_dofs)
@@ -581,23 +584,24 @@ def apply_dirichlet_and_solve(th, system, rhs, spec):
 
 
 def error_L2(th, space, quad_order, exact, dofs):
-    """L2 norm of (exact - FE function) by quadrature."""
-    space = fe_space(space)
-    cells = Cells(th, quad_order)
-    uh = coef_matrix_from_dofs(dofs, "val", th, space, quad_order)
-    sq = (cells.values(exact) - uh) ** 2
-    return float(np.sqrt(cells.integrate(sq)))
+    """L2 norm of (exact - FE function) by quadrature, one block of
+    cells at a time (see Cells.integrate_fe)."""
+    def sq(blk, uh):
+        return (blk.values(exact) - uh) ** 2
+
+    return float(np.sqrt(Cells(th, quad_order).integrate_fe(sq, dofs, space,
+                                                              ("val",))))
 
 
 def error_H1_semi(th, space, quad_order, exact_grad, dofs):
-    """H1 seminorm of the error; exact_grad returns (m, 2) gradients."""
-    space = fe_space(space)
-    cells = Cells(th, quad_order)
-    dxh = coef_matrix_from_dofs(dofs, "dx", th, space, quad_order)
-    dyh = coef_matrix_from_dofs(dofs, "dy", th, space, quad_order)
-    ge = cells.values(exact_grad, 2)
-    sq = (ge[:, :, 0] - dxh) ** 2 + (ge[:, :, 1] - dyh) ** 2
-    return float(np.sqrt(cells.integrate(sq)))
+    """H1 seminorm of the error, one block of cells at a time;
+    exact_grad returns (m, 2) gradients."""
+    def sq(blk, dxh, dyh):
+        ge = blk.values(exact_grad, 2)
+        return (ge[:, :, 0] - dxh) ** 2 + (ge[:, :, 1] - dyh) ** 2
+
+    return float(np.sqrt(Cells(th, quad_order).integrate_fe(sq, dofs, space,
+                                                              ("dx", "dy"))))
 
 
 def fit_rate(h, err):

@@ -146,16 +146,17 @@ def standardize_symbols(vstr, ustr, form):
     return VarForm(entries=entries)
 
 
-def coef_to_matrix(coef, th, quad_order, region=None):
+def coef_to_matrix(coef, th, quad_order, region=None, block=None):
     """Normalize any coefficient form to a coefficient matrix.
 
     Functions and constants are evaluated at the quadrature points of
     every element (or region edge); a FeFunction is evaluated from its
     dof vector; a ready matrix is passed through after a shape check.
     On a region's edges a 2-component function is contracted with the
-    outward normal, as for flux data.
+    outward normal, as for flux data.  ``block``, a slice of the cells
+    (see fespace.Cells), gives the matrix of those cells only.
     """
-    cells = Cells(th, quad_order, region)
+    cells = Cells(th, quad_order, region, block)
     if isinstance(coef, FeFunction):
         return cells.fe_values(coef.dofs, coef.space)
     if callable(coef):
@@ -163,7 +164,8 @@ def coef_to_matrix(coef, th, quad_order, region=None):
     arr = np.asarray(coef, dtype=float)
     if arr.ndim == 0:
         return np.full(cells.shape, float(arr))
-    if arr.shape != cells.shape:
+    want = Cells(th, quad_order, region).shape
+    if arr.shape != want:
         raise FormError(f"coefficient matrix has shape {arr.shape}, "
-                        f"expected {cells.shape}")
-    return arr
+                        f"expected {want}")
+    return cells.part(arr)

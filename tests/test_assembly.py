@@ -479,9 +479,10 @@ def test_planned_contraction_paths_assemble_the_same_bits(monkeypatch):
     paths = dict(trifem.assembly._PATHS)
     again = [assemble_system(th, *args).matrix() for args in forms]
     assert trifem.assembly._PATHS == paths          # each plan made once
-    monkeypatch.setattr(trifem.assembly, "_einsum",
-                        lambda subscripts, *ops: np.einsum(subscripts, *ops,
-                                                           optimize=True))
+    monkeypatch.setattr(trifem.assembly, "_path",
+                        lambda subscripts, shapes: np.einsum_path(
+                            subscripts, *(np.zeros(s) for s in shapes),
+                            optimize=True)[0])
     replanned = [assemble_system(th, *args).matrix() for args in forms]
     for a, b, c in zip(planned, again, replanned):
         for attr in ("data", "indices", "indptr"):

@@ -3,20 +3,35 @@
 
 The test fails when an entry moves by more than ``RTOL``, and prints
 each driver's largest distance in ulp (run with -s to see it), so a
-change can state "bit for bit" or the size of a move."""
+change can state "bit for bit" or the size of a move.  The cases are
+rerun with the kernel and the error norms in blocks of 64 cells, which
+must not move them by one ulp."""
 
 import math
 
 import pytest
 
+import trifem.fespace
 from driver_record import by_driver, compute, load, mismatches, table, ulps
 
 
-def test_every_driver_matches_its_record():
-    got, stored = compute(), load()
+@pytest.fixture(scope="module")
+def got():
+    return compute()
+
+
+def test_every_driver_matches_its_record(got):
+    stored = load()
     print("\n" + table(by_driver(got, stored)))
     assert got.keys() == stored.keys()
     assert mismatches(got, stored) == []
+
+
+def test_blocks_of_64_cells_move_no_driver_by_one_ulp(got, monkeypatch):
+    monkeypatch.setattr(trifem.fespace, "BLOCK_CELLS", 64)
+    distances = by_driver(compute(), got)
+    print("\n" + table(distances))
+    assert set(distances.values()) == {0}
 
 
 @pytest.mark.parametrize("got, stored, expected", [

@@ -20,6 +20,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "trifem"
 # imported only so that perfbench/spans.py can wrap them in that module
 PERFBENCH_HOOKS = {
     "problems.evaluate_at_points",
+    "system.coef_matrix_from_dofs",
     "system.compress",
     "system.quad_points_2d",
     "vform.coef_matrix_from_dofs",

@@ -279,6 +279,17 @@ class TestClassifyBoundary:
         assert len(part[0].edge_idx) == 2
         assert len(part[1].edge_idx) == 6
 
+    @pytest.mark.parametrize("selector", ["x==1", "y"])
+    def test_a_bare_string_is_one_selector(self, selector):
+        # a string is not iterated character by character: 'x==1' parses
+        # whole, and 'y' names one selector, not the selector y
+        m = square_mesh([0, 1, 0, 1], 0.5)
+        part = classify_boundary(m, selector)
+        listed = classify_boundary(m, [selector])
+        assert part.selectors == (selector,)
+        assert [r.edge_idx.tolist() for r in part] == \
+            [r.edge_idx.tolist() for r in listed]
+
     def test_two_selectors(self):
         m = square_mesh([0, 1, 0, 1], 0.5)
         part = classify_boundary(m, ["x==1", "y==0"])

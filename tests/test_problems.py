@@ -11,7 +11,8 @@ import scipy.sparse.linalg as spla
 import trifem.problems
 from trifem import (FeFunction, SelectorError, VarForm, assemble_system,
                     coef_matrix_from_dofs, dirichlet_dofs, error_L2, fe_mesh,
-                    interpolate_nodal, square_mesh, uniform_refine, var_form)
+                    integrate_fe, interpolate_nodal, square_mesh, uniform_refine,
+                    var_form)
 from trifem.fespace import Cells
 from trifem.problems import (PROBLEM_IDS, HeatData, NewtonResult,
                              PoissonData, ProblemSpec, default_spec,
@@ -744,8 +745,7 @@ class TestNewtonDriver:
         res, th = run_ns_newton(spec)
         for got, want in zip((res.u1, res.u2, res.p), solve_stokes(th, spec)):
             assert got.tobytes() == want.tobytes()
-        cells = Cells(th, spec.order)
-        mean = cells.integrate(coef_matrix_from_dofs(res.p, "val", th, "P1", spec.order))
+        mean = integrate_fe(res.p, th, "P1", spec.order)
         assert abs(mean) <= 1e-12 * np.abs(res.p).max()
 
     @pytest.mark.parametrize("refinements", [1, 3])
