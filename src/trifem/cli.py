@@ -84,13 +84,6 @@ def _parse_bbox(text):
         raise UsageError(f"--square expects numbers, got {text!r}") from None
 
 
-def _grid_spacing(h):
-    """--h, if it is a finite number > 0."""
-    if not (math.isfinite(h) and h > 0):
-        raise UsageError(f"--h must be a finite number > 0, got {h!r}")
-    return h
-
-
 def validate(args):
     """Normalize run flags into a ProblemSpec; default_spec rejects
     contradictions and values out of range."""
@@ -165,7 +158,13 @@ def _cmd_run(args):
 
 
 def _cmd_mesh(args):
-    mesh = square_mesh(_parse_bbox(args.square), _grid_spacing(args.h))
+    bbox = _parse_bbox(args.square)
+    if not (math.isfinite(args.h) and args.h > 0):
+        raise UsageError(f"--h must be a finite number > 0, got {args.h!r}")
+    try:
+        mesh = square_mesh(bbox, args.h)
+    except ValueError as exc:     # a box the spacing does not divide, say
+        raise UsageError(str(exc)) from None
     if args.refine < 0:
         raise UsageError(f"--refine must be >= 0, got {args.refine}")
     for _ in range(args.refine):
@@ -203,14 +202,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # argparse requires one of the three subcommands
+    commands = {"run": _cmd_run, "mesh": _cmd_mesh, "convert": _cmd_convert}
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "mesh":
-            return _cmd_mesh(args)
-        if args.command == "convert":
-            return _cmd_convert(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return commands[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

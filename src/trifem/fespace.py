@@ -79,11 +79,15 @@ def fe_space(name):
 
 @dataclass(frozen=True, eq=False)
 class DofMap:
-    """Per-element global dof indices, dof total, and dof coordinates."""
+    """Per-element global dof indices and the coordinates of each dof."""
 
     elem2dof: np.ndarray
-    num_dofs: int
     dof_point: np.ndarray
+
+    @property
+    def num_dofs(self):
+        """The dof total: one dof_point per dof."""
+        return len(self.dof_point)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +109,7 @@ def build_dof_map(mesh, space):
     n, nt = len(node), len(elem)
 
     if space.degree == 1:
-        return DofMap(elem2dof=elem.copy(), num_dofs=n, dof_point=node.copy())
+        return DofMap(elem2dof=elem.copy(), dof_point=node.copy())
 
     topo = mesh.topology
     edge = topo.edge
@@ -113,8 +117,7 @@ def build_dof_map(mesh, space):
     if space.degree == 2:
         elem2dof = np.column_stack([elem, n + topo.elem2edge])
         mid = 0.5 * (node[edge[:, 0]] + node[edge[:, 1]])
-        return DofMap(elem2dof=elem2dof, num_dofs=n + ne,
-                      dof_point=np.vstack([node, mid]))
+        return DofMap(elem2dof=elem2dof, dof_point=np.vstack([node, mid]))
 
     # P3: two dofs per edge ordered along the global edge direction,
     # plus a centroid dof per triangle.
@@ -135,8 +138,7 @@ def build_dof_map(mesh, space):
     third[0::2] = za + (zb - za) / 3.0
     third[1::2] = za + 2.0 * (zb - za) / 3.0
     centroid = node[elem].mean(axis=1)
-    return DofMap(elem2dof=elem2dof, num_dofs=n + 2 * ne + nt,
-                  dof_point=np.vstack([node, third, centroid]))
+    return DofMap(elem2dof=elem2dof, dof_point=np.vstack([node, third, centroid]))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +262,7 @@ class Cells:
 
     def __post_init__(self):
         if self.region is None:
-            rule, measure = triangle_rule(self.order), self.th.topo.area
+            rule, measure = triangle_rule(self.order), self.th.mesh.area
         else:
             rule = segment_rule(self.order)
             measure = self.th.topo.edge_length[self.region.edge_idx]
@@ -466,7 +468,7 @@ def edge_quad_points(th, region, rule):
 def outward_normals(th, region):
     """Outward unit normals of the region's boundary edges; (NBE, 2)."""
     d = th.mesh.node[region.edges[:, 1]] - th.mesh.node[region.edges[:, 0]]
-    length = np.hypot(d[:, 0], d[:, 1])
+    length = th.topo.edge_length[region.edge_idx]
     return np.column_stack([d[:, 1], -d[:, 0]]) / length[:, None]
 
 
@@ -556,7 +558,7 @@ def evaluate_at_points(dofs, th, space, points, tol=1e-12):
     elem2dof = th.dof_map(space).elem2dof
     points = np.atleast_2d(np.asarray(points, dtype=float))
     z = th.mesh.node[th.mesh.elem]              # (NT, 3, 2)
-    twoa = 2.0 * th.topo.area
+    twoa = 2.0 * th.mesh.area
     out = np.full(len(points), np.nan)
     for m, pt in enumerate(points):
         d = z - pt                              # (NT, 3, 2)

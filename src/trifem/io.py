@@ -104,16 +104,14 @@ def read_freefem_msh(path):
     if edge.size and (edge.min() < 0 or edge.max() >= nv):
         raise MshFormatError(f"{path}: edge vertex index out of range 1..{nv}")
 
-    # reorient clockwise triangles; their areas change sign exactly.  A
-    # non-finite node, whose areas may be NaN, is Mesh2d's to reject
+    # reorient clockwise triangles; Mesh2d computes and checks the areas,
+    # and rejects a non-finite node (whose areas may be NaN)
     with np.errstate(invalid="ignore"):
-        area = signed_area(node, elem)
-    flip = area < 0
+        flip = signed_area(node, elem) < 0
     elem[flip] = elem[flip][:, [0, 2, 1]]
-    area[flip] = -area[flip]
 
     try:
-        mesh = Mesh2d(node=node, elem=elem, _area=area)
+        mesh = Mesh2d(node=node, elem=elem)
         mesh.topology       # built here, so a nonconforming edge names the file
     except ValueError as exc:
         raise MshFormatError(f"{path}: {exc}") from exc

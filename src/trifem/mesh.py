@@ -6,9 +6,9 @@ vertex-index triples.  ``build_topology`` derives the deduplicated edge
 list (each row sorted ascending), the element-to-edge map with the
 convention that local edge i is opposite local vertex i, the boundary
 edges (edges used by exactly one triangle, stored counterclockwise so
-the domain lies on their left), triangle areas and edge lengths.  A
-mesh keeps its own (``Mesh2d.topology``, built on first use), as
-FreeFEM's ``Th`` keeps its edges, so every function takes the mesh alone.
+the domain lies on their left) and edge lengths.  A mesh keeps its own
+(``Mesh2d.topology``, built on first use) beside its areas, as FreeFEM's
+``Th`` keeps its edges, so every function takes the mesh alone.
 
 ``classify_boundary`` splits the boundary edges into regions using
 selector strings evaluated at edge midpoints; the first matching
@@ -19,7 +19,7 @@ ladder of refinements is a multigrid hierarchy: ``prolongation`` reads
 the P1 interpolation between two levels off that link.
 """
 
-from dataclasses import InitVar, dataclass, field, is_dataclass
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,10 +36,9 @@ __all__ = ["Mesh2d", "MeshTopology", "BoundaryRegion", "BoundaryPartition",
 class Mesh2d:
     """Vertex coordinates (N, 2) and ccw triangle connectivity (NT, 3).
 
-    ``area`` holds the triangles' signed areas, computed once to check
-    the orientation and read-only; the topology reuses it.  A reader that
-    has already computed them (``io.read_freefem_msh``) passes them as
-    the private ``_area``.
+    ``area`` holds the triangles' signed areas, computed from node and
+    elem once to check the orientation, and read-only.  It is the one
+    copy of the areas: integrals and point evaluation read it here.
 
     A mesh made by ``uniform_refine`` remembers the mesh it refined
     (``parent``, else None): its node n + e is the midpoint of parent
@@ -49,12 +48,11 @@ class Mesh2d:
 
     node: np.ndarray
     elem: np.ndarray
-    _area: InitVar[np.ndarray] = None
     area: np.ndarray = field(init=False, repr=False)
     parent: "Mesh2d" = field(default=None, init=False, repr=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self, _area):
+    def __post_init__(self):
         node = np.ascontiguousarray(np.asarray(self.node, dtype=float))
         elem = np.ascontiguousarray(_indices(self.elem, "elem"))
         if node.ndim != 2 or node.shape[1] != 2:
@@ -69,7 +67,7 @@ class Mesh2d:
                              f"{tuple(node[bad[0]].tolist())}")
         object.__setattr__(self, "node", node)
         object.__setattr__(self, "elem", elem)
-        area = signed_area(node, elem) if _area is None else _area
+        area = signed_area(node, elem)
         bad = np.nonzero(area <= 0)[0]
         if len(bad):
             raise ValueError(f"triangle {bad[0]} has non-positive signed area "
@@ -132,15 +130,13 @@ class MeshTopology:
     elem2edge : (NT, 3) global index of the edge opposite each local vertex.
     bd_edge : (NBE, 2) boundary edges, oriented ccw along the boundary.
     bd_edge_idx : (NBE,) rows of ``edge`` that are boundary edges.
-    area : (NT,) triangle areas.
-    edge_length : (NE,) edge lengths.
+    edge_length : (NE,) edge lengths; the areas are ``Mesh2d.area``.
     """
 
     edge: np.ndarray
     elem2edge: np.ndarray
     bd_edge: np.ndarray
     bd_edge_idx: np.ndarray
-    area: np.ndarray
     edge_length: np.ndarray
 
     @property
@@ -150,12 +146,11 @@ class MeshTopology:
 
 @dataclass(frozen=True, eq=False)
 class BoundaryRegion:
-    """One boundary part: oriented edges, their global edge indices, and
-    the endpoint vertex indices."""
+    """One boundary part: its ccw edges and their global edge indices (rows
+    of ``MeshTopology.edge``); its vertices are ``np.unique(edges)``."""
 
     edges: np.ndarray
     edge_idx: np.ndarray
-    node_idx: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,12 +172,9 @@ class BoundaryPartition:
         return self.regions[i]
 
 
-def square_mesh(bbox, h):
-    """Uniform triangulation of the rectangle [x0,x1] x [y0,y1].
-
-    Each grid cell is split by its lower-left to upper-right diagonal
-    into two ccw triangles.  h must divide both side lengths.
-    """
+def _grid_lines(bbox, h):
+    """x and y grid lines of spacing h on the box (x0, x1, y0, y1); a
+    ValueError unless h is finite, > 0 and divides both box sides."""
     x0, x1, y0, y1 = map(float, bbox)
     # NaN fails every comparison, so it fails both tests
     if not 0 < h < np.inf:
@@ -195,9 +187,17 @@ def square_mesh(bbox, h):
     if abs(nx - round(nx)) > 1e-9 * max(1.0, nx) or abs(ny - round(ny)) > 1e-9 * max(1.0, ny):
         raise ValueError(f"spacing {h} does not divide the box sides {x1 - x0} x {y1 - y0}")
     nx, ny = int(round(nx)), int(round(ny))
+    return np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1)
 
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
+
+def square_mesh(bbox, h):
+    """Uniform triangulation of the rectangle [x0,x1] x [y0,y1].
+
+    Each grid cell is split by its lower-left to upper-right diagonal
+    into two ccw triangles.  h must divide both side lengths.
+    """
+    xs, ys = _grid_lines(bbox, h)
+    nx, ny = len(xs) - 1, len(ys) - 1
     xx, yy = np.meshgrid(xs, ys)  # row-major over y then x
     node = np.column_stack([xx.ravel(), yy.ravel()])
 
@@ -260,7 +260,7 @@ def _midpoint_prolongation(mesh):
 
 
 def build_topology(mesh):
-    """Derive edges, elem2edge, boundary edges, areas and edge lengths.
+    """Derive edges, elem2edge, boundary edges and edge lengths.
     Each call builds them anew; ``mesh.topology`` is the kept copy.
 
     Raises ValueError where the triangles do not form a conforming mesh
@@ -306,7 +306,7 @@ def build_topology(mesh):
     edge_length = np.hypot(vec[:, 0], vec[:, 1])
     return MeshTopology(edge=edge, elem2edge=elem2edge, bd_edge=bd_edge,
                         bd_edge_idx=bd_edge_idx.astype(np.int64),
-                        area=mesh.area, edge_length=edge_length)
+                        edge_length=edge_length)
 
 
 def classify_boundary(mesh, selectors=()):
@@ -331,13 +331,14 @@ def classify_boundary(mesh, selectors=()):
     return _partition(topo, region, len(selectors) + 1, selectors)
 
 
-def classify_boundary_by_labels(topo, labeled_edges, edge_labels):
-    """Partition the boundary edges by the labels a mesh file carries.
+def classify_boundary_by_labels(mesh, labeled_edges, edge_labels):
+    """Partition the mesh's boundary edges by the labels a mesh file carries.
 
     labeled_edges are vertex pairs (as read from the file), edge_labels
     their labels; one region per distinct label, in ascending label
     order.  Boundary edges without a label fall into a trailing region.
     """
+    topo = mesh.topology
     labeled_edges = _indices(labeled_edges, "labeled edges")
     edge_labels = np.asarray(edge_labels)
     lookup = {(int(a), int(b)): lab
@@ -355,9 +356,8 @@ def _partition(topo, region, nregions, selectors):
     regions = []
     for r in range(nregions):
         rows = np.nonzero(region == r)[0]
-        edges = topo.bd_edge[rows]
-        regions.append(BoundaryRegion(edges=edges, edge_idx=topo.bd_edge_idx[rows],
-                                      node_idx=np.unique(edges)))
+        regions.append(BoundaryRegion(edges=topo.bd_edge[rows],
+                                      edge_idx=topo.bd_edge_idx[rows]))
     return BoundaryPartition(regions=tuple(regions), selectors=selectors)
 
 

@@ -26,7 +26,7 @@ from .fespace import (Cells, _eval_pointfun, coef_matrix_from_dofs,
                       coef_matrix_on_edges, evaluate_at_points, fe_space,
                       interpolate_nodal, outward_normals)
 from .io import read_freefem_msh
-from .mesh import fe_mesh, square_mesh, uniform_refine
+from .mesh import _grid_lines, fe_mesh, square_mesh, uniform_refine
 from .quadrature import MAX_TRIANGLE_ORDER
 from .selector import parse_selector
 from .system import (DirichletSolver, DirichletSpec, RateReport,
@@ -385,7 +385,8 @@ def default_spec(problem, **overrides):
     refinement count, quadrature order, bounding box, grid spacing, time
     step, end time, Newton tolerance, iterate cap, viscosity or penalty
     out of range (see _CONTROLS), for a time step that does not divide
-    the end time, and for a selector that does not parse (SelectorError).
+    the end time or a grid spacing the box sides (without a mesh_path),
+    and for a selector that does not parse (SelectorError).
     """
     row = _row(problem)
     spec = ProblemSpec(problem=problem, **row.defaults)
@@ -412,6 +413,8 @@ def default_spec(problem, **overrides):
         if ignored:
             raise ValueError(f"{problem} reads mesh_path as given: "
                              f"{', '.join(ignored)} apply only to generated meshes")
+    else:
+        _grid_lines(spec.bbox, spec.h0)
     if spec.data is None:
         spec.data = row.data(spec)
     return spec

@@ -260,6 +260,22 @@ class TestMeshCommand:
         assert "--h must be a finite number > 0" in capsys.readouterr().err
         assert not (tmp_path / "m.msh").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--problem", "poisson", "--h", "0.3", "--refine", "1"],
+        ["mesh", "--h", "0.3"],
+        ["convert", "--square", "0,1,0,1", "--h", "0.3"]])
+    def test_a_grid_that_does_not_fit_its_box_is_a_usage_error(self, argv,
+                                                                 tmp_path, capsys):
+        out = ["--out", str(tmp_path / "m.msh")] if argv[0] == "convert" else []
+        assert main(argv + out) == 2
+        assert "spacing 0.3 does not divide the box sides 1.0 x 1.0" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "m.msh").exists()
+
+    def test_a_reversed_box_is_a_usage_error(self, capsys):
+        assert main(["mesh", "--square", "1,0,0,1", "--h", "0.5"]) == 2
+        assert "bounding box must be finite with x0 < x1" in capsys.readouterr().err
+
 
 class TestEmitTable:
     def test_single_level_no_rate_row(self, capsys):

@@ -13,8 +13,8 @@ from trifem import (DirichletSpec, FeFunction, FormError, Mesh2d,
                     fe_space, integrate_fe, interpolate_nodal, square_mesh,
                     tabulate_basis, uniform_refine, var_form)
 from trifem.fespace import (Cells, edge_quad_points, lam_gradients,
-                            quad_points_2d, shape_dlam, shape_values,
-                            trace_dof_map)
+                            outward_normals, quad_points_2d, shape_dlam,
+                            shape_values, trace_dof_map)
 from trifem.problems import default_spec, solve_poisson
 from trifem.quadrature import segment_rule, triangle_rule
 from trifem.terms import Term
@@ -295,6 +295,26 @@ class TestCoefMatrixOnEdges:
         flat = coef_matrix_on_edges(lambda p: p[:, 1], th, th.partition[0], 4)
         column = coef_matrix_on_edges(lambda p: p[:, 1:2], th, th.partition[0], 4)
         assert np.array_equal(column, flat)
+
+
+class TestOutwardNormals:
+    def test_they_match_an_independent_hypot_bit_for_bit(self):
+        # the edge lengths come from the topology's sorted edges, not the
+        # region's ccw ones; hypot is even, so the bits cannot differ
+        mesh = square_mesh([0, 1, 0, 1], 0.5)
+        for _ in range(3):
+            mesh = uniform_refine(mesh)
+        node = 1.37 * (mesh.node + 0.011 * np.sin(7.3 * mesh.node[:, ::-1] + 0.4))
+        th = fe_mesh(Mesh2d(node=node, elem=mesh.elem), ["x<0.7", "y<0.6"])
+        assert all(len(r.edge_idx) for r in th.partition)
+        for region in th.partition:
+            a, b = node[region.edges[:, 0]], node[region.edges[:, 1]]
+            d = b - a
+            length = np.hypot(d[:, 0], d[:, 1])
+            want = np.column_stack([d[:, 1] / length, -d[:, 0] / length])
+            got = outward_normals(th, region)
+            assert got.shape == (len(region.edge_idx), 2)
+            assert np.array_equal(got, want)
 
 
 class TestIntegrate:

@@ -76,32 +76,39 @@ class TestReadMsh:
                         "0.0 1.0 1\n"
                         "1 3 2 0\n")
         mesh, _ = read_freefem_msh(path)
-        assert build_topology(mesh).area[0] > 0
+        assert mesh.area[0] > 0
 
-    def test_areas_of_a_read_mesh_are_computed_once(self, tmp_path, monkeypatch):
+    def test_a_read_mesh_computes_its_own_area(self, tmp_path, monkeypatch):
+        # the reader decides the flips; the mesh computes and checks the
+        # areas of what it is given.  A flipped triangle's signed area is
+        # the exact negation of its clockwise one, so the bits match a
+        # mesh written counterclockwise
         mesh = square_mesh([0, 1, 0, 1], 0.25)
         node = mesh.node + 0.01 * np.sin(7 * mesh.node[:, ::-1])
         elem = mesh.elem.copy()
         elem[::3] = elem[::3][:, [0, 2, 1]]     # every third triangle clockwise
-        path = tmp_path / "mixed.msh"
-        write_freefem_msh(path, Mesh2d(node=node, elem=mesh.elem))
-        text = path.read_text().splitlines()
+        ccw_path, cw_path = tmp_path / "ccw.msh", tmp_path / "mixed.msh"
+        write_freefem_msh(ccw_path, Mesh2d(node=node, elem=mesh.elem))
+        text = ccw_path.read_text().splitlines()
         for t in range(0, len(elem), 3):
             i, j, k = elem[t] + 1
             text[1 + len(node) + t] = f"{i} {j} {k} 0"
-        path.write_text("\n".join(text) + "\n")
-        calls = []
+        cw_path.write_text("\n".join(text) + "\n")
+        ccw, _ = read_freefem_msh(ccw_path)
+        sizes = []
 
-        def counted(*args):
-            calls.append(1)
-            return signed_area(*args)
+        def counted(node, elem):
+            sizes.append(len(elem))
+            return signed_area(node, elem)
 
         monkeypatch.setattr(trifem.io, "signed_area", counted)
         monkeypatch.setattr(trifem.mesh, "signed_area", counted)
-        back, _ = read_freefem_msh(path)
-        assert len(calls) == 1
+        back, _ = read_freefem_msh(cw_path)
+        assert sizes == [32, 32]                # the reader's flips, the mesh's check
+        assert np.array_equal(back.node, ccw.node)
         assert np.array_equal(back.elem, mesh.elem)
-        assert np.array_equal(back.area, signed_area(back.node, back.elem))
+        assert np.array_equal(back.area, ccw.area)
+        assert np.array_equal(back.area, signed_area(node, mesh.elem))
         assert np.all(back.area > 0) and not back.area.flags.writeable
 
     def test_orientation_error_is_unchanged(self, tmp_path):
@@ -125,7 +132,7 @@ class TestReadMsh:
         t2 = build_topology(back)
         assert np.all(t2.edge[:, 0] < t2.edge[:, 1])
         assert t2.num_edges == back.num_nodes + back.num_elems - 1
-        assert np.all(t2.area > 0)
+        assert np.all(back.area > 0)
 
     def test_truncated_file_names_missing_section(self, tmp_path):
         path = tmp_path / "trunc.msh"
@@ -362,10 +369,9 @@ def test_label_based_boundary_partition(tmp_path):
     write_freefem_msh(path, mesh, boundary=topo.bd_edge, boundary_label=labels)
     back, raw = read_freefem_msh(path)
 
-    t2 = back.topology
-    part = classify_boundary_by_labels(t2, raw.edge, raw.edge_label)
+    part = classify_boundary_by_labels(back, raw.edge, raw.edge_label)
     assert [len(r.edge_idx) for r in part] == [6, 2, 0]  # label 1, label 2, rest
-    left = back.node[part[1].node_idx]
+    left = back.node[np.unique(part[1].edges)]
     assert np.all(left[:, 0] == 0.0)
 
     # a label partition drops into the usual solve pipeline

@@ -35,7 +35,7 @@ class TestSquareMesh:
 
     def test_all_ccw(self):
         m = square_mesh([0, 1, 0, 1], 0.25)
-        assert np.all(build_topology(m).area > 0)
+        assert np.all(m.area > 0)
 
     def test_bad_spacing(self):
         with pytest.raises(ValueError):
@@ -82,14 +82,14 @@ class TestUniformRefine:
     def test_area_preserved(self):
         m = square_mesh([0, 2, 0, 1], 0.5)
         for _ in range(3):
-            before = build_topology(m).area.sum()
+            before = m.area.sum()
             m = uniform_refine(m)
-            after = build_topology(m).area.sum()
+            after = m.area.sum()
             assert after == pytest.approx(before, rel=1e-12)
 
     def test_orientation_preserved(self):
         m = uniform_refine(uniform_refine(unit_triangle()))
-        assert np.all(build_topology(m).area > 0)
+        assert np.all(m.area > 0)
 
     def test_the_ladder_builds_each_level_topology_once(self, monkeypatch):
         import trifem.mesh
@@ -114,13 +114,20 @@ class TestUniformRefine:
         assert built == [8, 32, 128, 512]
 
 
+    def test_an_unrefined_mesh_has_no_prolongation(self):
+        from trifem.mesh import prolongation
+        coarse = square_mesh([0, 1, 0, 1], 0.5)
+        assert coarse.parent is None and prolongation(coarse) is None
+        assert prolongation(uniform_refine(coarse)).shape == (25, 9)
+
+
 class TestKeptTopology:
     """A mesh keeps its topology; no function takes one beside its mesh."""
 
     def test_the_mesh_keeps_what_build_topology_builds(self):
         m = square_mesh([0, 1, 0, 1], 0.5)
         topo = m.topology
-        assert m.topology is topo and topo.area is m.area
+        assert m.topology is topo
         fresh = build_topology(m)       # public and uncached: a new build
         assert fresh is not topo
         for name in ("edge", "elem2edge", "bd_edge", "bd_edge_idx", "edge_length"):
@@ -154,8 +161,9 @@ class TestTopology:
         assert np.all(topo.edge[:, 0] < topo.edge[:, 1])
 
     def test_single_triangle(self):
-        topo = build_topology(unit_triangle())
-        assert topo.area[0] == pytest.approx(0.5, abs=0)
+        m = unit_triangle()
+        topo = build_topology(m)
+        assert m.area[0] == pytest.approx(0.5, abs=0)
         assert len(topo.bd_edge) == 3
 
     def test_multiplicity(self):
@@ -254,7 +262,7 @@ class TestTopology:
         topo = build_topology(unit_triangle())
         assert sorted(topo.edge_length) == pytest.approx([1.0, 1.0, np.sqrt(2)])
 
-    def test_the_topology_reuses_the_area_the_mesh_checked(self, monkeypatch):
+    def test_the_mesh_alone_keeps_the_area_it_checked(self, monkeypatch):
         import trifem.mesh
         from trifem.mesh import signed_area
         sizes = []
@@ -267,8 +275,8 @@ class TestTopology:
         fine = uniform_refine(coarse)       # builds the coarse topology
         topo = build_topology(fine)
         assert sizes == [16, 64]            # once per mesh, at validation
-        assert topo.area is fine.area and not fine.area.flags.writeable
-        assert topo.area.tobytes() == signed_area(fine.node, fine.elem).tobytes()
+        assert not hasattr(topo, "area") and not fine.area.flags.writeable
+        assert fine.area.tobytes() == signed_area(fine.node, fine.elem).tobytes()
 
 
 class TestClassifyBoundary:
@@ -317,34 +325,33 @@ class TestClassifyBoundary:
         assert len(part[1].edge_idx) == 0
         assert len(part[2].edge_idx) == 0
 
-    def test_node_idx_collects_endpoints(self):
+    def test_region_nodes_are_its_edge_endpoints(self):
         m = square_mesh([0, 1, 0, 1], 0.5)
         part = classify_boundary(m, ["x==1"])
-        xs = m.node[part[0].node_idx, 0]
-        assert np.all(xs == 1.0)
-        assert len(part[0].node_idx) == 3
+        nodes = np.unique(part[0].edges)
+        assert np.all(m.node[nodes, 0] == 1.0)
+        assert len(nodes) == 3
+        assert not hasattr(part[0], "node_idx")
 
     def test_empty_regions_keep_their_shapes(self):
         from trifem import classify_boundary_by_labels
         m = square_mesh([0, 1, 0, 1], 0.5)
-        topo = build_topology(m)
         by_selector = classify_boundary(m, ["x<2"])[1]
-        by_label = classify_boundary_by_labels(topo, topo.bd_edge,
+        by_label = classify_boundary_by_labels(m, m.topology.bd_edge,
                                                np.ones(8, dtype=int))[1]
         for region in (by_selector, by_label):
             assert region.edges.shape == (0, 2)
             assert region.edge_idx.shape == (0,)
-            assert region.node_idx.shape == (0,)
             assert region.edges.dtype == region.edge_idx.dtype == np.int64
 
     def test_fractional_labeled_edge_is_named(self):
         # the pair (0.9, 1.9) used to label edge (0, 1)
         from trifem import classify_boundary_by_labels
-        topo = build_topology(square_mesh([0, 1, 0, 1], 0.5))
-        labeled = topo.bd_edge.astype(float)
+        m = square_mesh([0, 1, 0, 1], 0.5)
+        labeled = m.topology.bd_edge.astype(float)
         labeled[0] += 0.9
         with pytest.raises(ValueError, match="labeled edges must be integers"):
-            classify_boundary_by_labels(topo, labeled, np.ones(8, dtype=int))
+            classify_boundary_by_labels(m, labeled, np.ones(8, dtype=int))
 
 
 class TestFeMesh:

@@ -145,6 +145,25 @@ class TestProblemTable:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             default_spec("poisson", **{field: value})
 
+    @pytest.mark.parametrize("problem", ["poisson", "stokes"])
+    @pytest.mark.parametrize("overrides", [
+        dict(h0=0.3), dict(h0=0.5, bbox=(0.0, 1.0, 0.0, 0.75))])
+    def test_a_grid_that_does_not_fit_its_box_is_a_spec_error(self, problem,
+                                                              overrides):
+        # such a spec used to be returned, and fail only when it ran
+        with pytest.raises(ValueError, match="does not divide the box sides"):
+            default_spec(problem, **overrides)
+
+    def test_a_read_mesh_skips_the_grid_test(self, monkeypatch):
+        # bbox and h0 describe only a generated mesh
+        gridded = []
+        monkeypatch.setattr(trifem.problems, "_grid_lines",
+                            lambda bbox, h: gridded.append((bbox, h)))
+        default_spec("ns-newton", mesh_path="m.msh")
+        assert gridded == []
+        default_spec("ns-newton")
+        assert gridded == [((0.0, 1.0, 0.0, 1.0), 0.5)]
+
     @pytest.mark.parametrize("field, value", [
         ("degree", 3), ("refinements", 1), ("quad_order", 1), ("quad_order", 8)])
     def test_a_discretization_at_its_bounds_is_kept(self, field, value):
@@ -215,7 +234,7 @@ class TestPoissonDriver:
         th = refined_th(levels=1)
         assert len(th.partition) == 1   # on = region 0, the whole boundary
         uh = solve_poisson(th, spec)
-        bd = th.partition[0].node_idx
+        bd = np.unique(th.partition[0].edges)
         exact_vals = spec.data.exact(th.mesh.node[bd])
         assert np.array_equal(uh[bd], exact_vals)
 
@@ -367,7 +386,7 @@ class TestBiharmonicDriver:
         spec = default_spec("biharmonic-vector", degree=1)
         th = refined_th(levels=2)
         w, u = solve_biharmonic(th, spec, mode="vector")
-        bd = th.partition[0].node_idx
+        bd = np.unique(th.partition[0].edges)
         assert np.allclose(u[bd], 0.0, atol=0)       # clamped bubble: u = 0
         assert np.abs(w[bd]).max() > 1e-3            # w unconstrained
 

@@ -143,6 +143,17 @@ class TestApplyDirichlet:
         with pytest.raises(IndexError):
             apply_dirichlet_and_solve(th, kk, ff, DirichletSpec((3,), (g,)))
 
+    def test_an_empty_region_fixes_nothing(self):
+        # the catch-all region after a selector that takes every edge
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5), ["x<2"])
+        kk, ff = poisson_system(th)
+        called = []
+        g = lambda p: called.append(len(p)) or np.zeros(len(p))
+        fixed, values = dirichlet_dofs(th, kk, DirichletSpec((1,), (g,)))
+        assert fixed.shape == values.shape == (0,) and called == []
+        fixed, values = dirichlet_dofs(th, kk, DirichletSpec((1, 0), (g, g)))
+        assert called == [8] and len(fixed) == 8
+
     def test_unconstrained_component(self):
         # 2-component system, second component unconstrained
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
@@ -313,6 +324,35 @@ class TestDirichletSolver:
         # the factor is untouched: finite data solves as before
         assert np.array_equal(solver.solve(ff, values),
                               DirichletSolver(kk.matrix(), fixed).solve(ff, values))
+
+    def test_a_non_finite_coupled_value_is_blamed_on_the_data(self):
+        # a fixed dof that a free row sees: the residual finds it
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.25), ["x==0"])
+        kk, ff = poisson_system(th)
+        fixed, values = dirichlet_dofs(th, kk, DirichletSpec((1,), (lambda p: p[:, 0],)))
+        solver = DirichletSolver(kk.matrix(), fixed)
+        coupled = np.setdiff1d(np.arange(len(fixed)), solver._isolated)
+        bad = values.copy()
+        bad[coupled[0]] = np.nan
+        with pytest.raises(ValueError, match="fixed dofs' values are not all finite"):
+            solver.solve(ff, bad)
+
+    def test_a_factor_that_overflows_is_blamed_on_the_matrix(self):
+        # finite data, a pivot of 1e-310: the solution overflows to inf
+        solver = DirichletSolver(sp.diags([1.0, 1e-310, 1.0]).tocsr(), [0])
+        with pytest.raises(RuntimeError, match="produced non-finite values; "
+                                               "the matrix is numerically singular"):
+            solver.solve(np.array([0.0, 1.0, 0.0]), [0.0])
+
+    def test_a_failing_back_solve_is_named(self):
+        class FailingFactor:
+            def solve(self, b):
+                raise RuntimeError("factor is unusable")
+
+        solver = DirichletSolver(sp.identity(3, format="csr"), [0])
+        solver._lu = FailingFactor()
+        with pytest.raises(RuntimeError, match="^sparse solve failed: factor is unusable"):
+            solver.solve(np.ones(3), [0.0])
 
     def test_a_non_finite_value_no_free_row_sees_is_blamed_on_the_data(self):
         # two corner dofs couple to no free dof, so a NaN there never
@@ -505,13 +545,14 @@ class TestMultigrid:
         assert (mg_solvers[-1].method, mg_solvers[-1].ordering) == ("lu", "COLAMD")
         assert np.array_equal(x, lu_solution(th, kk, ff, spec))
 
-    @pytest.mark.parametrize("k2", [25.0, 1000.0])
+    @pytest.mark.parametrize("k2", [25.0, 50.0, 1000.0])
     def test_indefinite_form_falls_back_to_lu(self, mg_solvers, k2):
         # grad.grad - k2 mass: the smallest eigenvalue of -lap on this
-        # mixed problem is pi^2 / 4 + pi^2 = 12.3, so both are indefinite.
+        # mixed problem is pi^2 / 4 + pi^2 = 12.3, so all are indefinite.
         # At k2 = 25 every Galerkin level keeps a positive diagonal and
-        # CG breaks down; at 1000 the coarse diagonals turn negative and
-        # the solver factorizes at once.
+        # CG breaks down; at 50 only the root level's diagonal turns
+        # negative, at 1000 the coarse diagonals do, and the solver
+        # factorizes at once.
         th = ladder_level(5)
         kk, ff, spec = p1_problem(th, [1, -k2], ["v.grad", "v.val"],
                                   ["u.grad", "u.val"])
@@ -677,6 +718,14 @@ class TestSchurCG:
         assert (solver.method, solver.ordering) == ("lu", "MMD_AT_PLUS_A")
         x = solver.solve(ff, values)
         assert np.array_equal(x, DirichletSolver(A, fixed).solve(ff, values))
+
+    def test_velocity_components_with_unequal_free_counts_take_lu(self):
+        th, kk, ff, fixed, values = stokes_level(2)
+        solver = trifem.system._solver(th, kk, fixed)
+        assert solver.method == "schur-cg"
+        u1 = np.setdiff1d(np.arange(kk.offsets[1]), fixed)[0]   # a free u1 dof
+        solver = trifem.system._solver(th, kk, np.union1d(fixed, [u1]))
+        assert (solver.method, solver.ordering) == ("lu", "MMD_AT_PLUS_A")
 
     def test_cg_that_misses_the_gate_falls_back_to_lu(self, monkeypatch):
         th, kk, ff, fixed, values = stokes_level(3)

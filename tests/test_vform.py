@@ -8,7 +8,7 @@ from trifem import (FeFunction, Mesh2d, coef_to_matrix,
                     expand_extended, fe_mesh, interpolate_nodal,
                     parse_term_sum, square_mesh, standardize_symbols,
                     var_form)
-from trifem.terms import TermError
+from trifem.terms import Term, TermError, TermSum
 from trifem.vform import FormError
 
 
@@ -41,6 +41,23 @@ class TestParse:
     def test_missing_dot(self):
         with pytest.raises(TermError):
             parse_term_sum("v1dx")
+
+    def test_bad_symbol_is_named_with_its_position(self):
+        with pytest.raises(TermError, match=r"position 8: bad symbol '1v'"):
+            parse_term_sum("v1.dx + 1v.val")
+
+    def test_an_empty_term_sum_is_an_error(self):
+        with pytest.raises(TermError, match="empty term sum"):
+            TermSum(terms=())
+
+    def test_a_term_sum_has_its_terms_length(self):
+        assert len(parse_term_sum("u1.dy + u2.dx + p.val")) == 3
+
+    def test_parsed_terms_pass_through(self):
+        ts = parse_term_sum("v.grad")
+        assert parse_term_sum(ts) is ts
+        term = Term(symbol="v", tag="dx")
+        assert parse_term_sum(term) == TermSum(terms=(term,))
 
 
 class TestExpand:
@@ -127,6 +144,12 @@ class TestStandardize:
                      u.replace("u1", "w").replace("u2", "z"))
                     for t, u in entry_strings(std)]
         assert restored == entry_strings(form)
+
+    def test_linear_form_keeps_no_trial(self):
+        form = var_form([1, 2], ["q.val", "phi.dx"])
+        out = standardize_symbols(["phi", "psi", "q"], None, form)
+        assert len(out) == 2 and out.is_linear
+        assert entry_strings(out) == [("v3.val", None), ("v1.dx", None)]
 
     def test_unknown_symbol(self):
         form = var_form([1], ["mystery.val"], ["u1.val"])
