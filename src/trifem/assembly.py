@@ -10,40 +10,47 @@ F[e, i], for a linear one.  The per-point work runs one block of at
 most ``fespace.BLOCK_CELLS`` consecutive cells at a time: per block each
 distinct coefficient is evaluated once (the dx and dy entries of a
 grad.grad pair share it) and one einsum per entry contracts the
-block's cells, writing its local arrays into the one (NC, ...) result.
-A mesh of one block runs one einsum per entry over all its cells.  The
-tables are tabulated once per call, and every block contracts on the
-path planned for the shapes of all the cells (once per subscripts and
-shapes), so the result is the one-block result bit for bit.  The
-local arrays scatter through the dof maps into a load vector (bincount)
-or into (ii, jj, ss) index triples.  The cells of an integral (every
-triangle, or the edges of one boundary region) are one
-``fespace.Cells``: it gives the kernel its quadrature weights, measure
-(areas or edge lengths), dof columns and point values, so boundary
-assembly runs the same kernel with the trace basis.  Each side's basis
-tables are the one (nl, NC, ng) array ``tabulate_basis`` returns (for
-'dx'/'dy' the FeMesh's cached array), where an axis the tables do not
-vary along has stride zero.  The kernel drops that axis and its
-subscript letter before contracting: 'val' enters as (nl, ng) 'ip', a
-P1 derivative as (nl, NC) 'ie'; the coefficient matrix cc keeps both e
-and p.  The planned path then contracts the small operands first: a
-'val'/'val' entry is one matrix product of w * cc with the (nl, nl, ng)
-table products, and a P1 derivative pair sums w * cc over the points
-once per cell.  A table that varies on both axes (P2/P3 derivatives)
-keeps 'iep'; nothing is expanded to one value per (cell, point).
+block's cells; the kernel hands out each block's local arrays in cell
+order.  A mesh of one block runs one einsum per entry over all its
+cells.  The tables, a FeFunction coefficient's among them, are
+tabulated once per call, and every block contracts on the path planned
+for the shapes of all the cells (once per subscripts and shapes), so
+each block's local arrays are the one-block result's bit for bit.  The
+cells of an integral (every triangle, or the edges of one boundary
+region) are one ``fespace.Cells``: it gives the kernel its quadrature
+weights, measure (areas or edge lengths), dof columns and point values,
+so boundary assembly runs the same kernel with the trace basis.  Each
+side's basis tables are the one (nl, NC, ng) array ``tabulate_basis``
+returns (for 'dx'/'dy' the FeMesh's cached array), where an axis the
+tables do not vary along has stride zero.  The kernel drops that axis
+and its subscript letter before contracting: 'val' enters as (nl, ng)
+'ip', a P1 derivative as (nl, NC) 'ie'; the coefficient matrix cc keeps
+both e and p.  The planned path then contracts the small operands
+first: a 'val'/'val' entry is one matrix product of w * cc with the
+(nl, nl, ng) table products, and a P1 derivative pair sums w * cc over
+the points once per cell.  A table that varies on both axes (P2/P3
+derivatives) keeps 'iep'; nothing is expanded to one value per (cell,
+point).
 
-A bilinear block's triples exist only inside the scalar kernel call:
-it hands them to ``compress`` and returns the canonical CSR matrix, so
-past the kernel there is one sparse type, scipy's.  Scalar blocks
-combine with scipy's +, scalar * and transpose, as the paper's block
-programs combine Matlab sparse matrices.  One rule groups the entries of
-a multi-component form: by test component, and for a bilinear form by
-trial component too.  A linear form's loads are concatenated; each
-block is compressed before the next block's kernel runs, and one
-routine stacks the compressed blocks at the cumulative dof offsets into
-one CSR matrix, for assemble_system and system_from_blocks alike.  No
-triples are kept or concatenated: doing so held each triple twice at
-the peak (Taylor-Hood at refine 5 grew from 105 to 134 MiB in the join).
+A load's local vectors scatter through the dof map in one bincount.  A
+bilinear block's (ii, jj, ss) triples exist only inside the scalar
+kernel call, and only one chunk of ``_CHUNK_CELLS`` (2**14) consecutive
+cells at a time: the kernel's blocks fill a chunk, compress sums it
+into a CSR matrix, and then the next block runs.  On cells that fit in
+one chunk that compress is the matrix; on more, the chunks' entries
+are compressed once more into the canonical CSR matrix.  The chunk
+length is fixed, apart from the block length, because the chunks group
+each entry's sum: a patched ``BLOCK_CELLS`` moves no bit.  Past the kernel
+there is one sparse type, scipy's.  Scalar blocks combine with scipy's
++, scalar * and transpose, as the paper's block programs combine Matlab
+sparse matrices.  One rule groups the entries of a multi-component
+form: by test component, and for a bilinear form by trial component
+too.  A linear form's loads are concatenated; each block is compressed
+before the next block's kernel runs, and one routine stacks the
+compressed blocks at the cumulative dof offsets into one CSR matrix,
+for assemble_system and system_from_blocks alike.  No triples are kept
+or concatenated: doing so held each triple twice at the peak
+(Taylor-Hood at refine 5 grew from 105 to 134 MiB in the join).
 
 A load 'v.val' is linear in its coefficient values, so
 ``load_operator`` builds it once as a sparse operator L with entries
@@ -58,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import Cells, fe_space, tabulate_basis
+from .fespace import Cells, FeFunction, fe_space, tabulate_basis
 from .terms import Term, TermSum
 from .vform import (FormEntry, FormError, VarForm, _aslist, coef_to_matrix,
                     expand_extended)
@@ -87,12 +94,20 @@ class SparseTriples:
 def compress(triples):
     """Sum duplicates into a CSR matrix with canonical storage order."""
     ii, jj = triples.ii, triples.jj
+    for name, index in (("ii", ii), ("jj", jj)):
+        if not np.issubdtype(index.dtype, np.integer):
+            raise TypeError(f"sparse index {name} has dtype {index.dtype}, "
+                            "not an integer dtype")
     if len(ii) and (ii.min() < 0 or ii.max() >= triples.nrows
                     or jj.min() < 0 or jj.max() >= triples.ncols):
         raise ValueError("sparse index out of range")
+    return _tocsr(triples.ss, ii, jj, (triples.nrows, triples.ncols))
+
+
+def _tocsr(ss, ii, jj, shape):
+    """The canonical CSR matrix of in-range triples."""
     # tocsr sums a non-canonical COO's duplicates, which sorts the indices
-    return sp.coo_matrix((triples.ss, (ii, jj)),
-                         shape=(triples.nrows, triples.ncols)).tocsr()
+    return sp.coo_matrix((ss, (ii, jj)), shape=shape).tocsr()
 
 
 @dataclass
@@ -118,8 +133,10 @@ class AssembledSystem:
         return self._csr
 
     def __add__(self, other):
-        if isinstance(other, (int, float)) and other == 0:
+        if isinstance(other, (int, float)) and other == 0:     # sum() starts at 0
             return self
+        if not isinstance(other, AssembledSystem):
+            return NotImplemented
         if self.nndofu != other.nndofu:
             raise ValueError("cannot add systems with different component layouts")
         return AssembledSystem(_csr=self._csr + other._csr, nndofu=self.nndofu,
@@ -147,14 +164,14 @@ def _component_index(symbol, prefix, ncomp):
 
 
 def _local_kernel(cells, entries, spaces):
-    """Local arrays (NC, nlv) or (NC, nlv, nlu) for elementary entries on
-    the cells; spaces is [test] for a linear form, [test, trial] for a
-    bilinear one.  The per-point work runs one block of cells at a time
-    (see Cells.blocks), each block's local arrays written into the one
-    result; each entry's tables are tabulated and its contraction
-    planned once, from the shapes of all the cells."""
+    """Local arrays (nc, nlv) or (nc, nlv, nlu) for elementary entries,
+    yielded as (block, array) one block of cells at a time (see
+    Cells.blocks), in cell order; spaces is [test] for a linear form,
+    [test, trial] for a bilinear one.  Each entry's tables are tabulated
+    and its contraction planned once, from the shapes of all the cells;
+    so is each FeFunction coefficient's table."""
     output = "->e" + "ij"[:len(spaces)]
-    plans = []
+    plans, readers = [], {}
     for entry in entries:
         tables, inputs = [], ["p", "ep"]
         for letter, space, side in zip("ij", spaces, (entry.test, entry.trial)):
@@ -166,18 +183,23 @@ def _local_kernel(cells, entries, spaces):
         subscripts = ",".join(inputs) + output
         shapes = [cells.rule.weight.shape, cells.shape] + [t.shape for t, _ in tables]
         plans.append((subscripts, _path(subscripts, shapes), tables))
-    local = None
+        if id(entry.coef) not in readers:
+            readers[id(entry.coef)] = _coef_reader(entry.coef, cells)
     for blk in cells.blocks():
-        part = _block_kernel(blk, entries, plans)
-        if blk is cells:                # one block: its array is the result
-            return part
-        if local is None:
-            local = np.empty((len(cells.measure),) + part.shape[1:])
-        blk.part(local)[...] = part
-    return local
+        yield blk, _block_kernel(blk, entries, plans, readers)
 
 
-def _block_kernel(blk, entries, plans):
+def _coef_reader(coef, cells):
+    """A coefficient's matrix on any block of the cells, as a function
+    of the block; a FeFunction's table is tabulated once, for every
+    block."""
+    if isinstance(coef, FeFunction):
+        return cells._fe_reader(coef.dofs, coef.space)
+    return lambda blk: coef_to_matrix(coef, blk.th, blk.order, blk.region,
+                                      blk.block)
+
+
+def _block_kernel(blk, entries, plans, readers):
     """The local arrays of one block of cells; each distinct coefficient
     (the dx and dy entries of a grad.grad pair share theirs) is
     evaluated once."""
@@ -186,8 +208,7 @@ def _block_kernel(blk, entries, plans):
     for entry, (subscripts, path, tables) in zip(entries, plans):
         cc = coefs.get(id(entry.coef))
         if cc is None:
-            cc = coefs[id(entry.coef)] = coef_to_matrix(
-                entry.coef, blk.th, blk.order, blk.region, blk.block)
+            cc = coefs[id(entry.coef)] = readers[id(entry.coef)](blk)
         # a table without a cell axis (find gives -1) serves every block
         val = np.einsum(subscripts, blk.rule.weight, cc,
                         *(table if axis < 0 else blk.part(table, axis)
@@ -249,10 +270,21 @@ def load_operator(th, space, quad_order, region=None):
     return transposed.T.tocsr()
 
 
+# Cells whose triples one compress takes (see _scalar_assemble).  Fixed,
+# and not fespace.BLOCK_CELLS: the chunks group each entry's sum, so a
+# patched block length moves no bit.
+_CHUNK_CELLS = 2 ** 14
+
+
 def _scalar_assemble(cells, form, test_space, trial_space=None):
     """The load vector or the compressed CSR block of a form of
-    elementary entries (see expand_extended); a block's triples are
-    dropped once compress returns."""
+    elementary entries (see expand_extended).
+
+    A load is one bincount of every cell's local vector.  A bilinear
+    block of one chunk (at most _CHUNK_CELLS cells) is one compress of
+    its triples.  A larger one is compressed one chunk at a time, as the
+    kernel's blocks fill it, and the chunks' entries are compressed once
+    more: only one chunk's triples exist at a time."""
     spaces = [fe_space(test_space)]
     if not form.is_linear:
         spaces.append(fe_space(trial_space if trial_space is not None
@@ -260,21 +292,86 @@ def _scalar_assemble(cells, form, test_space, trial_space=None):
     dofs = [cells.dofs(s) for s in spaces]
     sizes = [cells.th.dof_map(s).num_dofs for s in spaces]
     if len(dofs[0]) == 0:           # empty region: a zero contribution
-        local = np.zeros((0,) + tuple(d.shape[1] for d in dofs))
+        parts = [(cells, np.zeros((0,) + tuple(d.shape[1] for d in dofs)))]
     else:
-        local = _local_kernel(cells, form.entries, spaces)
+        parts = _local_kernel(cells, form.entries, spaces)
     if form.is_linear:
         # bincount over an empty index would return integers
-        return np.bincount(dofs[0].ravel(), weights=local.ravel(),
+        return np.bincount(dofs[0].ravel(), weights=_joined(cells, parts).ravel(),
                            minlength=sizes[0]).astype(float, copy=False)
     # the (NC, nl) dof arrays are cast, not the triples: coo_matrix would
     # copy int64 triples down to the int32 it stores when the sizes fit
     index = np.int32 if max(sizes) < 2**31 else np.int64
     rows, cols = (d.astype(index, copy=False) for d in dofs)
+    if len(rows) <= _CHUNK_CELLS:
+        return compress(_triples(rows, cols, _joined(cells, parts), *sizes))
+    slot = np.empty(sizes[0], index)    # _chunk_entries' row renumbering
+    entries = [_chunk_entries(rows[cut], cols[cut], local, sizes[1], slot)
+               for cut, local in _chunks(parts)]
+    row, col, val = (np.concatenate(a) for a in zip(*entries))
+    del entries                         # not held through the last compress
+    return _tocsr(val, row, col, sizes)     # compress checked every chunk
+
+
+def _joined(cells, parts):
+    """The local arrays of every cell, from the kernel's (block, array)
+    parts: one block's array itself, or the blocks' arrays copied into
+    one."""
+    local = None
+    for blk, part in parts:
+        if blk is cells:
+            return part
+        if local is None:
+            local = np.empty((len(cells.measure),) + part.shape[1:])
+        blk.part(local)[...] = part
+    return local
+
+
+def _chunks(parts):
+    """(slice of the cells, local arrays) of each chunk of _CHUNK_CELLS
+    consecutive cells (the last one shorter), from the kernel's parts in
+    cell order: a chunk that is one block's array, or a piece of one, is
+    that array, no copy; otherwise the pieces are joined."""
+    start, pieces, count = 0, [], 0
+
+    def chunk():
+        local = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        return slice(start, start + count), local
+
+    for _, part in parts:
+        while len(part):
+            piece, part = part[:_CHUNK_CELLS - count], part[_CHUNK_CELLS - count:]
+            pieces.append(piece)
+            count += len(piece)
+            if count == _CHUNK_CELLS:
+                yield chunk()
+                start, pieces, count = start + count, [], 0
+    if pieces:
+        yield chunk()
+
+
+def _triples(rows, cols, local, nrows, ncols):
+    """The (ii, jj, ss) of local arrays (nc, nlv, nlu) through the cells'
+    (nc, nlv) row and (nc, nlu) column dofs."""
     ii = np.broadcast_to(rows[:, :, None], local.shape).ravel()
     jj = np.broadcast_to(cols[:, None, :], local.shape).ravel()
-    return compress(SparseTriples(ii=ii, jj=jj, ss=local.ravel(),
-                                  nrows=sizes[0], ncols=sizes[1]))
+    return SparseTriples(ii=ii, jj=jj, ss=local.ravel(), nrows=nrows, ncols=ncols)
+
+
+def _chunk_entries(rows, cols, local, ncols, slot):
+    """The (row, column, value) arrays of one chunk's compressed triples.
+    compress gets the chunk's distinct rows renumbered 0..m-1, so it
+    scans m rows, not all of the matrix's.  slot, an array over every
+    row, is working space for the renumbering, which needs no sort: a row
+    value is distinct at the one position whose write to slot was kept."""
+    flat = rows.ravel()
+    position = np.arange(len(flat), dtype=flat.dtype)
+    slot[flat] = position
+    distinct = flat[slot[flat] == position]
+    slot[distinct] = np.arange(len(distinct), dtype=flat.dtype)
+    csr = compress(_triples(slot[flat].reshape(rows.shape), cols, local,
+                            len(distinct), ncols))
+    return np.repeat(distinct, np.diff(csr.indptr)), csr.indices, csr.data
 
 
 def assemble_scalar_2d(th, form, test_space, trial_space=None, quad_order=None):

@@ -344,9 +344,15 @@ class Cells:
     def fe_values(self, dofs, space, tag="val"):
         """A finite element function, or its 'dx' or 'dy' derivative, at
         the quadrature points: (NC, ng)."""
+        return self._fe_reader(dofs, space, tag)(self)
+
+    def _fe_reader(self, dofs, space, tag="val"):
+        """fe_values on any block of these cells, as a function of the
+        block: the tables are tabulated once, for every block."""
         space = fe_space(space)
+        dofs = _check_dofs(dofs, self.th, space)
         tables = tabulate_basis(tag, self.th, space, self.order, self.region)
-        return self._fe_sum(_check_dofs(dofs, self.th, space), space, tables)
+        return lambda blk: blk._fe_sum(dofs, space, tables)
 
     def _fe_sum(self, dofs, space, tables):
         """fe_values from the integral's (nl, NC, ng) tables: sums dof *
@@ -369,13 +375,10 @@ class Cells:
         finite element function's tags (see fe_values) at the block's
         points.  Each tag is tabulated once; each block's q @ w goes into
         one per-cell vector, summed once."""
-        space = fe_space(space)
-        dofs = _check_dofs(dofs, self.th, space)
-        tables = [tabulate_basis(tag, self.th, space, self.order, self.region)
-                  for tag in tags]
+        readers = [self._fe_reader(dofs, space, tag) for tag in tags]
         per_cell = np.empty(len(self.measure))
         for blk in self.blocks():
-            fe = [blk._fe_sum(dofs, space, t) for t in tables]
+            fe = [read(blk) for read in readers]
             blk.part(per_cell)[...] = integrand(blk, *fe) @ self.rule.weight
         return self.measure @ per_cell
 

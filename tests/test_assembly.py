@@ -101,6 +101,17 @@ class TestCompress:
         with pytest.raises(ValueError, match="out of range"):
             compress(t)
 
+    @pytest.mark.parametrize("ii, jj", [
+        (np.array([0.5]), np.array([0])),
+        (np.array([0]), np.array([1.0])),
+        (np.array([True]), np.array([0])),
+    ])
+    def test_non_integer_indices_rejected(self, ii, jj):
+        # a float index would be cast down to row 0, a wrong matrix
+        t = SparseTriples(ii=ii, jj=jj, ss=np.array([1.0]), nrows=2, ncols=2)
+        with pytest.raises(TypeError, match="not an integer dtype"):
+            compress(t)
+
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError, match="ii, jj, ss must have equal lengths"):
             SparseTriples(ii=np.array([0, 1]), jj=np.array([0]),
@@ -714,6 +725,14 @@ class TestTriplesWithoutCopies:
         assert 0 + kk is kk
         with pytest.raises(ValueError, match="component layouts"):
             kk + assemble_system(th, form, ["P1"], 4)
+
+    @pytest.mark.parametrize("other", [1.0, 2, "x", None, np.float64(0.5)])
+    def test_a_system_plus_a_non_system_is_a_type_error(self, other):
+        kk = assemble_system(refine3_th(), var_form(1, "v.val", "u.val"), ["P1"], 3)
+        with pytest.raises(TypeError):
+            kk + other
+        with pytest.raises(TypeError):
+            other + kk
 
 
 def _unsorted_block(fmt, n):

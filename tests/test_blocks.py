@@ -115,6 +115,26 @@ def test_each_coefficient_is_evaluated_once_per_block(monkeypatch):
     assert calls == [64 * 6] * 5 + [18 * 6]
 
 
+def test_a_fe_function_coefficient_is_tabulated_once_per_call(monkeypatch):
+    calls = []
+    original = trifem.fespace.tabulate_basis
+
+    def counted(*args, **kwargs):
+        calls.append(args[:3])
+        return original(*args, **kwargs)
+
+    fe = FeFunction(interpolate_nodal(DATA.exact, TH, "P2"), fe_space("P2"))
+    form = var_form(fe, "v.val", "u.val")
+    want = assemble_system(TH, form, ["P1"], 4).matrix()
+    monkeypatch.setattr(trifem.fespace, "BLOCK_CELLS", 64)
+    monkeypatch.setattr(trifem.fespace, "tabulate_basis", counted)
+    got = assemble_system(TH, form, ["P1"], 4).matrix()
+    # one table of the coefficient's space for the call, not one per block
+    assert len(Cells(TH, 4).blocks()) == 6
+    assert len(calls) == 1
+    assert _same(got, want)
+
+
 @pytest.mark.parametrize("shape", ["scalar", "column"])
 def test_a_constant_point_function_assembles_like_the_constant(monkeypatch, shape):
     # _eval_pointfun broadcasts a scalar and squeezes an (m, 1) column
@@ -144,8 +164,9 @@ def test_peak_memory_stays_a_few_point_arrays(monkeypatch):
     """One Poisson stiffness assembly and one H1 error on 8,192
     triangles in blocks of 512 cells.  All at once, the per-point
     temporaries peaked at 3.6 (assembly) and 7.0 (error) times one
-    (NC, ng) float64 array; blocked, 2.5 (in compress, which is not
-    blocked) and 0.6."""
+    (NC, ng) float64 array; blocked, 2.5 (in compress: 8,192 cells fit
+    in one chunk of ``assembly._CHUNK_CELLS``, so one compress takes
+    all their triples) and 0.6."""
     monkeypatch.setattr(trifem.fespace, "BLOCK_CELLS", 512)
     th = fe_mesh(square_mesh([0, 1, 0, 1], 1 / 64))
     order = 7                                   # 16 points per triangle
