@@ -10,9 +10,9 @@ F[e, i], for a linear one.  The per-point work runs one block of at
 most ``fespace.BLOCK_CELLS`` consecutive cells at a time: per block each
 distinct coefficient is evaluated once (the dx and dy entries of a
 grad.grad pair share it) and one einsum per entry contracts the
-block's cells; the kernel hands out each block's local arrays in cell
-order.  A mesh of one block runs one einsum per entry over all its
-cells.  The tables, a FeFunction coefficient's among them, are
+block's cells; the kernel writes each block's local arrays into one
+array per chunk.  A mesh of one block runs one einsum per entry over
+all its cells.  The tables, a FeFunction coefficient's among them, are
 tabulated once per call, and every block contracts on the path planned
 for the shapes of all the cells (once per subscripts and shapes), so
 each block's local arrays are the one-block result's bit for bit.  The
@@ -35,22 +35,23 @@ point).
 A load's local vectors scatter through the dof map in one bincount.  A
 bilinear block's (ii, jj, ss) triples exist only inside the scalar
 kernel call, and only one chunk of ``_CHUNK_CELLS`` (2**14) consecutive
-cells at a time: the kernel's blocks fill a chunk, compress sums it
-into a CSR matrix, and then the next block runs.  On cells that fit in
-one chunk that compress is the matrix; on more, the chunks' entries
-are compressed once more into the canonical CSR matrix.  The chunk
-length is fixed, apart from the block length, because the chunks group
-each entry's sum: a patched ``BLOCK_CELLS`` moves no bit.  Past the kernel
-there is one sparse type, scipy's.  Scalar blocks combine with scipy's
-+, scalar * and transpose, as the paper's block programs combine Matlab
-sparse matrices.  One rule groups the entries of a multi-component
-form: by test component, and for a bilinear form by trial component
-too.  A linear form's loads are concatenated; each block is compressed
-before the next block's kernel runs, and one routine stacks the
-compressed blocks at the cumulative dof offsets into one CSR matrix,
-for assemble_system and system_from_blocks alike.  No triples are kept
-or concatenated: doing so held each triple twice at the peak
-(Taylor-Hood at refine 5 grew from 105 to 134 MiB in the join).
+cells at a time: a chunk is a ``Cells`` block, cut by ``Cells.blocks``,
+that the kernel runs block by block; compress sums its triples into a
+CSR matrix, and then the next chunk runs.  On cells that fit in one
+chunk that compress is the matrix; on more, the chunks' entries are
+compressed once more into the canonical CSR matrix.  The chunk length is
+fixed, apart from the block length, because the chunks group each
+entry's sum; both are powers of two, so a patched ``BLOCK_CELLS`` moves
+no bit.  Past the kernel there is one sparse type, scipy's.  Scalar
+blocks combine with scipy's +, scalar * and transpose, as the paper's
+block programs combine Matlab sparse matrices.  One rule groups the
+entries of a multi-component form: by test component, and for a bilinear
+form by trial component too.  A linear form's loads are concatenated;
+each block is compressed before the next block's kernel runs, and one
+routine stacks the compressed blocks at the cumulative dof offsets into
+one CSR matrix, for assemble_system and system_from_blocks alike.  No
+triples are kept or concatenated: doing so held each triple twice at the
+peak (Taylor-Hood at refine 5 grew from 105 to 134 MiB in the join).
 
 A load 'v.val' is linear in its coefficient values, so
 ``load_operator`` builds it once as a sparse operator L with entries
@@ -164,12 +165,13 @@ def _component_index(symbol, prefix, ncomp):
 
 
 def _local_kernel(cells, entries, spaces):
-    """Local arrays (nc, nlv) or (nc, nlv, nlu) for elementary entries,
-    yielded as (block, array) one block of cells at a time (see
-    Cells.blocks), in cell order; spaces is [test] for a linear form,
-    [test, trial] for a bilinear one.  Each entry's tables are tabulated
-    and its contraction planned once, from the shapes of all the cells;
-    so is each FeFunction coefficient's table."""
+    """local(chunk): the local arrays (nc, nlv) or (nc, nlv, nlu) of
+    elementary entries on a chunk of the cells (the cells themselves, or
+    one of their Cells.blocks), computed one block of the chunk at a
+    time; spaces is [test] for a linear form, [test, trial] for a
+    bilinear one.  Each entry's tables are tabulated and its contraction
+    planned once, from the shapes of all the cells; so is each
+    FeFunction coefficient's table."""
     output = "->e" + "ij"[:len(spaces)]
     plans, readers = [], {}
     for entry in entries:
@@ -185,8 +187,20 @@ def _local_kernel(cells, entries, spaces):
         plans.append((subscripts, _path(subscripts, shapes), tables))
         if id(entry.coef) not in readers:
             readers[id(entry.coef)] = _coef_reader(entry.coef, cells)
-    for blk in cells.blocks():
-        yield blk, _block_kernel(blk, entries, plans, readers)
+
+    def local(chunk):
+        blocks = chunk.blocks()
+        if len(blocks) == 1:
+            return _block_kernel(chunk, entries, plans, readers)
+        out, start = None, 0
+        for blk in blocks:
+            part = _block_kernel(blk, entries, plans, readers)
+            if out is None:
+                out = np.empty((len(chunk.measure),) + part.shape[1:])
+            out[start:start + len(part)] = part
+            start += len(part)
+        return out
+    return local
 
 
 def _coef_reader(coef, cells):
@@ -270,8 +284,10 @@ def load_operator(th, space, quad_order, region=None):
     return transposed.T.tocsr()
 
 
-# Cells whose triples one compress takes (see _scalar_assemble).  Fixed,
-# and not fespace.BLOCK_CELLS: the chunks group each entry's sum, so a
+# Cells whose triples one compress takes: _scalar_assemble cuts a
+# bilinear block into Cells.blocks of this length.  Fixed, and not
+# fespace.BLOCK_CELLS: the chunks group each entry's sum.  Both are
+# powers of two, so every chunk starts on a block boundary and a
 # patched block length moves no bit.
 _CHUNK_CELLS = 2 ** 14
 
@@ -282,72 +298,38 @@ def _scalar_assemble(cells, form, test_space, trial_space=None):
 
     A load is one bincount of every cell's local vector.  A bilinear
     block of one chunk (at most _CHUNK_CELLS cells) is one compress of
-    its triples.  A larger one is compressed one chunk at a time, as the
-    kernel's blocks fill it, and the chunks' entries are compressed once
-    more: only one chunk's triples exist at a time."""
+    its triples.  A larger one is compressed one chunk at a time, the
+    kernel running the chunk's blocks, and the chunks' entries are
+    compressed once more: only one chunk's triples exist at a time."""
     spaces = [fe_space(test_space)]
     if not form.is_linear:
         spaces.append(fe_space(trial_space if trial_space is not None
                                else test_space))
     dofs = [cells.dofs(s) for s in spaces]
     sizes = [cells.th.dof_map(s).num_dofs for s in spaces]
-    if len(dofs[0]) == 0:           # empty region: a zero contribution
-        parts = [(cells, np.zeros((0,) + tuple(d.shape[1] for d in dofs)))]
-    else:
-        parts = _local_kernel(cells, form.entries, spaces)
+    if len(dofs[0]):
+        local = _local_kernel(cells, form.entries, spaces)
+    else:                           # empty region: a zero contribution
+        def local(chunk):
+            return np.zeros((0,) + tuple(d.shape[1] for d in dofs))
     if form.is_linear:
         # bincount over an empty index would return integers
-        return np.bincount(dofs[0].ravel(), weights=_joined(cells, parts).ravel(),
+        return np.bincount(dofs[0].ravel(), weights=local(cells).ravel(),
                            minlength=sizes[0]).astype(float, copy=False)
     # the (NC, nl) dof arrays are cast, not the triples: coo_matrix would
     # copy int64 triples down to the int32 it stores when the sizes fit
     index = np.int32 if max(sizes) < 2**31 else np.int64
     rows, cols = (d.astype(index, copy=False) for d in dofs)
-    if len(rows) <= _CHUNK_CELLS:
-        return compress(_triples(rows, cols, _joined(cells, parts), *sizes))
+    chunks = cells.blocks(_CHUNK_CELLS)
+    if len(chunks) == 1:
+        return compress(_triples(rows, cols, local(cells), *sizes))
     slot = np.empty(sizes[0], index)    # _chunk_entries' row renumbering
-    entries = [_chunk_entries(rows[cut], cols[cut], local, sizes[1], slot)
-               for cut, local in _chunks(parts)]
+    entries = [_chunk_entries(chunk.part(rows), chunk.part(cols), local(chunk),
+                              sizes[1], slot)
+               for chunk in chunks]
     row, col, val = (np.concatenate(a) for a in zip(*entries))
     del entries                         # not held through the last compress
     return _tocsr(val, row, col, sizes)     # compress checked every chunk
-
-
-def _joined(cells, parts):
-    """The local arrays of every cell, from the kernel's (block, array)
-    parts: one block's array itself, or the blocks' arrays copied into
-    one."""
-    local = None
-    for blk, part in parts:
-        if blk is cells:
-            return part
-        if local is None:
-            local = np.empty((len(cells.measure),) + part.shape[1:])
-        blk.part(local)[...] = part
-    return local
-
-
-def _chunks(parts):
-    """(slice of the cells, local arrays) of each chunk of _CHUNK_CELLS
-    consecutive cells (the last one shorter), from the kernel's parts in
-    cell order: a chunk that is one block's array, or a piece of one, is
-    that array, no copy; otherwise the pieces are joined."""
-    start, pieces, count = 0, [], 0
-
-    def chunk():
-        local = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        return slice(start, start + count), local
-
-    for _, part in parts:
-        while len(part):
-            piece, part = part[:_CHUNK_CELLS - count], part[_CHUNK_CELLS - count:]
-            pieces.append(piece)
-            count += len(piece)
-            if count == _CHUNK_CELLS:
-                yield chunk()
-                start, pieces, count = start + count, [], 0
-    if pieces:
-        yield chunk()
 
 
 def _triples(rows, cols, local, nrows, ncols):
@@ -485,11 +467,15 @@ def system_from_blocks(th, spaces, blocks):
     shape-checked, a canonical CSR copy of it is made (the caller's
     matrix is not sorted in place), and the copies are stacked at the
     cumulative dof offsets.  The system shares no memory with the blocks.
+    A key that is not a pair of components 0..ncomp-1 is a ValueError.
     """
     spaces = tuple(fe_space(s) for s in _aslist(spaces))
     nndofu = tuple(th.dof_map(s).num_dofs for s in spaces)
     compressed = {}
     for (ci, cj), block in blocks.items():
+        if not (0 <= ci < len(spaces) and 0 <= cj < len(spaces)):
+            raise ValueError(f"block ({ci}, {cj}) is not a pair of the "
+                             f"components 0..{len(spaces) - 1}")
         if block is None:
             continue
         if not sp.issparse(block):

@@ -247,10 +247,10 @@ class Cells:
     cells is (NC, ng), one column per quadrature point.
 
     ``block``, a slice of the integral's cells, narrows every array of
-    a Cells to those cells; ``blocks()`` cuts the integral into blocks
-    of at most ``BLOCK_CELLS`` consecutive cells, so the kernel and the
+    a Cells to those cells; ``blocks()`` cuts the cells into blocks of
+    at most ``BLOCK_CELLS`` consecutive cells, so the kernel and the
     error norms hold their per-point temporaries for one block at a
-    time.
+    time.  The assembly cuts its compress chunks with the same method.
     """
 
     th: object
@@ -273,15 +273,18 @@ class Cells:
     def shape(self):
         return (len(self.measure), self.rule.npoints)
 
-    def blocks(self):
-        """The cells as consecutive blocks of at most BLOCK_CELLS: this
-        Cells itself when they fit in one."""
+    def blocks(self, length=None):
+        """The cells as consecutive blocks of at most length cells
+        (BLOCK_CELLS by default): this Cells itself when they fit in one.
+        A block's blocks are cut from its own cells."""
+        length = BLOCK_CELLS if length is None else length
         n = len(self.measure)
-        if n <= BLOCK_CELLS:
+        if n <= length:
             return [self]
+        first = 0 if self.block is None else self.block.start
         return [Cells(self.th, self.order, self.region,
-                      slice(start, min(start + BLOCK_CELLS, n)))
-                for start in range(0, n, BLOCK_CELLS)]
+                      slice(first + start, first + min(start + length, n)))
+                for start in range(0, n, length)]
 
     def part(self, arr, axis=0):
         """This block's cells of an array over all the integral's cells

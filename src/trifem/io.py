@@ -173,17 +173,29 @@ def write_results(path, headers, columns):
 
 def write_freefem_msh(path, mesh, vertex_label=None, tri_region=None,
                       boundary=None, boundary_label=None):
-    """Write a mesh as a FreeFEM .msh file (test fixtures, conversion)."""
+    """Write a mesh as a FreeFEM .msh file (test fixtures, conversion).
+
+    Raises ValueError for a label array whose length is not the count of
+    the rows it labels, and for a boundary_label without a boundary.
+    """
     node, elem = mesh.node, mesh.elem
     if vertex_label is None:
         vertex_label = np.zeros(len(node), dtype=int)
     if tri_region is None:
         tri_region = np.zeros(len(elem), dtype=int)
     if boundary is None:
+        if boundary_label is not None:
+            raise ValueError("boundary_label given without the boundary edges "
+                             "it labels")
         boundary = np.empty((0, 2), dtype=int)
-        boundary_label = np.empty(0, dtype=int)
     if boundary_label is None:
         boundary_label = np.ones(len(boundary), dtype=int)
+    for name, labels, rows in (("vertex_label", vertex_label, node),
+                               ("tri_region", tri_region, elem),
+                               ("boundary_label", boundary_label, boundary)):
+        if len(labels) != len(rows):
+            raise ValueError(f"{name} has {len(labels)} entries for "
+                             f"{len(rows)} rows")
     with open(path, "w") as f:
         f.write(f"{len(node)} {len(elem)} {len(boundary)}\n")
         for (x, y), lab in zip(node, vertex_label):

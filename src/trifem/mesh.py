@@ -337,10 +337,14 @@ def classify_boundary_by_labels(mesh, labeled_edges, edge_labels):
     labeled_edges are vertex pairs (as read from the file), edge_labels
     their labels; one region per distinct label, in ascending label
     order.  Boundary edges without a label fall into a trailing region.
+    Raises ValueError unless there is one label per labeled edge.
     """
     topo = mesh.topology
     labeled_edges = _indices(labeled_edges, "labeled edges")
     edge_labels = np.asarray(edge_labels)
+    if edge_labels.shape != labeled_edges.shape[:1]:
+        raise ValueError(f"{len(labeled_edges)} labeled edges but edge "
+                         f"labels of shape {edge_labels.shape}")
     lookup = {(int(a), int(b)): lab
               for (a, b), lab in zip(np.sort(labeled_edges, axis=1), edge_labels)}
 

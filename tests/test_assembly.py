@@ -782,6 +782,17 @@ class TestSystemFromBlocks:
         with pytest.raises(ValueError, match=r"block \(0, 1\) has shape"):
             system_from_blocks(th, ["P2", "P2"], {(0, 1): B})
 
+    @pytest.mark.parametrize("key", [(-1, 1), (0, -2), (2, 0), (1, 2)])
+    def test_a_key_outside_the_components_is_a_value_error(self, key):
+        # (-1, 1) passed the shape check through nndofu[-1] and was dropped
+        th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
+        M = assemble_scalar_2d(th, var_form(1, "v.val", "u.val"), "P1")
+        with pytest.raises(ValueError, match=rf"block \({key[0]}, {key[1]}\) "
+                                             r"is not a pair of the components 0\.\.1"):
+            system_from_blocks(th, ["P1", "P1"], {(0, 0): M, key: M})
+        with pytest.raises(ValueError, match="is not a pair"):
+            system_from_blocks(th, ["P1", "P1"], {key: None})
+
     def test_triples_are_not_a_block(self):
         th = fe_mesh(square_mesh([0, 1, 0, 1], 0.5))
         triples = SparseTriples(np.array([0]), np.array([0]), np.array([1.0]),

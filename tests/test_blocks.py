@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import trifem.assembly
 import trifem.fespace
 from trifem import (FeFunction, assemble_system, error_H1_semi, error_L2,
                     fe_mesh, fe_space, integrate_fe, interpolate_nodal,
@@ -72,6 +73,10 @@ def _same(a, b):
 
 
 def test_blocks_cover_the_cells_in_order(monkeypatch):
+    # powers of two: every compress chunk starts on a block boundary, and
+    # a block's rows are grouped for BLAS as the whole array's are
+    assert all(n & (n - 1) == 0 for n in (trifem.fespace.BLOCK_CELLS,
+                                          trifem.assembly._CHUNK_CELLS))
     monkeypatch.setattr(trifem.fespace, "BLOCK_CELLS", 64)
     cells = Cells(TH, 3)
     blocks = cells.blocks()
@@ -80,6 +85,14 @@ def test_blocks_cover_the_cells_in_order(monkeypatch):
                           cells.points())
     assert np.array_equal(np.concatenate([b.dofs("P3") for b in blocks]),
                           cells.dofs("P3"))
+    # a block's blocks cover its cells, sliced from the whole integral's arrays
+    inner = cells.blocks(128)[1]
+    assert inner.block == slice(128, 256)
+    assert [b.block for b in inner.blocks()] == [slice(128, 192), slice(192, 256)]
+    assert np.array_equal(np.concatenate([b.points() for b in inner.blocks()]),
+                          cells.points()[128:256])
+    assert np.array_equal(np.concatenate([b.measure for b in inner.blocks()]),
+                          cells.measure[128:256])
     edges = Cells(TH, 3, TH.partition[0])
     assert edges.blocks() == [edges]                 # 52 edges fit in one
     monkeypatch.setattr(trifem.fespace, "BLOCK_CELLS", 338)

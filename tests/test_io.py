@@ -272,6 +272,27 @@ class TestReadMsh:
         assert np.array_equal(labels.tri_region, np.arange(8) % 2)
         assert np.all(labels.edge_label == 3)
 
+    @pytest.mark.parametrize("labels", [
+        {"boundary_label": [1, 2]},
+        {"boundary_label": np.ones(9, dtype=int)},
+        {"vertex_label": np.zeros(5, dtype=int)},
+        {"tri_region": np.zeros(9, dtype=int)},
+    ])
+    def test_a_label_array_of_the_wrong_length_is_a_value_error(self, tmp_path,
+                                                                labels):
+        # zip wrote 2 edge lines under a header of 8: a file its reader rejects
+        mesh = square_mesh([0, 1, 0, 1], 0.5)
+        path = tmp_path / "short.msh"
+        name = next(iter(labels))
+        with pytest.raises(ValueError, match=f"^{name} has .* entries for"):
+            write_freefem_msh(path, mesh, boundary=mesh.topology.bd_edge, **labels)
+
+    def test_boundary_labels_without_edges_are_a_value_error(self, tmp_path):
+        mesh = square_mesh([0, 1, 0, 1], 0.5)
+        with pytest.raises(ValueError, match="without the boundary edges"):
+            write_freefem_msh(tmp_path / "none.msh", mesh,
+                              boundary_label=np.ones(8, dtype=int))
+
 
 class TestReadSolution:
     def test_basic(self, tmp_path):

@@ -353,6 +353,15 @@ class TestClassifyBoundary:
         with pytest.raises(ValueError, match="labeled edges must be integers"):
             classify_boundary_by_labels(m, labeled, np.ones(8, dtype=int))
 
+    @pytest.mark.parametrize("labels", [[5], np.ones(9, dtype=int),
+                                        np.ones((8, 1), dtype=int)])
+    def test_one_label_per_labeled_edge(self, labels):
+        # zip put 7 of the 8 edges silently into the unlabelled region
+        from trifem import classify_boundary_by_labels
+        m = square_mesh([0, 1, 0, 1], 0.5)
+        with pytest.raises(ValueError, match="8 labeled edges but edge labels"):
+            classify_boundary_by_labels(m, m.topology.bd_edge, labels)
+
 
 class TestFeMesh:
     def test_bundle(self):
